@@ -7,30 +7,37 @@ state spectrum and sorted energy levels, so no optimization is ever run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
-from .linalg import IDENTITY_2, SIGMA_3, eigh, kron
 from .states import DensityMatrix
 from .tolerances import NEGLIGIBLE
 
 
 class Hamiltonian:
-    """Hermitian observable with eigenenergies sorted ascending."""
+    """Hamiltonian diagonal in the computational basis, given by its levels there.
 
-    def __init__(self, matrix: np.ndarray, tol: float | None = None):
-        spectrum = eigh(np.asarray(matrix, dtype=complex), tol=tol)
-        m = np.array(matrix, dtype=complex)
-        m.setflags(write=False)
-        self.matrix = m
-        self.energies = spectrum.values
-        self.basis = spectrum.vectors
+    ``energies`` holds the levels sorted ascending and ``basis`` the matching
+    eigenvectors as columns, a permutation of the identity.
+    """
+
+    def __init__(self, levels):
+        levels = np.array(levels, dtype=float)
+        if levels.ndim != 1 or not np.all(np.isfinite(levels)):
+            raise ValueError(f"Hamiltonian levels must be a finite 1-D vector, got {levels.tolist()}")
+        order = np.argsort(levels, kind="stable")
+        self.matrix = np.diag(levels)
+        self.energies = levels[order]
+        self.basis = np.eye(len(levels))[:, order]
+        for m in (self.matrix, self.energies, self.basis):
+            m.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.energies)
 
     def __repr__(self) -> str:
         return f"Hamiltonian(dim={self.dim})"
@@ -38,29 +45,29 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class QubitPairEnergies:
-    """Level splittings of the two non-interacting qubits, eps_a >= eps_b >= 0."""
+    """Finite level splittings of the two non-interacting qubits, eps_a >= eps_b >= 0."""
 
     eps_a: float
     eps_b: float
 
     def __post_init__(self):
-        if not self.eps_a >= self.eps_b >= 0.0:
-            raise ValueError(f"require eps_a >= eps_b >= 0, got eps_a={self.eps_a}, eps_b={self.eps_b}")
+        if not (math.isfinite(self.eps_a) and math.isfinite(self.eps_b) and self.eps_a >= self.eps_b >= 0.0):
+            raise ValueError(f"require finite eps_a >= eps_b >= 0, got eps_a={self.eps_a}, eps_b={self.eps_b}")
 
 
 def qubit_pair_hamiltonian(energies: QubitPairEnergies) -> Hamiltonian:
     """Non-interacting pair eps_a s3 x I + eps_b I x s3.
 
-    Its spectrum, ascending, is (-eps_a - eps_b, -eps_a + eps_b,
-    eps_a - eps_b, eps_a + eps_b).
+    Its levels on |00>, |01>, |10>, |11> are eps_a + eps_b, eps_a - eps_b,
+    -eps_a + eps_b and -eps_a - eps_b.
     """
-    matrix = energies.eps_a * kron(SIGMA_3, IDENTITY_2) + energies.eps_b * kron(IDENTITY_2, SIGMA_3)
-    return Hamiltonian(matrix)
+    a, b = energies.eps_a, energies.eps_b
+    return Hamiltonian([a + b, a - b, -a + b, -a - b])
 
 
 def subsystem_a_hamiltonian(energies: QubitPairEnergies) -> Hamiltonian:
     """Hamiltonian eps_a s3 of the first qubit alone."""
-    return Hamiltonian(energies.eps_a * SIGMA_3)
+    return Hamiltonian([energies.eps_a, -energies.eps_a])
 
 
 def _checked_pair(rho: DensityMatrix, h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:

@@ -11,14 +11,15 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 
 from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsystem_a_hamiltonian
 from .errors import NumericError
-from .measurement import MeasurementBasis, capacity_gain
+from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
 from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
-from .sweep import SweepSpec, figure_preset, format_number, rows_to_json, run_sweep, write_csv
-from .tolerances import set_validation_tol
+from .sweep import PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, rows_to_json, run_sweep, write_csv
+from .tolerances import set_validation_tol, validation_tol
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -28,6 +29,11 @@ EXIT_IO = 74
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with code 64."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's default pattern misses exponent notation, so "-1e-3" would read as an option.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -54,6 +60,11 @@ def _add_energy_flags(sub: argparse.ArgumentParser, required: bool) -> None:
     sub.add_argument("--eps-b", type=float, metavar="E", required=required, help="level splitting of the second qubit")
 
 
+def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--scheme", nargs="+", default=["uniform"], metavar="S", help="'uniform' or 'weighted MU0 MU1 ...'")
+    sub.add_argument("--basis", nargs="+", default=["computational"], metavar="B", help="'computational' or 'rotated THETA PHI'")
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     sub.add_argument("--format", choices=("csv", "json"), help="machine-readable output format")
@@ -73,25 +84,12 @@ def build_parser() -> _Parser:
     mea = subs.add_parser("measure", help="measure the second qubit, mix branches, compare capacities")
     _add_state_flags(mea, required=True)
     _add_energy_flags(mea, required=True)
-    mea.add_argument(
-        "--scheme",
-        nargs="+",
-        default=["uniform"],
-        metavar="S",
-        help="'uniform' or 'weighted MU0 MU1 ...'",
-    )
-    mea.add_argument(
-        "--basis",
-        nargs="+",
-        default=["computational"],
-        metavar="B",
-        help="'computational' or 'rotated THETA PHI'",
-    )
+    _add_protocol_flags(mea)
     _add_common_flags(mea)
     mea.set_defaults(func=cmd_measure)
 
     swe = subs.add_parser("sweep", help="run the protocol over a parameter grid")
-    swe.add_argument("--figure", choices=("fig2", "fig3"), help="bundled preset study")
+    swe.add_argument("--figure", choices=tuple(PRESETS), help="bundled preset study")
     swe.add_argument("--spec", metavar="FILE", help="JSON sweep specification")
     swe.add_argument("--family", choices=("werner", "bell_diagonal", "x_state", "example2"))
     swe.add_argument("--param", metavar="NAME", help="swept parameter name")
@@ -99,8 +97,7 @@ def build_parser() -> _Parser:
     swe.add_argument("--stop", type=float)
     swe.add_argument("--count", type=int)
     _add_energy_flags(swe, required=False)
-    swe.add_argument("--scheme", nargs="+", default=["uniform"], metavar="S", help="'uniform' or 'weighted MU0 MU1 ...'")
-    swe.add_argument("--basis", nargs="+", default=["computational"], metavar="B", help="'computational' or 'rotated THETA PHI'")
+    _add_protocol_flags(swe)
     swe.add_argument("--bell-diag", type=float, nargs=3, metavar=("C1", "C2", "C3"), help="base triple for bell_diagonal sweeps")
     swe.add_argument("--x-state", metavar="FILE", help="base state for x_state sweeps")
     _add_common_flags(swe)
@@ -130,35 +127,27 @@ def _state_from_args(args) -> DensityMatrix:
 
 
 def _parse_scheme(tokens: list[str], parser: _Parser) -> tuple[str, tuple[float, ...] | None]:
-    kind = tokens[0]
-    if kind == "uniform":
-        if len(tokens) > 1:
-            parser.error("the uniform scheme takes no weights")
-        return "uniform", None
-    if kind == "weighted":
-        if len(tokens) < 2:
-            parser.error("the weighted scheme needs at least one weight")
-        try:
-            return "weighted", tuple(float(t) for t in tokens[1:])
-        except ValueError:
-            parser.error(f"weights must be numbers, got {tokens[1:]}")
-    parser.error(f"unknown scheme {kind!r}; expected 'uniform' or 'weighted'")
+    try:
+        weights = tuple(float(t) for t in tokens[1:]) or None
+    except ValueError:
+        parser.error(f"weights must be numbers, got {tokens[1:]}")
+    try:
+        check_scheme(tokens[0], weights)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return tokens[0], weights
 
 
 def _parse_basis(tokens: list[str], parser: _Parser) -> tuple[float, float] | None:
-    kind = tokens[0]
-    if kind == "computational":
-        if len(tokens) > 1:
-            parser.error("the computational basis takes no angles")
+    kind, angles = tokens[0], tokens[1:]
+    if kind == "computational" and not angles:
         return None
-    if kind == "rotated":
-        if len(tokens) != 3:
-            parser.error("the rotated basis needs THETA and PHI")
+    if kind == "rotated" and len(angles) == 2:
         try:
-            return float(tokens[1]), float(tokens[2])
+            return float(angles[0]), float(angles[1])
         except ValueError:
-            parser.error(f"basis angles must be numbers, got {tokens[1:]}")
-    parser.error(f"unknown basis {kind!r}; expected 'computational' or 'rotated'")
+            parser.error(f"basis angles must be numbers, got {angles}")
+    parser.error(f"expected 'computational' or 'rotated THETA PHI', got {' '.join(tokens)!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,6 +158,15 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _render(fmt: str | None, data: dict, cells: dict[str, str], lines: dict[str, str]) -> str:
+    """``data`` as JSON, ``cells`` as a one-row CSV, or ``lines`` as ``name: value`` text."""
+    if fmt == "json":
+        return json.dumps(data, indent=2) + "\n"
+    if fmt == "csv":
+        return ",".join(cells) + "\n" + ",".join(cells.values()) + "\n"
+    return "".join(f"{name}: {value}\n" for name, value in lines.items())
+
+
 def cmd_capacity(args, parser: _Parser) -> int:
     rho = _state_from_args(args)
     energies = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b)
@@ -176,25 +174,15 @@ def cmd_capacity(args, parser: _Parser) -> int:
     c_a = capacity(rho.reduced_a(), subsystem_a_hamiltonian(energies))
     spectrum = [float(v) for v in rho.spectrum]
     entangled = is_entangled(rho)
-    if args.format == "json":
-        text = json.dumps(
-            {"c_total": c_total, "c_subsystem_a": c_a, "spectrum": spectrum, "entangled": entangled},
-            indent=2,
-        ) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        buf.write("c_total,c_subsystem_a,lambda0,lambda1,lambda2,lambda3,entangled\n")
-        cells = [format_number(c_total), format_number(c_a), *(format_number(v) for v in spectrum)]
-        buf.write(",".join(cells) + ("," + ("true" if entangled else "false")) + "\n")
-        text = buf.getvalue()
-    else:
-        lines = [
-            f"c_total: {format_number(c_total)}",
-            f"c_subsystem_a: {format_number(c_a)}",
-            "spectrum: " + " ".join(format_number(v) for v in spectrum),
-            f"entangled: {'true' if entangled else 'false'}",
-        ]
-        text = "\n".join(lines) + "\n"
+    numbers = {"c_total": format_number(c_total), "c_subsystem_a": format_number(c_a)}
+    lams = [format_number(v) for v in spectrum]
+    flag = "true" if entangled else "false"
+    text = _render(
+        args.format,
+        {"c_total": c_total, "c_subsystem_a": c_a, "spectrum": spectrum, "entangled": entangled},
+        {**numbers, **dict(zip(SPECTRUM_COLUMNS, lams)), "entangled": flag},
+        {**numbers, "spectrum": " ".join(lams), "entangled": flag},
+    )
     _emit(text, args.out)
     return EXIT_OK
 
@@ -206,106 +194,47 @@ def cmd_measure(args, parser: _Parser) -> int:
     angles = _parse_basis(args.basis, parser)
     basis = MeasurementBasis.computational() if angles is None else MeasurementBasis.rotated(*angles)
     report = capacity_gain(rho, energies, basis=basis, scheme=scheme, weights=weights)
-    if args.format == "json":
-        text = json.dumps(report.to_json(), indent=2) + "\n"
-    elif args.format == "csv":
-        header = "c_before_total,c_after_total,c_before_a,c_after_a,big_f,small_f,scheme,weights\n"
-        cells = [
-            format_number(report.c_before_total),
-            format_number(report.c_after_total),
-            format_number(report.c_before_a),
-            format_number(report.c_after_a),
-            format_number(report.big_f),
-            format_number(report.small_f),
-            report.scheme,
-            ";".join(format_number(w) for w in report.weights) if report.weights else "",
-        ]
-        text = header + ",".join(cells) + "\n"
-    else:
-        scheme_line = report.scheme
-        if report.weights is not None:
-            scheme_line += " " + " ".join(format_number(w) for w in report.weights)
-        lines = [
-            f"scheme: {scheme_line}",
-            f"c_before_total: {format_number(report.c_before_total)}",
-            f"c_after_total: {format_number(report.c_after_total)}",
-            f"c_before_a: {format_number(report.c_before_a)}",
-            f"c_after_a: {format_number(report.c_after_a)}",
-            f"big_f: {format_number(report.big_f)}",
-            f"small_f: {format_number(report.small_f)}",
-        ]
-        text = "\n".join(lines) + "\n"
+    gains = dict(zip(GAIN_FIELDS, map(format_number, report.gains)))
+    mu = [format_number(w) for w in report.weights or ()]
+    text = _render(
+        args.format,
+        report.to_json(),
+        {**gains, "scheme": report.scheme, "weights": ";".join(mu)},
+        {"scheme": " ".join([report.scheme, *mu]), **gains},
+    )
     _emit(text, args.out)
     return EXIT_OK
 
 
-def _spec_from_json(data: dict) -> SweepSpec:
-    try:
-        family = data["family"]
-        param = data["param"]
-        start = float(data["start"])
-        stop = float(data["stop"])
-        count = int(data["count"])
-        eps_a = float(data["eps_a"])
-        eps_b = float(data["eps_b"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed sweep specification: {exc}") from exc
-    scheme = data.get("scheme", "uniform")
-    weights = tuple(float(w) for w in data["weights"]) if "weights" in data else None
-    basis = data.get("basis", "computational")
-    if basis == "computational":
-        basis_angles = None
-    elif isinstance(basis, dict) and {"theta", "phi"} <= set(basis):
-        basis_angles = (float(basis["theta"]), float(basis["phi"]))
-    else:
-        raise ValueError(f"malformed basis entry: {basis!r}")
-    bell_diag = tuple(float(c) for c in data["bell_diag"]) if "bell_diag" in data else None
-    x_params = XStateParams.from_json(data["x_state"]) if "x_state" in data else None
-    return SweepSpec(
-        family=family,
-        param=param,
-        start=start,
-        stop=stop,
-        count=count,
-        energies=QubitPairEnergies(eps_a=eps_a, eps_b=eps_b),
-        scheme=scheme,
-        weights=weights,
-        basis_angles=basis_angles,
-        bell_diag=bell_diag,
-        x_params=x_params,
-    )
-
-
 def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
-    grid_flags = (args.family, args.param, args.start, args.stop, args.count)
+    """Preset, spec file or grid flags, all read by ``SweepSpec.from_mapping``."""
+    grid = {"family": args.family, "param": args.param, "start": args.start, "stop": args.stop, "count": args.count}
+    given = any(v is not None for v in grid.values())
     if args.figure is not None:
-        if args.spec is not None or any(f is not None for f in grid_flags):
+        if args.spec is not None or given:
             parser.error("--figure cannot be combined with --spec or grid flags")
-        return figure_preset(args.figure)
-    if args.spec is not None:
-        if any(f is not None for f in grid_flags):
+        data = PRESETS[args.figure]
+    elif args.spec is not None:
+        if given:
             parser.error("--spec cannot be combined with grid flags")
-        return _spec_from_json(_read_json(args.spec))
-    if any(f is None for f in grid_flags):
-        parser.error("a sweep needs --figure, --spec, or all of --family/--param/--start/--stop/--count")
-    if args.eps_a is None or args.eps_b is None:
-        parser.error("custom sweeps need --eps-a and --eps-b")
-    scheme, weights = _parse_scheme(args.scheme, parser)
-    basis_angles = _parse_basis(args.basis, parser)
-    x_params = XStateParams.from_json(_read_json(args.x_state)) if args.x_state is not None else None
-    return SweepSpec(
-        family=args.family,
-        param=args.param,
-        start=args.start,
-        stop=args.stop,
-        count=args.count,
-        energies=QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b),
-        scheme=scheme,
-        weights=weights,
-        basis_angles=basis_angles,
-        bell_diag=tuple(args.bell_diag) if args.bell_diag is not None else None,
-        x_params=x_params,
-    )
+        data = _read_json(args.spec)
+    else:
+        if any(v is None for v in grid.values()):
+            parser.error("a sweep needs --figure, --spec, or all of --family/--param/--start/--stop/--count")
+        if args.eps_a is None or args.eps_b is None:
+            parser.error("custom sweeps need --eps-a and --eps-b")
+        scheme, weights = _parse_scheme(args.scheme, parser)
+        angles = _parse_basis(args.basis, parser)
+        data = {**grid, "eps_a": args.eps_a, "eps_b": args.eps_b, "scheme": scheme}
+        if weights is not None:
+            data["weights"] = list(weights)
+        if angles is not None:
+            data["basis"] = {"theta": angles[0], "phi": angles[1]}
+        if args.bell_diag is not None:
+            data["bell_diag"] = args.bell_diag
+        if args.x_state is not None:
+            data["x_state"] = _read_json(args.x_state)
+    return SweepSpec.from_mapping(data)
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
@@ -324,14 +253,15 @@ def cmd_sweep(args, parser: _Parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw_tol = os.environ.get("QBCAP_TOL")
-    if raw_tol:
-        try:
-            set_validation_tol(float(raw_tol))
-        except ValueError as exc:
-            print(f"qbcap: error: invalid QBCAP_TOL: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    previous_tol = validation_tol()
     try:
+        raw_tol = os.environ.get("QBCAP_TOL")
+        if raw_tol:
+            try:
+                set_validation_tol(float(raw_tol))
+            except ValueError as exc:
+                print(f"qbcap: error: invalid QBCAP_TOL: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         return args.func(args, parser)
     except (ValueError, NumericError) as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
@@ -339,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        set_validation_tol(previous_tol)
 
 
 if __name__ == "__main__":

@@ -187,6 +187,10 @@ def final_state_weighted(
     return DensityMatrix(accumulated, dim_a, dim_b)
 
 
+# The capacity fields of a gain report, in the order every output lists them.
+GAIN_FIELDS = ("c_before_total", "c_after_total", "c_before_a", "c_after_a", "big_f", "small_f")
+
+
 @dataclass(frozen=True)
 class CapacityGainReport:
     """Whole-pair and first-qubit capacities before and after measure-and-mix.
@@ -204,19 +208,28 @@ class CapacityGainReport:
     scheme: str
     weights: tuple[float, ...] | None = None
 
+    @property
+    def gains(self) -> tuple[float, ...]:
+        """The capacity fields in ``GAIN_FIELDS`` order."""
+        return tuple(getattr(self, name) for name in GAIN_FIELDS)
+
     def to_json(self) -> dict:
-        data = {
-            "c_before_total": self.c_before_total,
-            "c_after_total": self.c_after_total,
-            "c_before_a": self.c_before_a,
-            "c_after_a": self.c_after_a,
-            "big_f": self.big_f,
-            "small_f": self.small_f,
-            "scheme": self.scheme,
-        }
+        data = {**dict(zip(GAIN_FIELDS, self.gains)), "scheme": self.scheme}
         if self.weights is not None:
             data["weights"] = list(self.weights)
         return data
+
+
+def check_scheme(scheme: str, weights) -> None:
+    """Enforce the recombination rule: "uniform" takes no weights, "weighted" requires them."""
+    if scheme == "uniform":
+        if weights is not None:
+            raise ValueError("the uniform scheme takes no weights")
+    elif scheme == "weighted":
+        if weights is None:
+            raise ValueError("the weighted scheme requires weights")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'uniform' or 'weighted'")
 
 
 def capacity_gain(
@@ -244,35 +257,14 @@ def capacity_gain(
     """
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"expected a 2x2 bipartite state, got {rho.dim_a}x{rho.dim_b}")
-    if basis is None:
-        basis = MeasurementBasis.computational()
+    check_scheme(scheme, weights)
+    w = None if weights is None else _as_weights(weights)
+    ensemble = measure_b(rho, basis or MeasurementBasis.computational())
+    final = final_state_uniform(ensemble) if w is None else final_state_weighted(ensemble, w)
     h_pair = qubit_pair_hamiltonian(energies)
     h_a = subsystem_a_hamiltonian(energies)
-    c_before_total = capacity(rho, h_pair)
-    c_before_a = capacity(rho.reduced_a(), h_a)
-    ensemble = measure_b(rho, basis)
-    if scheme == "uniform":
-        if weights is not None:
-            raise ValueError("the uniform scheme takes no weights")
-        final = final_state_uniform(ensemble)
-        weight_tuple = None
-    elif scheme == "weighted":
-        if weights is None:
-            raise ValueError("the weighted scheme requires weights")
-        w = _as_weights(weights)
-        final = final_state_weighted(ensemble, w)
-        weight_tuple = w.mu
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'uniform' or 'weighted'")
-    c_after_total = capacity(final, h_pair)
-    c_after_a = capacity(final.reduced_a(), h_a)
+    total = (capacity(rho, h_pair), capacity(final, h_pair))
+    first = (capacity(rho.reduced_a(), h_a), capacity(final.reduced_a(), h_a))
     return CapacityGainReport(
-        c_before_total=c_before_total,
-        c_after_total=c_after_total,
-        c_before_a=c_before_a,
-        c_after_a=c_after_a,
-        big_f=c_after_total - c_before_total,
-        small_f=c_after_a - c_before_a,
-        scheme=scheme,
-        weights=weight_tuple,
+        *total, *first, total[1] - total[0], first[1] - first[0], scheme, None if w is None else w.mu
     )

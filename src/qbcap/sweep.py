@@ -9,14 +9,15 @@ bytes) or JSON.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import IO
 
 import numpy as np
 
 from .battery import QubitPairEnergies
 from .errors import InvalidStateError
-from .measurement import MeasurementBasis, capacity_gain
+from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
 from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
 
 FAMILY_PARAMS = {
@@ -25,6 +26,23 @@ FAMILY_PARAMS = {
     "bell_diagonal": ("c1", "c2", "c3"),
     "x_state": ("coherence_scale",),
 }
+
+REQUIRED_KEYS = ("family", "param", "start", "stop", "count", "eps_a", "eps_b")
+SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
+
+
+def _finite(value, what: str) -> float:
+    """A JSON number as float; booleans, strings, NaN, infinities and integers beyond float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"sweep specification: {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _finite_list(values, what: str, length: int | None = None) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        size = f" of length {length}" if length else ""
+        raise ValueError(f"sweep specification: {what} must be a list of numbers{size}, got {values!r}")
+    return tuple(_finite(v, what) for v in values)
 
 
 @dataclass(frozen=True)
@@ -50,7 +68,7 @@ class SweepSpec:
     x_params: XStateParams | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
+        if not isinstance(self.family, str) or self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {sorted(FAMILY_PARAMS)}")
         if self.param not in FAMILY_PARAMS[self.family]:
             raise ValueError(
@@ -62,10 +80,46 @@ class SweepSpec:
             raise ValueError("bell_diagonal sweeps need a base (c1, c2, c3) triple")
         if self.family == "x_state" and self.x_params is None:
             raise ValueError("x_state sweeps need base x-state parameters")
-        if self.scheme == "weighted" and self.weights is None:
-            raise ValueError("the weighted scheme requires weights")
-        if self.scheme == "uniform" and self.weights is not None:
-            raise ValueError("the uniform scheme takes no weights")
+        check_scheme(self.scheme, self.weights)
+
+    @classmethod
+    def from_mapping(cls, data) -> "SweepSpec":
+        """Spec from its JSON form: the one reader of spec files, CLI flags and presets.
+
+        Required keys are ``REQUIRED_KEYS``; optional ones are ``scheme``,
+        ``weights``, ``basis`` ("computational" or {"theta": ..., "phi": ...}),
+        ``bell_diag`` and ``x_state`` (an x-state parameter object). Numbers
+        must be finite and ``count`` an integer; anything malformed raises
+        ValueError naming the entry.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep specification is a JSON object, got {type(data).__name__}")
+        missing = [key for key in REQUIRED_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"malformed sweep specification: missing {', '.join(missing)}")
+        count = data["count"]
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(f"sweep specification: count must be an integer, got {count!r}")
+        basis = data.get("basis", "computational")
+        if basis == "computational":
+            basis_angles = None
+        elif isinstance(basis, dict) and {"theta", "phi"} <= set(basis):
+            basis_angles = (_finite(basis["theta"], "basis theta"), _finite(basis["phi"], "basis phi"))
+        else:
+            raise ValueError(f"malformed basis entry: {basis!r}")
+        return cls(
+            family=data["family"],
+            param=data["param"],
+            start=_finite(data["start"], "start"),
+            stop=_finite(data["stop"], "stop"),
+            count=count,
+            energies=QubitPairEnergies(eps_a=_finite(data["eps_a"], "eps_a"), eps_b=_finite(data["eps_b"], "eps_b")),
+            scheme=data.get("scheme", "uniform"),
+            weights=_finite_list(data["weights"], "weights") if "weights" in data else None,
+            basis_angles=basis_angles,
+            bell_diag=_finite_list(data["bell_diag"], "bell_diag", 3) if "bell_diag" in data else None,
+            x_params=XStateParams.from_json(data["x_state"]) if "x_state" in data else None,
+        )
 
     def grid(self) -> np.ndarray:
         """Evenly spaced parameter values, endpoints included."""
@@ -86,33 +140,39 @@ class SweepSpec:
             triple = list(self.bell_diag)
             triple[FAMILY_PARAMS["bell_diagonal"].index(self.param)] = value
             return bell_diagonal(*triple)
-        base = self.x_params
         if not 0.0 <= value <= 1.0:
             raise InvalidStateError(f"coherence_scale must lie in [0, 1], got {value:.12g}")
-        scaled = XStateParams(
-            rho11=base.rho11,
-            rho22=base.rho22,
-            rho33=base.rho33,
-            rho44=base.rho44,
-            rho14=base.rho14 * value,
-            rho23=base.rho23 * value,
-        )
-        return x_state(scaled)
+        base = self.x_params
+        return x_state(replace(base, rho14=base.rho14 * value, rho23=base.rho23 * value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
-    """Protocol results at one grid point."""
+    """Protocol results at one grid point.
+
+    ``gains`` holds the report's capacity fields in ``GAIN_FIELDS`` order;
+    each also reads as an attribute, e.g. ``row.big_f``.
+    """
 
     param_value: float
     spectrum: tuple[float, float, float, float]
-    c_before_total: float
-    c_after_total: float
-    c_before_a: float
-    c_after_a: float
-    big_f: float
-    small_f: float
+    gains: tuple[float, ...]
     entangled: bool
+
+    def __getattr__(self, name: str) -> float:
+        if name not in GAIN_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.gains[GAIN_FIELDS.index(name)]
+
+
+# The bundled studies, in spec-file form.
+PRESETS = {
+    "fig2": {"family": "example2", "param": "x", "start": 0.0, "stop": 0.5, "count": 101, "eps_a": 0.5, "eps_b": 0.3},
+    "fig3": {
+        "family": "example2", "param": "x", "start": 0.0, "stop": 0.056, "count": 101, "eps_a": 0.5, "eps_b": 0.3,
+        "scheme": "weighted", "weights": [0.1, 0.9],
+    },
+}  # fmt: skip
 
 
 def figure_preset(name: str) -> SweepSpec:
@@ -126,29 +186,9 @@ def figure_preset(name: str) -> SweepSpec:
     mixing with mu = (0.1, 0.9), splittings (0.5, 0.3); the whole-pair gain is
     positive on this window.
     """
-    energies = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
-    if name == "fig2":
-        return SweepSpec(
-            family="example2",
-            param="x",
-            start=0.0,
-            stop=0.5,
-            count=101,
-            energies=energies,
-            scheme="uniform",
-        )
-    if name == "fig3":
-        return SweepSpec(
-            family="example2",
-            param="x",
-            start=0.0,
-            stop=0.056,
-            count=101,
-            energies=energies,
-            scheme="weighted",
-            weights=(0.1, 0.9),
-        )
-    raise ValueError(f"unknown figure preset {name!r}; expected 'fig2' or 'fig3'")
+    if name not in PRESETS:
+        raise ValueError(f"unknown figure preset {name!r}; expected 'fig2' or 'fig3'")
+    return SweepSpec.from_mapping(PRESETS[name])
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -158,19 +198,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for value in spec.grid():
         rho = spec.state_at(float(value))
         report = capacity_gain(rho, spec.energies, basis=basis, scheme=spec.scheme, weights=spec.weights)
-        rows.append(
-            SweepRow(
-                param_value=float(value),
-                spectrum=tuple(float(v) for v in rho.spectrum),
-                c_before_total=report.c_before_total,
-                c_after_total=report.c_after_total,
-                c_before_a=report.c_before_a,
-                c_after_a=report.c_after_a,
-                big_f=report.big_f,
-                small_f=report.small_f,
-                entangled=is_entangled(rho),
-            )
-        )
+        rows.append(SweepRow(float(value), tuple(float(v) for v in rho.spectrum), report.gains, is_entangled(rho)))
     return rows
 
 
@@ -181,41 +209,13 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-def csv_columns(spec: SweepSpec) -> list[str]:
-    return [
-        spec.param,
-        "lambda0",
-        "lambda1",
-        "lambda2",
-        "lambda3",
-        "c_before_total",
-        "c_after_total",
-        "c_before_a",
-        "c_after_a",
-        "big_f",
-        "small_f",
-        "entangled",
-    ]
-
-
 def write_csv(rows: list[SweepRow], spec: SweepSpec, stream: IO[str]) -> None:
     """Emit rows in grid order; repeated calls produce identical bytes."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(csv_columns(spec))
+    writer.writerow([spec.param, *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"])
     for row in rows:
-        writer.writerow(
-            [
-                format_number(row.param_value),
-                *(format_number(v) for v in row.spectrum),
-                format_number(row.c_before_total),
-                format_number(row.c_after_total),
-                format_number(row.c_before_a),
-                format_number(row.c_after_a),
-                format_number(row.big_f),
-                format_number(row.small_f),
-                "true" if row.entangled else "false",
-            ]
-        )
+        numbers = (row.param_value, *row.spectrum, *row.gains)
+        writer.writerow([*map(format_number, numbers), "true" if row.entangled else "false"])
 
 
 def rows_to_json(rows: list[SweepRow], spec: SweepSpec) -> dict:
@@ -229,22 +229,14 @@ def rows_to_json(rows: list[SweepRow], spec: SweepSpec) -> dict:
     }
     if spec.weights is not None:
         meta["weights"] = list(spec.weights)
-    if spec.basis_angles is not None:
-        meta["basis"] = {"theta": spec.basis_angles[0], "phi": spec.basis_angles[1]}
-    else:
-        meta["basis"] = "computational"
+    meta["basis"] = "computational" if spec.basis_angles is None else dict(zip(("theta", "phi"), spec.basis_angles))
     return {
         **meta,
         "rows": [
             {
                 spec.param: row.param_value,
                 "spectrum": list(row.spectrum),
-                "c_before_total": row.c_before_total,
-                "c_after_total": row.c_after_total,
-                "c_before_a": row.c_before_a,
-                "c_after_a": row.c_after_a,
-                "big_f": row.big_f,
-                "small_f": row.small_f,
+                **dict(zip(GAIN_FIELDS, row.gains)),
                 "entangled": row.entangled,
             }
             for row in rows

@@ -31,6 +31,9 @@ def test_energies_validation():
         QubitPairEnergies(eps_a=0.3, eps_b=0.5)
     with pytest.raises(ValueError):
         QubitPairEnergies(eps_a=-0.1, eps_b=-0.2)
+    for eps_a, eps_b in ((float("inf"), 0.3), (float("inf"), float("inf")), (float("nan"), 0.3)):
+        with pytest.raises(ValueError, match="finite"):
+            QubitPairEnergies(eps_a=eps_a, eps_b=eps_b)
     QubitPairEnergies(eps_a=0.0, eps_b=0.0)
 
 
@@ -51,8 +54,14 @@ def test_subsystem_hamiltonian():
 
 
 def test_hamiltonian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        Hamiltonian(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # A Hamiltonian is given by its diagonal levels, so a matrix, Hermitian or
+    # not, is no valid input; neither are non-finite levels.
+    for bad in (np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), [0.5, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="levels"):
+            Hamiltonian(bad)
+    h = Hamiltonian([0.3, -0.1, 0.2])
+    np.testing.assert_array_equal(h.energies, [-0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(h.basis.T @ h.matrix @ h.basis, np.diag(h.energies))
 
 
 def test_capacity_frozen_values():

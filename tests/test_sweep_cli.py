@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qbcap import (
+    VALIDATION_TOL,
     MixingWeights,
     QubitPairEnergies,
     SweepSpec,
@@ -17,9 +18,11 @@ from qbcap import (
     figure_preset,
     rows_to_json,
     run_sweep,
+    validation_tol,
     werner,
     write_csv,
 )
+from qbcap.cli import main
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -35,6 +38,13 @@ def run_cli(*args, env_extra=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+def run_main(argv, capsys):
+    """In-process CLI call: exit code, stdout and stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_figure_presets():
@@ -316,3 +326,83 @@ def test_cli_sweep_stdout_matches_out_file(tmp_path):
                       "--count", "6", "--eps-a", "0.5", "--eps-b", "0.3", "--out", str(out_path))
     assert to_stdout.returncode == 0 and to_file.returncode == 0
     assert out_path.read_bytes() == to_stdout.stdout
+
+
+WERNER_SPEC = {"family": "werner", "param": "a", "start": 0.0, "stop": 1.0, "count": 5, "eps_a": 0.5, "eps_b": 0.3}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"weights": 5, "scheme": "weighted"},
+        {"weights": [0.5, "0.5"], "scheme": "weighted"},
+        {"weights": [float("nan"), 1.0], "scheme": "weighted"},
+        {"family": ["werner"]},
+        {"param": 1},
+        {"basis": {"theta": [1], "phi": 0}},
+        {"basis": "rotated"},
+        {"family": "bell_diagonal", "param": "c1", "bell_diag": 5},
+        {"family": "bell_diagonal", "param": "c1", "bell_diag": [0.1, 0.2]},
+        {"count": 2.7},
+        {"count": True},
+        {"start": float("nan")},
+        {"stop": "1"},
+        {"stop": 10**400},
+        {"eps_a": float("inf")},
+    ],
+)
+def test_malformed_sweep_spec_exits_2(tmp_path, capsys, override):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**WERNER_SPEC, **override}))
+    code, out, err = run_main(["sweep", "--spec", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("qbcap: error:")
+
+
+def test_from_mapping_matches_keyword_construction():
+    spec = {**WERNER_SPEC, "scheme": "weighted", "weights": [0.8, 0.2], "basis": {"theta": 0.3, "phi": 0.0}}
+    assert SweepSpec.from_mapping(spec) == SweepSpec(
+        family="werner",
+        param="a",
+        start=0.0,
+        stop=1.0,
+        count=5,
+        energies=PAIR_053,
+        scheme="weighted",
+        weights=(0.8, 0.2),
+        basis_angles=(0.3, 0.0),
+    )
+    with pytest.raises(ValueError, match="missing count"):
+        SweepSpec.from_mapping({k: v for k, v in WERNER_SPEC.items() if k != "count"})
+
+
+def test_cli_non_finite_energies_exit_2(capsys):
+    code, out, err = run_main(["capacity", "--werner", "0.5", "--eps-a", "inf", "--eps-b", "0.3"], capsys)
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
+def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QBCAP_TOL", "1e-3")
+    argv = ["capacity", "--werner", "0.6", "--eps-a", "0.5", "--eps-b", "0.3"]
+    assert run_main(argv, capsys)[0] == 0
+    assert validation_tol() == VALIDATION_TOL
+    assert run_main(["capacity", "--werner", "1.5", *argv[3:]], capsys)[0] == 2
+    assert validation_tol() == VALIDATION_TOL
+    with pytest.raises(SystemExit):
+        main(["measure", "--werner", "0.5", "--scheme", "median", *argv[3:]])
+    assert validation_tol() == VALIDATION_TOL
+
+
+def test_cli_reads_negative_exponent_numbers(capsys):
+    energies = ["--eps-a", "0.5", "--eps-b", "0.3", "--format", "json"]
+    code, out, _ = run_main(["capacity", "--bell-diag", "-3.9e-05", "0.1", "0.1", *energies], capsys)
+    assert code == 0
+    expected = capacity_gain(bell_diagonal(-3.9e-05, 0.1, 0.1), PAIR_053).c_before_total
+    assert abs(json.loads(out)["c_total"] - expected) < 1e-12
+    code, out, _ = run_main(["measure", "--werner", "0.5", "--basis", "rotated", "-1e-3", "0", *energies], capsys)
+    assert code == 0
+    code, out, _ = run_main(["sweep", "--family", "bell_diagonal", "--param", "c1", "--start", "-1e-3",
+                             "--stop", "0.1", "--count", "3", "--bell-diag", "0", "0.1", "0.1", *energies], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"][0]["c1"] == -1e-3
