@@ -39,7 +39,7 @@ def main():
     print("two-qubit level energies:", np.round(h.energies, 6))
     print()
 
-    maximally_mixed = DensityMatrix(np.eye(4) / 4.0, 2, 2)
+    maximally_mixed = DensityMatrix(np.eye(4) / 4.0)
     singlet = werner(1.0)
 
     show("maximally mixed", maximally_mixed, h)
@@ -60,7 +60,7 @@ def main():
     drift = 0.0
     for _ in range(200):
         u = haar_unitary(4, rng)
-        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, 2, 2)
+        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
         drift = max(drift, abs(capacity(rotated, h) - c))
     print(f"max capacity drift over 200 random rotations: {drift:.2e}")
 

@@ -18,18 +18,7 @@ from .battery import (
     subsystem_a_hamiltonian,
 )
 from .errors import InvalidStateError, NumericError, UndefinedAverageError
-from .linalg import (
-    IDENTITY_2,
-    PAULIS,
-    SIGMA_1,
-    SIGMA_2,
-    SIGMA_3,
-    Spectrum,
-    eigh,
-    haar_unitary,
-    kron,
-    partial_trace_b,
-)
+from .linalg import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, eigh, haar_unitary
 from .measurement import (
     Branch,
     CapacityGainReport,
@@ -76,7 +65,6 @@ __all__ = [
     "SIGMA_1",
     "SIGMA_2",
     "SIGMA_3",
-    "Spectrum",
     "SweepRow",
     "SweepSpec",
     "UndefinedAverageError",
@@ -95,9 +83,7 @@ __all__ = [
     "final_state_weighted",
     "haar_unitary",
     "is_entangled",
-    "kron",
     "measure_b",
-    "partial_trace_b",
     "qubit_pair_hamiltonian",
     "rows_to_json",
     "run_sweep",

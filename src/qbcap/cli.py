@@ -120,10 +120,7 @@ def _state_from_args(args) -> DensityMatrix:
         return x_state(XStateParams.from_json(_read_json(args.x_state)))
     if args.example2 is not None:
         return example2(args.example2)
-    rho = DensityMatrix.from_json(_read_json(args.state))
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise ValueError(f"expected a 2x2 bipartite state, got {rho.dim_a}x{rho.dim_b}")
-    return rho
+    return DensityMatrix.from_json(_read_json(args.state))
 
 
 def _parse_scheme(tokens: list[str], parser: _Parser) -> tuple[str, tuple[float, ...] | None]:
@@ -191,8 +188,7 @@ def cmd_measure(args, parser: _Parser) -> int:
     rho = _state_from_args(args)
     energies = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b)
     scheme, weights = _parse_scheme(args.scheme, parser)
-    angles = _parse_basis(args.basis, parser)
-    basis = MeasurementBasis.computational() if angles is None else MeasurementBasis.rotated(*angles)
+    basis = MeasurementBasis(_parse_basis(args.basis, parser))
     report = capacity_gain(rho, energies, basis=basis, scheme=scheme, weights=weights)
     gains = dict(zip(GAIN_FIELDS, map(format_number, report.gains)))
     mu = [format_number(w) for w in report.weights or ()]

@@ -1,17 +1,16 @@
-"""Dense complex linear algebra for small composite systems.
+"""Pauli matrices, a checked eigendecomposition and Haar-random unitaries.
 
-Everything here works on plain complex ndarrays; the dimensions in this
-package never exceed 8, so no sparsity or blocking is attempted.
+Everything here works on plain complex ndarrays of a qubit (2x2) or a qubit
+pair (4x4); Kronecker products, partial traces and partial transposes are
+done in place with ``np.kron`` and fixed reshapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError
-from .tolerances import RECONSTRUCTION_TOL, validation_tol
+from .tolerances import RECONSTRUCTION_TOL
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -23,64 +22,15 @@ for _m in (*PAULIS, IDENTITY_2):
     _m.setflags(write=False)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"kron expects square matrices, got shape {m.shape}")
-    return np.kron(a, b)
-
-
-def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out the second tensor factor of an operator on a dim_a*dim_b space."""
-    m = np.asarray(m, dtype=complex)
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got {dim_a}, {dim_b}")
-    dim = dim_a * dim_b
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix shape {m.shape} incompatible with a {dim_a}x{dim_b} split")
-    return m.reshape(dim_a, dim_b, dim_a, dim_b).trace(axis1=1, axis2=3)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted ascending, with matching orthonormal eigenvectors as columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigh(m: np.ndarray, tol: float | None = None) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : np.ndarray
-        Square matrix, Hermitian within ``tol``.
-    tol : float, optional
-        Hermiticity gate; defaults to the active validation tolerance.
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a square matrix whose Hermiticity the caller has checked.
 
     Returns
     -------
-    Spectrum
+    (values, vectors)
         Ascending eigenvalues and eigenvector columns satisfying the
         reconstruction bound ``max|m - V diag(w) V^dagger| <= 1e-11``.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"eigh expects a square matrix, got shape {m.shape}")
-    if tol is None:
-        tol = validation_tol()
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -91,7 +41,7 @@ def eigh(m: np.ndarray, tol: float | None = None) -> Spectrum:
         raise NumericError(f"eigendecomposition reconstruction error {err:.3e} exceeds 1e-11")
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return Spectrum(values=values, vectors=vectors)
+    return values, vectors
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,7 @@ side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,61 +17,50 @@ import numpy as np
 
 from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsystem_a_hamiltonian
 from .errors import NumericError, UndefinedAverageError
-from .linalg import hermiticity_defect
-from .states import DensityMatrix
-from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, validation_tol
+from .linalg import IDENTITY_2
+from .states import DensityMatrix, require_pair
+from .tolerances import NEGLIGIBLE, validation_tol
 
 # Branches below this probability are flagged instead of normalized.
 ZERO_PROBABILITY = NEGLIGIBLE
 
 
 class MeasurementBasis:
-    """Complete set of rank-1 orthogonal projectors on the measured subsystem."""
+    """Rank-1 projective measurement of the second qubit along a Bloch direction.
 
-    def __init__(self, projectors: Sequence[np.ndarray], description: str = "custom"):
-        mats = tuple(np.array(p, dtype=complex) for p in projectors)
-        if not mats:
-            raise ValueError("a measurement basis needs at least one projector")
-        dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for k, p in enumerate(mats):
-            if p.shape != (dim, dim):
-                raise ValueError(f"projector {k} has shape {p.shape}, expected ({dim}, {dim})")
-            if hermiticity_defect(p) > RECONSTRUCTION_TOL:
-                raise ValueError(f"projector {k} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > RECONSTRUCTION_TOL:
-                raise ValueError(f"projector {k} is not idempotent")
-            if abs(p.trace() - 1.0) > RECONSTRUCTION_TOL:
-                raise ValueError(f"projector {k} has rank != 1")
-            total += p
+    ``angles`` is None for the computational basis {|0>, |1>}, or the Bloch
+    angles (theta, phi) of the first basis vector; theta = 0 is computational.
+    """
+
+    def __init__(self, angles: tuple[float, float] | None = None):
+        if angles is None:
+            v = np.eye(2, dtype=complex)
+            self.description = "computational"
+        else:
+            theta, phi = angles
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                raise ValueError(f"basis angles must be finite, got theta={theta}, phi={phi}")
+            c = np.cos(theta / 2.0)
+            s = np.sin(theta / 2.0)
+            v = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
+            self.description = f"rotated(theta={theta:.12g}, phi={phi:.12g})"
+        self.angles = angles
+        self.projectors = tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(2))
+        for p in self.projectors:
             p.setflags(write=False)
-        if np.max(np.abs(total - np.eye(dim))) > RECONSTRUCTION_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        self.projectors = mats
-        self.dim_b = dim
-        self.description = description
 
     @classmethod
-    def computational(cls, dim_b: int = 2) -> "MeasurementBasis":
-        """Projectors onto the standard basis vectors |k><k|."""
-        eye = np.eye(dim_b, dtype=complex)
-        projs = [np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim_b)]
-        return cls(projs, description="computational")
+    def computational(cls) -> "MeasurementBasis":
+        """Projectors onto the standard basis vectors |0><0| and |1><1|."""
+        return cls()
 
     @classmethod
     def rotated(cls, theta: float, phi: float) -> "MeasurementBasis":
         """Qubit basis along the Bloch direction (theta, phi); theta = 0 is computational."""
-        c = np.cos(theta / 2.0)
-        s = np.sin(theta / 2.0)
-        v = np.array(
-            [[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]],
-            dtype=complex,
-        )
-        projs = [np.outer(v[:, k], v[:, k].conj()) for k in range(2)]
-        return cls(projs, description=f"rotated(theta={theta:.12g}, phi={phi:.12g})")
+        return cls((theta, phi))
 
     def __repr__(self) -> str:
-        return f"MeasurementBasis({self.description}, dim_b={self.dim_b})"
+        return f"MeasurementBasis({self.description})"
 
 
 @dataclass(frozen=True)
@@ -100,20 +90,18 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
     the measured basis, and the probabilities close to 1; branches below the
     1e-12 probability floor are flagged rather than normalized.
     """
-    if rho.dim_b != basis.dim_b:
-        raise ValueError(f"state has dim_b={rho.dim_b} but basis acts on dimension {basis.dim_b}")
-    eye_a = np.eye(rho.dim_a, dtype=complex)
+    matrix = require_pair(rho).matrix
     branches = []
     total = 0.0
     for proj in basis.projectors:
-        op = np.kron(eye_a, proj)
-        unnormalized = op @ rho.matrix @ op
+        op = np.kron(IDENTITY_2, proj)
+        unnormalized = op @ matrix @ op
         p = float(np.trace(unnormalized).real)
         total += p
         if p < ZERO_PROBABILITY:
             branches.append(Branch(probability=p, state=None))
         else:
-            branches.append(Branch(probability=p, state=DensityMatrix(unnormalized / p, rho.dim_a, rho.dim_b)))
+            branches.append(Branch(probability=p, state=DensityMatrix(unnormalized / p)))
     if abs(total - 1.0) > validation_tol():
         raise NumericError(f"outcome probabilities sum to {total:.12g}, expected 1")
     return MeasurementEnsemble(branches=tuple(branches), basis=basis)
@@ -127,6 +115,8 @@ class MixingWeights:
 
     def __post_init__(self):
         for k, w in enumerate(self.mu):
+            if not math.isfinite(w):
+                raise ValueError(f"weight mu_{k} = {w} is not a finite number")
             if w < -NEGLIGIBLE:
                 raise ValueError(f"weight mu_{k} = {w:.12g} is negative")
         total = sum(self.mu)
@@ -153,9 +143,7 @@ def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
                 f"branch {k} has probability {branch.probability:.3e}; the unweighted average is undefined"
             )
         matrices.append(branch.state.matrix)
-    averaged = sum(matrices) / len(matrices)
-    template = ensemble.branches[0].state
-    return DensityMatrix(averaged, template.dim_a, template.dim_b)
+    return DensityMatrix(sum(matrices) / len(matrices))
 
 
 def final_state_weighted(
@@ -169,7 +157,6 @@ def final_state_weighted(
     w = _as_weights(weights)
     if len(w.mu) != len(ensemble.branches):
         raise ValueError(f"{len(w.mu)} weights for {len(ensemble.branches)} branches")
-    dim_a = dim_b = None
     accumulated = None
     for k, (mu_k, branch) in enumerate(zip(w.mu, ensemble.branches)):
         if branch.state is None:
@@ -179,12 +166,11 @@ def final_state_weighted(
                 )
             continue
         if accumulated is None:
-            dim_a, dim_b = branch.state.dim_a, branch.state.dim_b
             accumulated = np.zeros_like(branch.state.matrix)
         accumulated = accumulated + mu_k * branch.state.matrix
     if accumulated is None:
         raise ValueError("all branches are flagged; nothing to mix")
-    return DensityMatrix(accumulated, dim_a, dim_b)
+    return DensityMatrix(accumulated)
 
 
 # The capacity fields of a gain report, in the order every output lists them.
@@ -255,8 +241,7 @@ def capacity_gain(
     weights : MixingWeights or sequence of float, optional
         Required exactly when scheme is "weighted".
     """
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise ValueError(f"expected a 2x2 bipartite state, got {rho.dim_a}x{rho.dim_b}")
+    require_pair(rho)
     check_scheme(scheme, weights)
     w = None if weights is None else _as_weights(weights)
     ensemble = measure_b(rho, basis or MeasurementBasis.computational())

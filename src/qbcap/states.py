@@ -1,9 +1,10 @@
 """Validated density matrices and the two-qubit state families used throughout.
 
-The families all live on a 2x2 bipartite space: correlation-diagonal (Bell
-diagonal) states, Werner states, X-shaped states given by their populations
-and anti-diagonal coherences, and a one-parameter three-level mixture used by
-the bundled parameter studies.
+A density matrix is a qubit (2x2) or a qubit pair (4x4). The families all
+live on the pair: correlation-diagonal (Bell diagonal) states, Werner
+states, X-shaped states given by their populations and anti-diagonal
+coherences, and a one-parameter three-level mixture used by the bundled
+parameter studies.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericError
-from .linalg import IDENTITY_2, PAULIS, SIGMA_3, eigh, hermiticity_defect, kron, partial_trace_b
+from .linalg import IDENTITY_2, PAULIS, SIGMA_3, eigh
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, validation_tol
 
 # Threshold for calling a partial-transpose eigenvalue negative; fixed, not
@@ -22,74 +23,74 @@ PPT_NEG_TOL = 1e-10
 
 
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace operator on a bipartite space.
+    """Hermitian, positive semidefinite, unit-trace qubit (2x2) or qubit-pair (4x4) matrix.
 
     The ascending eigenvalue list is computed once at construction and cached
-    as ``spectrum``; round-off negatives above ``-tol`` are clamped to zero.
+    as ``spectrum``; round-off negatives above minus the validation tolerance
+    are clamped to zero.
     """
 
-    def __init__(self, matrix: np.ndarray, dim_a: int, dim_b: int, tol: float | None = None):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.array(matrix, dtype=complex)
-        if tol is None:
-            tol = validation_tol()
-        if dim_a < 1 or dim_b < 1:
-            raise ValueError(f"subsystem dimensions must be positive, got {dim_a}, {dim_b}")
-        dim = dim_a * dim_b
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {matrix.shape} incompatible with a {dim_a}x{dim_b} split")
+        if matrix.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"matrix shape {matrix.shape} is neither a qubit (2, 2) nor a qubit pair (4, 4)")
+        tol = validation_tol()
         if not np.all(np.isfinite(matrix)):
             raise InvalidStateError("matrix contains non-finite entries")
-        defect = hermiticity_defect(matrix)
+        defect = float(np.max(np.abs(matrix - matrix.conj().T)))
         if defect > tol:
             raise InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
         trace = matrix.trace()
         if abs(trace - 1.0) > tol:
             raise InvalidStateError(f"trace = {trace.real:.12g}, expected 1 within {tol:g}")
-        spectrum = eigh(matrix, tol=tol)
-        if spectrum.values[0] < -tol:
-            raise InvalidStateError(f"negative eigenvalue {spectrum.values[0]:.3e} below -{tol:g}")
-        values = np.maximum(spectrum.values, 0.0)
+        values, vectors = eigh(matrix)
+        if values[0] < -tol:
+            raise InvalidStateError(f"negative eigenvalue {values[0]:.3e} below -{tol:g}")
+        values = np.maximum(values, 0.0)
         values.setflags(write=False)
         matrix.setflags(write=False)
         self.matrix = matrix
-        self.dim_a = dim_a
-        self.dim_b = dim_b
         self.spectrum = values
-        self.eigenvectors = spectrum.vectors
+        self.eigenvectors = vectors
 
     @property
     def dim(self) -> int:
-        return self.dim_a * self.dim_b
+        return self.matrix.shape[0]
 
     def reduced_a(self) -> "DensityMatrix":
-        """State of the first subsystem after tracing out the second."""
-        return DensityMatrix(partial_trace_b(self.matrix, self.dim_a, self.dim_b), self.dim_a, 1)
+        """State of the first qubit after tracing out the second."""
+        return DensityMatrix(require_pair(self).matrix.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3))
 
     def to_json(self) -> dict:
-        """Serializable form: dimensions plus row-major real and imaginary parts."""
-        return {
-            "dim_a": self.dim_a,
-            "dim_b": self.dim_b,
-            "re": self.matrix.real.tolist(),
-            "im": self.matrix.imag.tolist(),
-        }
+        """Serializable form of a qubit pair: dimensions plus row-major real and imaginary parts."""
+        require_pair(self)
+        return {"dim_a": 2, "dim_b": 2, "re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
-        """Inverse of :meth:`to_json`; runs full validation on the result."""
+        """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2."""
         try:
-            dim_a = int(data["dim_a"])
-            dim_b = int(data["dim_b"])
+            dims = {key: data[key] for key in ("dim_a", "dim_b")}
             re = np.array(data["re"], dtype=float)
             im = np.array(data["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc
+        for key, dim in dims.items():
+            if type(dim) is not int or dim != 2:
+                raise InvalidStateError(f"{key} must be the integer 2, got {dim!r}")
         if re.shape != im.shape:
             raise InvalidStateError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-        return cls(re + 1j * im, dim_a, dim_b)
+        return require_pair(cls(re + 1j * im))
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
+        return f"DensityMatrix(dim={self.dim})"
+
+
+def require_pair(rho: DensityMatrix) -> DensityMatrix:
+    """``rho`` itself if it is a qubit pair; a ValueError otherwise."""
+    if rho.dim != 4:
+        raise ValueError(f"expected a two-qubit state, got a {rho.dim}x{rho.dim} matrix")
+    return rho
 
 
 def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
@@ -112,11 +113,11 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
             )
     matrix = 0.25 * (
         np.eye(4, dtype=complex)
-        + c1 * kron(PAULIS[0], PAULIS[0])
-        + c2 * kron(PAULIS[1], PAULIS[1])
-        + c3 * kron(PAULIS[2], PAULIS[2])
+        + c1 * np.kron(PAULIS[0], PAULIS[0])
+        + c2 * np.kron(PAULIS[1], PAULIS[1])
+        + c3 * np.kron(PAULIS[2], PAULIS[2])
     )
-    return DensityMatrix(matrix, 2, 2)
+    return DensityMatrix(matrix)
 
 
 def werner(a: float) -> DensityMatrix:
@@ -127,7 +128,7 @@ def werner(a: float) -> DensityMatrix:
     singlet[1] = 1.0 / np.sqrt(2.0)
     singlet[2] = -1.0 / np.sqrt(2.0)
     matrix = a * np.outer(singlet, singlet.conj()) + (1.0 - a) / 4.0 * np.eye(4, dtype=complex)
-    return DensityMatrix(matrix, 2, 2)
+    return DensityMatrix(matrix)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def x_state(params: XStateParams) -> DensityMatrix:
     m[3, 0] = np.conj(params.rho14)
     m[1, 2] = params.rho23
     m[2, 1] = np.conj(params.rho23)
-    return DensityMatrix(m, 2, 2)
+    return DensityMatrix(m)
 
 
 def example2(x: float) -> DensityMatrix:
@@ -233,7 +234,7 @@ def example2(x: float) -> DensityMatrix:
     m[0, 0] = (1.0 - x) / 3.0
     m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = 1.0 / 3.0
     m[3, 3] = x / 3.0
-    return DensityMatrix(m, 2, 2)
+    return DensityMatrix(m)
 
 
 @dataclass(frozen=True)
@@ -264,40 +265,29 @@ def bloch_coefficients(rho: DensityMatrix) -> BlochCoefficients:
     corresponding Pauli tensor; imaginary residues above 1e-11 raise a
     numeric error since they cannot occur for a valid Hermitian input.
     """
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise ValueError(f"expected a 2x2 bipartite state, got {rho.dim_a}x{rho.dim_b}")
+    matrix = require_pair(rho).matrix
 
     def expectation(op: np.ndarray) -> float:
-        value = np.trace(rho.matrix @ op)
+        value = np.trace(matrix @ op)
         if abs(value.imag) > RECONSTRUCTION_TOL:
             raise NumericError(f"Pauli expectation has imaginary residue {value.imag:.3e}")
         return float(value.real)
 
-    a3 = expectation(kron(SIGMA_3, IDENTITY_2))
-    b3 = expectation(kron(IDENTITY_2, SIGMA_3))
-    t = np.array([[expectation(kron(si, sj)) for sj in PAULIS] for si in PAULIS])
+    a3 = expectation(np.kron(SIGMA_3, IDENTITY_2))
+    b3 = expectation(np.kron(IDENTITY_2, SIGMA_3))
+    t = np.array([[expectation(np.kron(si, sj)) for sj in PAULIS] for si in PAULIS])
     if np.max(np.abs(t)) > 1.0 + NEGLIGIBLE or max(abs(a3), abs(b3)) > 1.0 + NEGLIGIBLE:
         raise NumericError("Pauli expectation outside [-1, 1]")
     t.setflags(write=False)
     return BlochCoefficients(a3=a3, b3=b3, t=t)
 
 
-def _partial_transpose_b(matrix: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    return (
-        matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(dim_a * dim_b, dim_a * dim_b)
-    )
-
-
 def is_entangled(rho: DensityMatrix) -> bool:
-    """Partial-transpose criterion, exact on a 2x2 bipartite space.
+    """Partial-transpose criterion, exact for a qubit pair.
 
     Returns True exactly when the partial transpose over the second qubit has
     an eigenvalue below -1e-10.
     """
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise ValueError(f"expected a 2x2 bipartite state, got {rho.dim_a}x{rho.dim_b}")
-    transposed = _partial_transpose_b(rho.matrix, 2, 2)
+    transposed = require_pair(rho).matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     smallest = float(np.linalg.eigvalsh(transposed)[0])
     return smallest < -PPT_NEG_TOL

@@ -125,11 +125,6 @@ class SweepSpec:
         """Evenly spaced parameter values, endpoints included."""
         return np.linspace(self.start, self.stop, self.count)
 
-    def basis(self) -> MeasurementBasis:
-        if self.basis_angles is None:
-            return MeasurementBasis.computational()
-        return MeasurementBasis.rotated(*self.basis_angles)
-
     def state_at(self, value: float) -> DensityMatrix:
         """State of the family at one grid point; constructors validate the domain."""
         if self.family == "werner":
@@ -193,7 +188,7 @@ def figure_preset(name: str) -> SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the protocol on every grid point, in grid order."""
-    basis = spec.basis()
+    basis = MeasurementBasis(spec.basis_angles)
     rows = []
     for value in spec.grid():
         rho = spec.state_at(float(value))

@@ -1,6 +1,6 @@
 """Centralized numerical tolerances.
 
-VALIDATION_TOL      Hermiticity, unit trace, positivity, basis completeness checks.
+VALIDATION_TOL      Hermiticity, unit trace and positivity checks.
 RECONSTRUCTION_TOL  Eigendecomposition round-trip bound and entrywise identities.
 NEGLIGIBLE          Zero-probability branches, weight sums, round-off clamps.
 

@@ -1,16 +1,29 @@
-"""Seeded samplers shared across the test modules."""
+"""Seeded samplers and the subprocess environment shared across the test modules."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 from qbcap import DensityMatrix, MeasurementBasis, QubitPairEnergies, XStateParams
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-def random_density(rng, dim_a=2, dim_b=2):
-    """Full-rank random state from the normalized Ginibre square."""
-    dim = dim_a * dim_b
+
+def subprocess_env(extra=None):
+    """Environment for a child Python: ``QBCAP_TOL`` unset, ``src`` first on PYTHONPATH, then ``extra``."""
+    env = dict(os.environ)
+    env.pop("QBCAP_TOL", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(extra or {})
+    return env
+
+
+def random_density(rng, dim=4):
+    """Full-rank random qubit (dim 2) or qubit-pair (dim 4) state from the normalized Ginibre square."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dim_a, dim_b)
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_bell_triple(rng):

@@ -6,13 +6,19 @@ criterion; any assertion failure marks the corresponding criterion failed.
 
 import io
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 
-from helpers import random_bell_triple, random_density, random_energies, random_rotated_basis, random_x_params
+from helpers import (
+    random_bell_triple,
+    random_density,
+    random_energies,
+    random_rotated_basis,
+    random_x_params,
+    subprocess_env,
+)
 
 from qbcap import (
     MeasurementBasis,
@@ -39,9 +45,7 @@ PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
 
 def run_cli(*args):
-    env = dict(os.environ)
-    env.pop("QBCAP_TOL", None)
-    return subprocess.run([sys.executable, "-m", "qbcap", *args], capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", "qbcap", *args], capture_output=True, env=subprocess_env())
 
 
 def parse_csv(text):

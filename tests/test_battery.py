@@ -23,7 +23,7 @@ PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 def pure_state(index):
     m = np.zeros((4, 4), dtype=complex)
     m[index, index] = 1.0
-    return DensityMatrix(m, 2, 2)
+    return DensityMatrix(m)
 
 
 def test_energies_validation():
@@ -66,14 +66,14 @@ def test_hamiltonian_rejects_non_hermitian():
 
 def test_capacity_frozen_values():
     h = qubit_pair_hamiltonian(PAIR_053)
-    assert capacity(DensityMatrix(np.eye(4) / 4.0, 2, 2), h) == 0.0
+    assert capacity(DensityMatrix(np.eye(4) / 4.0), h) == 0.0
     assert abs(capacity(werner(0.6), h) - 0.96) < 1e-12
     assert abs(capacity(bell_diagonal(0.6, 0.3, 0.1), h) - 0.78) < 1e-12
 
 
 def test_capacity_of_maximally_mixed_qubit():
     h = subsystem_a_hamiltonian(PAIR_053)
-    assert capacity(DensityMatrix(np.eye(2) / 2.0, 2, 1), h) == 0.0
+    assert capacity(DensityMatrix(np.eye(2) / 2.0), h) == 0.0
 
 
 def test_capacity_dimension_mismatch():
@@ -87,15 +87,15 @@ def test_ergotropy_frozen_values():
     # the ground level, so their ergotropies are 1.6 and 0.
     assert abs(ergotropy(pure_state(0), h) - 1.6) < 1e-12
     assert ergotropy(pure_state(3), h) == 0.0
-    assert ergotropy(DensityMatrix(np.eye(4) / 4.0, 2, 2), h) == 0.0
+    assert ergotropy(DensityMatrix(np.eye(4) / 4.0), h) == 0.0
 
 
 def test_extremal_energies_frozen_values():
     h = qubit_pair_hamiltonian(PAIR_053)
-    assert extremal_energies(DensityMatrix(np.eye(4) / 4.0, 2, 2), h) == (0.0, 0.0)
+    assert extremal_energies(DensityMatrix(np.eye(4) / 4.0), h) == (0.0, 0.0)
     lo, hi = extremal_energies(werner(0.6), h)
     assert abs(lo + 0.48) < 1e-12 and abs(hi - 0.48) < 1e-12
-    lo, hi = extremal_energies(DensityMatrix(np.diag([0.0, 0.2, 0.35, 0.45]), 2, 2), h)
+    lo, hi = extremal_energies(DensityMatrix(np.diag([0.0, 0.2, 0.35, 0.45])), h)
     assert abs(lo + 0.39) < 1e-12 and abs(hi - 0.39) < 1e-12
 
 
@@ -117,7 +117,7 @@ def test_capacity_unitary_invariance(rng):
         rho = random_density(rng)
         h = qubit_pair_hamiltonian(random_energies(rng))
         u = haar_unitary(4, rng)
-        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, 2, 2)
+        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert abs(capacity(rotated, h) - capacity(rho, h)) < 1e-10
 
 
@@ -153,7 +153,7 @@ def test_capacity_decreases_under_mixing(rng):
         h = qubit_pair_hamiltonian(random_energies(rng))
         caps = []
         for p in np.linspace(0.0, 1.0, 50):
-            blended = DensityMatrix((1.0 - p) * rho.matrix + p * np.eye(4) / 4.0, 2, 2)
+            blended = DensityMatrix((1.0 - p) * rho.matrix + p * np.eye(4) / 4.0)
             caps.append(capacity(blended, h))
         assert np.all(np.diff(caps) <= 1e-12)
 

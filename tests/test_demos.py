@@ -1,9 +1,10 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -11,8 +12,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env.pop("QBCAP_TOL", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()

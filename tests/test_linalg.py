@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from helpers import random_density
+
 from qbcap import (
     IDENTITY_2,
     PAULIS,
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
+    DensityMatrix,
+    NumericError,
+    bell_diagonal,
+    bloch_coefficients,
     eigh,
     haar_unitary,
-    kron,
-    partial_trace_b,
 )
 
 # Frozen by hand expansion of sigma_1 x sigma_1.
@@ -33,84 +37,74 @@ def test_pauli_constants():
 
 
 def test_kron_frozen_cases():
-    np.testing.assert_allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4), atol=1e-15)
-    np.testing.assert_allclose(kron(SIGMA_3, IDENTITY_2), np.diag([1, 1, -1, -1]), atol=1e-15)
-    np.testing.assert_allclose(kron(SIGMA_1, SIGMA_1), KRON_S1_S1, atol=1e-15)
-
-
-def test_kron_rejects_non_square():
-    with pytest.raises(ValueError):
-        kron(np.ones((2, 3)), IDENTITY_2)
-    with pytest.raises(ValueError):
-        kron(IDENTITY_2, np.ones(2))
-
-
-def test_kron_trace_multiplicative(rng):
-    for _ in range(100):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+    # The Pauli products inside bell_diagonal and bloch_coefficients, against hand expansions.
+    np.testing.assert_allclose(4.0 * bell_diagonal(1.0, 0.0, 0.0).matrix - np.eye(4), KRON_S1_S1, atol=1e-15)
+    coeffs = bloch_coefficients(DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])))
+    assert abs(coeffs.a3 - (0.1 + 0.2 - 0.3 - 0.4)) < 1e-15
+    assert abs(coeffs.b3 - (0.1 - 0.2 + 0.3 - 0.4)) < 1e-15
+    assert abs(coeffs.c3 - (0.1 - 0.2 - 0.3 + 0.4)) < 1e-15
 
 
 def test_partial_trace_identity():
-    np.testing.assert_allclose(partial_trace_b(np.eye(4) / 4.0, 2, 2), IDENTITY_2 / 2.0, atol=1e-15)
+    np.testing.assert_allclose(DensityMatrix(np.eye(4) / 4.0).reduced_a().matrix, IDENTITY_2 / 2.0, atol=1e-15)
 
 
 def test_partial_trace_product_states(rng):
     for _ in range(100):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        out = partial_trace_b(kron(a, b), 2, 2)
-        np.testing.assert_allclose(out, a * np.trace(b), atol=1e-12)
+        a = random_density(rng, 2).matrix
+        b = random_density(rng, 2).matrix
+        out = DensityMatrix(np.kron(a, b)).reduced_a().matrix
+        np.testing.assert_allclose(out, a, atol=1e-12)
 
 
 def test_partial_trace_preserves_trace(rng):
     for _ in range(50):
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert abs(np.trace(partial_trace_b(m, 2, 3)) - np.trace(m)) < 1e-12
+        rho = random_density(rng)
+        assert abs(np.trace(rho.reduced_a().matrix) - np.trace(rho.matrix)) < 1e-12
 
 
 def test_partial_trace_shape_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace_b(np.eye(4), 2, 3)
-    with pytest.raises(ValueError):
-        partial_trace_b(np.eye(4), 0, 4)
+    with pytest.raises(ValueError, match="two-qubit"):
+        DensityMatrix(np.eye(2) / 2.0).reduced_a()
 
 
 def test_eigh_diagonal_case():
-    spectrum = eigh(SIGMA_3)
-    np.testing.assert_allclose(spectrum.values, [-1.0, 1.0], atol=1e-15)
+    values, vectors = eigh(SIGMA_3)
+    np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(vectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_eigh_rejects_non_hermitian():
+    # DensityMatrix holds the one Hermiticity check; eigh's reconstruction
+    # bound still catches a non-Hermitian matrix that reaches it.
     with pytest.raises(ValueError, match="Hermitian"):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigh(np.ones((2, 3)))
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix(np.ones((2, 3)) / 2.0)
+    with pytest.raises(NumericError, match="reconstruction"):
+        eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_eigh_contracts_random_hermitian(rng):
-    for dim in (2, 3, 4, 8):
+    for dim in (2, 4):
         for _ in range(25):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            m = g + g.conj().T
-            spectrum = eigh(m)
-            assert np.all(np.diff(spectrum.values) >= 0.0)
-            assert abs(np.sum(spectrum.values) - np.trace(m).real) < 1e-10
-            v = spectrum.vectors
+            rho = random_density(rng, dim)
+            assert np.all(np.diff(rho.spectrum) >= 0.0)
+            assert abs(np.sum(rho.spectrum) - 1.0) < 1e-10
+            v = rho.eigenvectors
             np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
-            recon = (v * spectrum.values) @ v.conj().T
-            assert np.max(np.abs(m - recon)) <= 1e-11
+            recon = (v * rho.spectrum) @ v.conj().T
+            assert np.max(np.abs(rho.matrix - recon)) <= 1e-11
 
 
 def test_eigh_values_stable_under_basis_shuffle(rng):
-    # Building a matrix from a shuffled eigenbasis must not change the sorted values.
-    values = np.array([-1.5, -0.25, 0.5, 2.0])
+    # Building a state from a shuffled eigenbasis must not change the sorted spectrum.
+    values = np.array([0.05, 0.15, 0.3, 0.5])
     u = haar_unitary(4, rng)
     m = (u * values) @ u.conj().T
     perm = rng.permutation(4)
     m_shuffled = (u[:, perm] * values[perm]) @ u[:, perm].conj().T
-    np.testing.assert_allclose(eigh(m).values, eigh(m_shuffled).values, atol=1e-11)
+    np.testing.assert_allclose(DensityMatrix(m).spectrum, DensityMatrix(m_shuffled).spectrum, atol=1e-11)
 
 
 def test_haar_unitary_is_unitary(rng):

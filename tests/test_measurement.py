@@ -30,12 +30,12 @@ def product_with_b_ground(rng):
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho_a = g @ g.conj().T
     rho_a /= np.trace(rho_a).real
-    return DensityMatrix(np.kron(rho_a, np.diag([1.0, 0.0])), 2, 2)
+    return DensityMatrix(np.kron(rho_a, np.diag([1.0, 0.0])))
 
 
 def test_computational_basis_projectors():
     basis = MeasurementBasis.computational()
-    assert basis.dim_b == 2
+    assert basis.angles is None
     np.testing.assert_allclose(basis.projectors[0], np.diag([1.0, 0.0]), atol=1e-15)
     np.testing.assert_allclose(basis.projectors[1], np.diag([0.0, 1.0]), atol=1e-15)
 
@@ -55,13 +55,11 @@ def test_rotated_basis_is_complete_and_orthogonal(rng):
 
 
 def test_basis_rejects_incomplete_or_non_projector_sets():
-    p0 = np.diag([1.0, 0.0])
-    with pytest.raises(ValueError, match="sum to the identity"):
-        MeasurementBasis([p0, p0])
-    with pytest.raises(ValueError, match="idempotent"):
-        MeasurementBasis([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])])
-    with pytest.raises(ValueError, match="Hermitian"):
-        MeasurementBasis([np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 1.0])])
+    # Finite Bloch angles always give a complete pair of rank-1 projectors;
+    # non-finite ones would give NaN entries and are rejected.
+    for theta, phi in ((float("nan"), 0.0), (0.3, float("inf")), (float("-inf"), 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementBasis.rotated(theta, phi)
 
 
 def test_measure_bell_diagonal_branches(rng):
@@ -123,7 +121,7 @@ def test_measure_flags_zero_probability_branch(rng):
 
 
 def test_measure_dimension_mismatch(rng):
-    single = DensityMatrix(np.eye(2) / 2.0, 2, 1)
+    single = DensityMatrix(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
         measure_b(single, MeasurementBasis.computational())
 
@@ -223,6 +221,10 @@ def test_weighted_validation(rng):
         MixingWeights(mu=(1.2, -0.2))
     with pytest.raises(ValueError, match="sum"):
         MixingWeights(mu=(0.6, 0.3))
+    with pytest.raises(ValueError, match="mu_0"):
+        MixingWeights(mu=(float("nan"), 1.0))
+    with pytest.raises(ValueError, match="mu_1"):
+        MixingWeights(mu=(0.0, float("inf")))
     flagged = measure_b(product_with_b_ground(rng), MeasurementBasis.computational())
     with pytest.raises(ValueError, match="mu_1"):
         final_state_weighted(flagged, (0.4, 0.6))
@@ -288,7 +290,7 @@ def test_capacity_gain_scheme_validation():
 
 
 def test_capacity_gain_rejects_non_two_qubit():
-    single = DensityMatrix(np.eye(2) / 2.0, 2, 1)
+    single = DensityMatrix(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
         capacity_gain(single, PAIR_053)
 

@@ -6,12 +6,15 @@ from helpers import random_bell_triple, random_x_params
 from qbcap import (
     DensityMatrix,
     InvalidStateError,
+    MeasurementBasis,
+    QubitPairEnergies,
     XStateParams,
     bell_diagonal,
     bloch_coefficients,
+    capacity_gain,
     example2,
     is_entangled,
-    kron,
+    measure_b,
     werner,
     x_state,
 )
@@ -128,7 +131,7 @@ def test_bloch_of_bell_diagonal_is_diagonal(rng):
 
 
 def test_bloch_of_maximally_mixed_vanishes():
-    coeffs = bloch_coefficients(DensityMatrix(np.eye(4) / 4.0, 2, 2))
+    coeffs = bloch_coefficients(DensityMatrix(np.eye(4) / 4.0))
     assert coeffs.a3 == coeffs.b3 == 0.0
     np.testing.assert_allclose(coeffs.t, np.zeros((3, 3)), atol=1e-15)
 
@@ -143,7 +146,7 @@ def test_bloch_of_example2():
 
 
 def test_bloch_rejects_non_two_qubit():
-    single = DensityMatrix(np.eye(2) / 2.0, 2, 1)
+    single = DensityMatrix(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
         bloch_coefficients(single)
 
@@ -155,15 +158,15 @@ def test_x_state_reconstructs_from_bloch(rng):
         rho = x_state(random_x_params(rng))
         coeffs = bloch_coefficients(rho)
         recon = np.eye(4, dtype=complex)
-        recon += coeffs.a3 * kron(SIGMA_3, IDENTITY_2) + coeffs.b3 * kron(IDENTITY_2, SIGMA_3)
+        recon += coeffs.a3 * np.kron(SIGMA_3, IDENTITY_2) + coeffs.b3 * np.kron(IDENTITY_2, SIGMA_3)
         for i in range(3):
             for j in range(3):
-                recon += coeffs.t[i, j] * kron(PAULIS[i], PAULIS[j])
+                recon += coeffs.t[i, j] * np.kron(PAULIS[i], PAULIS[j])
         np.testing.assert_allclose(recon / 4.0, rho.matrix, atol=1e-10)
 
 
 def test_is_entangled_spot_cases():
-    assert not is_entangled(DensityMatrix(np.eye(4) / 4.0, 2, 2))
+    assert not is_entangled(DensityMatrix(np.eye(4) / 4.0))
     assert not is_entangled(werner(0.2))
     assert is_entangled(werner(0.5))
     assert is_entangled(werner(1.0))
@@ -188,20 +191,21 @@ def test_x_state_inequality_agrees_with_ppt(rng):
 
 def test_density_matrix_validation_errors():
     with pytest.raises(InvalidStateError, match="Hermitian"):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), 2, 1)
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(InvalidStateError, match="trace"):
-        DensityMatrix(np.eye(4) / 2.0, 2, 2)
+        DensityMatrix(np.eye(4) / 2.0)
     with pytest.raises(InvalidStateError, match="negative eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), 2, 2)
+        DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
     with pytest.raises(InvalidStateError, match="non-finite"):
-        DensityMatrix(np.diag([np.nan, 1.0, 0.0, 0.0]), 2, 2)
-    with pytest.raises(ValueError, match="shape"):
-        DensityMatrix(np.eye(3) / 3.0, 2, 2)
+        DensityMatrix(np.diag([np.nan, 1.0, 0.0, 0.0]))
+    for shape in ((3, 3), (1, 1), (8, 8), (2, 4), (4,)):
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix(np.ones(shape) / shape[0])
 
 
 def test_density_matrix_spectrum_clamps_round_off():
     eps = 1e-12
-    rho = DensityMatrix(np.diag([1.0 + eps, -eps, 0.0, 0.0]) / (1.0), 2, 2)
+    rho = DensityMatrix(np.diag([1.0 + eps, -eps, 0.0, 0.0]) / (1.0))
     assert rho.spectrum[0] == 0.0
 
 
@@ -209,7 +213,8 @@ def test_density_matrix_json_round_trip():
     rho = werner(0.37)
     again = DensityMatrix.from_json(rho.to_json())
     np.testing.assert_allclose(again.matrix, rho.matrix, atol=1e-15)
-    assert (again.dim_a, again.dim_b) == (2, 2)
+    assert again.dim == 4
+    assert again.to_json() == rho.to_json()
 
 
 def test_density_matrix_json_rejects_malformed():
@@ -217,3 +222,24 @@ def test_density_matrix_json_rejects_malformed():
         DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": [[1.0]]})
     with pytest.raises(InvalidStateError):
         DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": [[1.0]], "im": [[0.0, 0.0]]})
+    valid = werner(0.3).to_json()
+    for key, bad in (("dim_a", 2.7), ("dim_b", "2"), ("dim_a", 2.0), ("dim_b", True), ("dim_a", 4)):
+        with pytest.raises(InvalidStateError, match=key):
+            DensityMatrix.from_json({**valid, key: bad})
+    with pytest.raises(ValueError, match="two-qubit"):
+        DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": (np.eye(2) / 2.0).tolist(), "im": [[0.0] * 2] * 2})
+
+
+PAIR_ONLY = {
+    "bloch_coefficients": bloch_coefficients,
+    "is_entangled": is_entangled,
+    "measure_b": lambda rho: measure_b(rho, MeasurementBasis.computational()),
+    "capacity_gain": lambda rho: capacity_gain(rho, QubitPairEnergies(eps_a=0.5, eps_b=0.3)),
+    "to_json": DensityMatrix.to_json,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAIR_ONLY))
+def test_pair_only_entry_points_reject_a_qubit(entry):
+    with pytest.raises(ValueError, match="two-qubit"):
+        PAIR_ONLY[entry](DensityMatrix(np.eye(2) / 2.0))

@@ -1,11 +1,12 @@
 import io
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from helpers import subprocess_env
 
 from qbcap import (
     VALIDATION_TOL,
@@ -28,14 +29,10 @@ PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("QBCAP_TOL", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "qbcap", *args],
         capture_output=True,
-        env=env,
+        env=subprocess_env(env_extra),
         cwd=cwd,
     )
 
@@ -380,6 +377,13 @@ def test_cli_non_finite_energies_exit_2(capsys):
     code, out, err = run_main(["capacity", "--werner", "0.5", "--eps-a", "inf", "--eps-b", "0.3"], capsys)
     assert (code, out) == (2, "")
     assert "finite" in err
+
+
+def test_cli_non_finite_weight_exit_2(capsys):
+    argv = ["measure", "--werner", "0.5", "--scheme", "weighted", "nan", "0.5", "--eps-a", "0.5", "--eps-b", "0.3"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "mu_0" in err and "finite" in err
 
 
 def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
