@@ -8,6 +8,8 @@ qubit. A small CLI (``qbcap``) exposes the same operations and two bundled
 parameter studies.
 """
 
+from types import ModuleType as _ModuleType
+
 from .battery import (
     Hamiltonian,
     QubitPairEnergies,
@@ -46,51 +48,5 @@ from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, set_vali
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochCoefficients",
-    "Branch",
-    "CapacityGainReport",
-    "DensityMatrix",
-    "Hamiltonian",
-    "IDENTITY_2",
-    "InvalidStateError",
-    "MeasurementBasis",
-    "MeasurementEnsemble",
-    "MixingWeights",
-    "NEGLIGIBLE",
-    "NumericError",
-    "PAULIS",
-    "QubitPairEnergies",
-    "RECONSTRUCTION_TOL",
-    "SIGMA_1",
-    "SIGMA_2",
-    "SIGMA_3",
-    "SweepRow",
-    "SweepSpec",
-    "UndefinedAverageError",
-    "VALIDATION_TOL",
-    "XStateParams",
-    "bell_diagonal",
-    "bloch_coefficients",
-    "capacity",
-    "capacity_gain",
-    "eigh",
-    "ergotropy",
-    "example2",
-    "extremal_energies",
-    "figure_preset",
-    "final_state_uniform",
-    "final_state_weighted",
-    "haar_unitary",
-    "is_entangled",
-    "measure_b",
-    "qubit_pair_hamiltonian",
-    "rows_to_json",
-    "run_sweep",
-    "set_validation_tol",
-    "subsystem_a_hamiltonian",
-    "validation_tol",
-    "werner",
-    "write_csv",
-    "x_state",
-]
+# The public API is exactly the names imported above.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

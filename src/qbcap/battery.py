@@ -76,23 +76,30 @@ def _checked_pair(rho: DensityMatrix, h: Hamiltonian) -> tuple[np.ndarray, np.nd
     return rho.spectrum, h.energies
 
 
-def _clamp_nonnegative(value: float, what: str) -> float:
-    if value < -NEGLIGIBLE:
-        raise NumericError(f"{what} = {value:.3e} is negative beyond round-off")
-    return max(value, 0.0)
+def _clamp_nonnegative(values, what: str) -> np.ndarray:
+    """``values`` with round-off negatives set to 0; the first value below -1e-12 raises."""
+    values = np.asarray(values)
+    below = values < -NEGLIGIBLE
+    if below.any():
+        raise NumericError(f"{what} = {values[below].flat[0]:.3e} is negative beyond round-off")
+    return np.where(values < 0.0, 0.0, values)
+
+
+def capacities(spectra: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Capacity of each ascending spectrum along the last axis of ``spectra``, against ascending ``levels``.
+
+    This is sum_i eps_i (lam_i - lam_{d-1-i}), equivalently the sum over
+    mirrored index pairs i < d-1-i of (eps_{d-1-i} - eps_i)(lam_{d-1-i} -
+    lam_i). Each pair multiplies two nonnegative gaps, so the value is
+    nonnegative and insensitive to how ties inside degenerate eigenvalues are
+    ordered.
+    """
+    return _clamp_nonnegative(((spectra - spectra[..., ::-1])[..., None, :] @ levels)[..., 0], "capacity")
 
 
 def capacity(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Largest minus smallest unitary-reachable average energy.
-
-    With both eigenvalue lists ascending this is sum_i eps_i (lam_i -
-    lam_{d-1-i}), equivalently the sum over mirrored index pairs i < d-1-i of
-    (eps_{d-1-i} - eps_i)(lam_{d-1-i} - lam_i). Each pair multiplies two
-    nonnegative gaps, so the value is nonnegative and insensitive to how ties
-    inside degenerate eigenvalues are ordered.
-    """
-    lam, eps = _checked_pair(rho, h)
-    return _clamp_nonnegative(float(np.dot(eps, lam - lam[::-1])), "capacity")
+    """Largest minus smallest unitary-reachable average energy; see ``capacities``."""
+    return float(capacities(*_checked_pair(rho, h)))
 
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -103,7 +110,7 @@ def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     lam, eps = _checked_pair(rho, h)
     energy = float(np.trace(rho.matrix @ h.matrix).real)
     passive = float(np.dot(lam[::-1], eps))
-    return _clamp_nonnegative(energy - passive, "ergotropy")
+    return float(_clamp_nonnegative(energy - passive, "ergotropy"))
 
 
 def extremal_energies(rho: DensityMatrix, h: Hamiltonian) -> tuple[float, float]:

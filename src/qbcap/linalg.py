@@ -1,8 +1,8 @@
 """Pauli matrices, a checked eigendecomposition and Haar-random unitaries.
 
-Everything here works on plain complex ndarrays of a qubit (2x2) or a qubit
-pair (4x4); Kronecker products, partial traces and partial transposes are
-done in place with ``np.kron`` and fixed reshapes.
+Everything here works on plain complex ndarrays of qubit (2x2) or qubit-pair
+(4x4) matrices, single or stacked; Kronecker products, partial traces and
+partial transposes are done in place with ``np.kron`` and fixed reshapes.
 """
 
 from __future__ import annotations
@@ -23,22 +23,23 @@ for _m in (*PAULIS, IDENTITY_2):
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a square matrix whose Hermiticity the caller has checked.
+    """Eigendecomposition of a square matrix, or a stack of them, whose Hermiticity the caller has checked.
 
     Returns
     -------
     (values, vectors)
-        Ascending eigenvalues and eigenvector columns satisfying the
-        reconstruction bound ``max|m - V diag(w) V^dagger| <= 1e-11``.
+        Ascending eigenvalues and eigenvector columns of each matrix, each
+        satisfying the reconstruction bound ``max|m - V diag(w) V^dagger| <= 1e-11``;
+        the first matrix in stack order that misses it raises.
     """
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
-    recon = (vectors * values) @ vectors.conj().T
-    err = float(np.max(np.abs(m - recon)))
-    if err > RECONSTRUCTION_TOL:
-        raise NumericError(f"eigendecomposition reconstruction error {err:.3e} exceeds 1e-11")
+    recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    err = np.abs(m - recon).max(axis=(-2, -1))
+    if (err > RECONSTRUCTION_TOL).any():
+        raise NumericError(f"eigendecomposition reconstruction error {err[err > RECONSTRUCTION_TOL][0]:.3e} exceeds 1e-11")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors

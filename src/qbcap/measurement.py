@@ -5,6 +5,10 @@ rules turn the branches back into a single final state: the unweighted
 average, and a convex combination with caller-chosen weights. The capacity
 change of the whole pair and of the first qubit alone are reported side by
 side.
+
+``measure_and_mix`` runs the whole protocol on a stack of N pair matrices;
+``measure_b``, the two mixing rules and ``capacity_gain`` are its stages on
+a stack of one.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsystem_a_hamiltonian
+from .battery import QubitPairEnergies, capacities, qubit_pair_hamiltonian, subsystem_a_hamiltonian
 from .errors import NumericError, UndefinedAverageError
 from .linalg import IDENTITY_2
-from .states import DensityMatrix, require_pair
+from .states import DensityMatrix, check_states, reduce_a, require_pair
 from .tolerances import NEGLIGIBLE, validation_tol
 
 # Branches below this probability are flagged instead of normalized.
@@ -46,7 +50,9 @@ class MeasurementBasis:
             self.description = f"rotated(theta={theta:.12g}, phi={phi:.12g})"
         self.angles = angles
         self.projectors = tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(2))
-        for p in self.projectors:
+        # I x P_k, the measurement operators on the pair
+        self.operators = np.stack([np.kron(IDENTITY_2, p) for p in self.projectors])
+        for p in (*self.projectors, self.operators):
             p.setflags(write=False)
 
     @classmethod
@@ -83,6 +89,23 @@ class MeasurementEnsemble:
         return tuple(b.probability for b in self.branches)
 
 
+def _branches(matrices: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome branches (N, 2, 4, 4) of a stack of pair matrices, their probabilities and zero-probability flags.
+
+    Branches below the 1e-12 probability floor are flagged and set to zero
+    instead of normalized; probabilities must close to 1 for every matrix.
+    """
+    unnormalized = basis.operators @ matrices[:, None] @ basis.operators
+    probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
+    total = probabilities.sum(axis=1)
+    unclosed = np.abs(total - 1.0) > validation_tol()
+    if unclosed.any():
+        raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
+    flagged = probabilities < ZERO_PROBABILITY
+    scale = np.where(flagged, 1.0, probabilities)[..., None, None]
+    return np.where(flagged[..., None, None], 0.0, unnormalized / scale), probabilities, flagged
+
+
 def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsemble:
     """Measure the second subsystem, returning normalized branches and probabilities.
 
@@ -90,21 +113,9 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
     the measured basis, and the probabilities close to 1; branches below the
     1e-12 probability floor are flagged rather than normalized.
     """
-    matrix = require_pair(rho).matrix
-    branches = []
-    total = 0.0
-    for proj in basis.projectors:
-        op = np.kron(IDENTITY_2, proj)
-        unnormalized = op @ matrix @ op
-        p = float(np.trace(unnormalized).real)
-        total += p
-        if p < ZERO_PROBABILITY:
-            branches.append(Branch(probability=p, state=None))
-        else:
-            branches.append(Branch(probability=p, state=DensityMatrix(unnormalized / p)))
-    if abs(total - 1.0) > validation_tol():
-        raise NumericError(f"outcome probabilities sum to {total:.12g}, expected 1")
-    return MeasurementEnsemble(branches=tuple(branches), basis=basis)
+    branches, probabilities, flagged = (a[0] for a in _branches(require_pair(rho).matrix[None], basis))
+    ensemble = zip(branches, probabilities.tolist(), flagged)
+    return MeasurementEnsemble(tuple(Branch(p, None if f else DensityMatrix(b)) for b, p, f in ensemble), basis)
 
 
 @dataclass(frozen=True)
@@ -130,47 +141,73 @@ def _as_weights(weights: "MixingWeights | Sequence[float]") -> MixingWeights:
     return MixingWeights(mu=tuple(float(w) for w in weights))
 
 
+def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu) -> np.ndarray:
+    """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
+
+    A flagged branch leaves the average undefined and must carry zero weight
+    in a weighted sum, which must have some unflagged branch.
+    """
+    n = branches.shape[1]
+    if mu is not None and len(mu) != n:
+        raise ValueError(f"{len(mu)} weights for {n} branches")
+    broken = flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE)
+    if broken.any():
+        i, k = np.unravel_index(np.argmax(broken), broken.shape)
+        if mu is None:
+            raise UndefinedAverageError(
+                f"branch {k} has probability {probabilities[i, k]:.3e}; the unweighted average is undefined"
+            )
+        raise ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
+    if flagged.all(axis=1).any():
+        raise ValueError("all branches are flagged; nothing to mix")
+    if mu is None:
+        return sum(branches[:, k] for k in range(n)) / n
+    return sum(w * branches[:, k] for k, w in enumerate(mu))
+
+
+def _mix_ensemble(ensemble: MeasurementEnsemble, mu) -> DensityMatrix:
+    states = [[np.zeros((4, 4)) if b.state is None else b.state.matrix for b in ensemble.branches]]
+    flagged = np.array([[b.state is None for b in ensemble.branches]])
+    return DensityMatrix(_mix(np.array(states), np.array([ensemble.probabilities]), flagged, mu)[0])
+
+
 def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
     """Unweighted average of the normalized outcome branches.
 
     Every branch enters with weight 1/n regardless of its probability, so a
     vanishing-probability branch leaves the average undefined.
     """
-    matrices = []
-    for k, branch in enumerate(ensemble.branches):
-        if branch.state is None:
-            raise UndefinedAverageError(
-                f"branch {k} has probability {branch.probability:.3e}; the unweighted average is undefined"
-            )
-        matrices.append(branch.state.matrix)
-    return DensityMatrix(sum(matrices) / len(matrices))
+    return _mix_ensemble(ensemble, None)
 
 
-def final_state_weighted(
-    ensemble: MeasurementEnsemble, weights: "MixingWeights | Sequence[float]"
-) -> DensityMatrix:
+def final_state_weighted(ensemble: MeasurementEnsemble, weights: "MixingWeights | Sequence[float]") -> DensityMatrix:
     """Convex combination sum_k mu_k rho_k of the normalized branches.
 
     Flagged zero-probability branches must carry zero weight. Choosing
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
-    w = _as_weights(weights)
-    if len(w.mu) != len(ensemble.branches):
-        raise ValueError(f"{len(w.mu)} weights for {len(ensemble.branches)} branches")
-    accumulated = None
-    for k, (mu_k, branch) in enumerate(zip(w.mu, ensemble.branches)):
-        if branch.state is None:
-            if mu_k > NEGLIGIBLE:
-                raise ValueError(
-                    f"weight mu_{k} = {mu_k:.12g} assigned to a branch with probability {branch.probability:.3e}"
-                )
-            continue
-        if accumulated is None:
-            accumulated = np.zeros_like(branch.state.matrix)
-        accumulated = accumulated + mu_k * branch.state.matrix
-    if accumulated is None:
-        raise ValueError("all branches are flagged; nothing to mix")
-    return DensityMatrix(accumulated)
+    return _mix_ensemble(ensemble, _as_weights(weights).mu)
+
+
+def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The protocol on an (N, 4, 4) stack of pair matrices: their spectra (N, 4) and gains (N, 6).
+
+    ``weights`` None is the uniform scheme; ``levels`` are the ascending pair
+    and first-qubit levels. Gains come in ``GAIN_FIELDS`` order. The input,
+    branch and final matrices are validated by one stacked check, the two
+    reduced states by a second. On a stack of several points the error
+    raised may belong to a later point than the first failing one.
+    """
+    mu = None if weights is None else _as_weights(weights).mu
+    branches, probabilities, flagged = _branches(matrices, basis)
+    final = _mix(branches, probabilities, flagged, mu)
+    stack = np.concatenate([matrices[:, None], branches, final[:, None]], axis=1)
+    if flagged.any():  # a flagged branch has no state to check; the identity/4 stands in
+        stack[:, 1:3][flagged] = np.eye(4) / 4.0
+    spectra = check_states(stack)[0]
+    total = capacities(spectra[:, ::3], levels[0])
+    first = capacities(check_states(reduce_a(stack[:, ::3]))[0], levels[1])
+    return spectra[:, 0], np.column_stack([total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]])
 
 
 # The capacity fields of a gain report, in the order every output lists them.
@@ -244,12 +281,7 @@ def capacity_gain(
     require_pair(rho)
     check_scheme(scheme, weights)
     w = None if weights is None else _as_weights(weights)
-    ensemble = measure_b(rho, basis or MeasurementBasis.computational())
-    final = final_state_uniform(ensemble) if w is None else final_state_weighted(ensemble, w)
-    h_pair = qubit_pair_hamiltonian(energies)
-    h_a = subsystem_a_hamiltonian(energies)
-    total = (capacity(rho, h_pair), capacity(final, h_pair))
-    first = (capacity(rho.reduced_a(), h_a), capacity(final.reduced_a(), h_a))
-    return CapacityGainReport(
-        *total, *first, total[1] - total[0], first[1] - first[0], scheme, None if w is None else w.mu
-    )
+    basis = basis or MeasurementBasis.computational()
+    levels = (qubit_pair_hamiltonian(energies).energies, subsystem_a_hamiltonian(energies).energies)
+    _, gains = measure_and_mix(rho.matrix[None], basis, w, levels)
+    return CapacityGainReport(*gains[0].tolist(), scheme, None if w is None else w.mu)

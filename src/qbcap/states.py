@@ -4,11 +4,13 @@ A density matrix is a qubit (2x2) or a qubit pair (4x4). The families all
 live on the pair: correlation-diagonal (Bell diagonal) states, Werner
 states, X-shaped states given by their populations and anti-diagonal
 coherences, and a one-parameter three-level mixture used by the bundled
-parameter studies.
+parameter studies. Checks and families work on stacks of matrices along a
+leading axis; the one-state functions are the same code on a stack of one.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,42 @@ from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, validation_tol
 # Threshold for calling a partial-transpose eigenvalue negative; fixed, not
 # affected by the runtime validation-tolerance override.
 PPT_NEG_TOL = 1e-10
+
+
+def check_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack of density matrices; return their ascending spectra and eigenvectors.
+
+    Each matrix must be finite, Hermitian and of unit trace within the
+    validation tolerance, meet the eigendecomposition bound and have no
+    eigenvalue below minus the tolerance; round-off negatives above it are
+    clamped to zero. Of several failing matrices the first in stack order
+    raises, save that a missed eigendecomposition bound raises ahead of all.
+    """
+    tol = validation_tol()
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    defect = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
+    if off.any():  # keep failed matrices out of eigh, so that they raise their own error below
+        dim = matrices.shape[-1]
+        matrices = np.where(off[..., None, None], np.eye(dim) / dim, matrices)
+    values, vectors = eigh(matrices)
+    bad = (off | (values[..., 0] < -tol)).ravel()
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite.flat[i]:
+            raise InvalidStateError("matrix contains non-finite entries")
+        if defect.flat[i] > tol:
+            raise InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect.flat[i]:.3e}")
+        if off.flat[i]:
+            raise InvalidStateError(f"trace = {trace.flat[i].real:.12g}, expected 1 within {tol:g}")
+        raise InvalidStateError(f"negative eigenvalue {values.reshape(-1, values.shape[-1])[i, 0]:.3e} below -{tol:g}")
+    return np.maximum(values, 0.0), vectors
+
+
+def reduce_a(matrices: np.ndarray) -> np.ndarray:
+    """First-qubit states of a stack of pair matrices: the second qubit traced out."""
+    return matrices.reshape(*matrices.shape[:-2], 2, 2, 2, 2).trace(axis1=-3, axis2=-1)
 
 
 class DensityMatrix:
@@ -34,24 +72,10 @@ class DensityMatrix:
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"matrix shape {matrix.shape} is neither a qubit (2, 2) nor a qubit pair (4, 4)")
-        tol = validation_tol()
-        if not np.all(np.isfinite(matrix)):
-            raise InvalidStateError("matrix contains non-finite entries")
-        defect = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if defect > tol:
-            raise InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
-        trace = matrix.trace()
-        if abs(trace - 1.0) > tol:
-            raise InvalidStateError(f"trace = {trace.real:.12g}, expected 1 within {tol:g}")
-        values, vectors = eigh(matrix)
-        if values[0] < -tol:
-            raise InvalidStateError(f"negative eigenvalue {values[0]:.3e} below -{tol:g}")
-        values = np.maximum(values, 0.0)
+        values, vectors = check_states(matrix[None])
         values.setflags(write=False)
         matrix.setflags(write=False)
-        self.matrix = matrix
-        self.spectrum = values
-        self.eigenvectors = vectors
+        self.matrix, self.spectrum, self.eigenvectors = matrix, values[0], vectors[0]
 
     @property
     def dim(self) -> int:
@@ -59,7 +83,7 @@ class DensityMatrix:
 
     def reduced_a(self) -> "DensityMatrix":
         """State of the first qubit after tracing out the second."""
-        return DensityMatrix(require_pair(self).matrix.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3))
+        return DensityMatrix(reduce_a(require_pair(self).matrix))
 
     def to_json(self) -> dict:
         """Serializable form of a qubit pair: dimensions plus row-major real and imaginary parts."""
@@ -93,42 +117,54 @@ def require_pair(rho: DensityMatrix) -> DensityMatrix:
     return rho
 
 
-def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
-    """Two-qubit state (I + c1 s1xs1 + c2 s2xs2 + c3 s3xs3) / 4.
+def require_within(values: np.ndarray, low: float, high: float, error) -> None:
+    """Raise ``error(v)`` for the first of ``values`` outside [low, high]; NaN counts as outside."""
+    outside = ~((values >= low) & (values <= high))
+    if outside.any():
+        raise error(float(values[np.argmax(outside)]))
 
-    The triple is admissible exactly when all four closed-form eigenvalues
+
+_SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+SINGLET = np.outer(_SINGLET_VECTOR, _SINGLET_VECTOR.conj())
+PAULI_PAIRS = tuple(np.kron(p, p) for p in PAULIS)
+
+
+def bell_diagonal_matrices(triples: np.ndarray) -> np.ndarray:
+    """States (I + c1 s1xs1 + c2 s2xs2 + c3 s3xs3) / 4 for an (N, 3) array of triples.
+
+    A triple is admissible exactly when all four closed-form eigenvalues
     (1 -+ c1 -+ c2 -+ c3)/4, with an odd number of minus signs, lie in [0, 1].
     """
     tol = validation_tol()
-    lams = (
-        (1.0 - c1 - c2 - c3) / 4.0,
-        (1.0 - c1 + c2 + c3) / 4.0,
-        (1.0 + c1 - c2 + c3) / 4.0,
-        (1.0 + c1 + c2 - c3) / 4.0,
-    )
-    for j, lam in enumerate(lams):
-        if lam < -tol or lam > 1.0 + tol:
-            raise InvalidStateError(
-                f"correlation triple ({c1}, {c2}, {c3}) gives eigenvalue lambda_{j} = {lam:.12g} outside [0, 1]"
-            )
-    matrix = 0.25 * (
-        np.eye(4, dtype=complex)
-        + c1 * np.kron(PAULIS[0], PAULIS[0])
-        + c2 * np.kron(PAULIS[1], PAULIS[1])
-        + c3 * np.kron(PAULIS[2], PAULIS[2])
-    )
-    return DensityMatrix(matrix)
+    c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
+    lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
+    lams = np.stack(lams, axis=1).reshape(-1, 4)
+    bad = (lams < -tol) | (lams > 1.0 + tol)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        c = ", ".join(str(float(v)) for v in triples[i])
+        raise InvalidStateError(f"correlation triple ({c}) gives eigenvalue lambda_{j} = {lams[i, j]:.12g} outside [0, 1]")
+    return 0.25 * (np.eye(4, dtype=complex) + c1 * PAULI_PAIRS[0] + c2 * PAULI_PAIRS[1] + c3 * PAULI_PAIRS[2])
+
+
+def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
+    """Two-qubit state (I + c1 s1xs1 + c2 s2xs2 + c3 s3xs3) / 4; see ``bell_diagonal_matrices``."""
+    return DensityMatrix(bell_diagonal_matrices(np.array([[c1, c2, c3]], dtype=float))[0])
+
+
+def werner_matrices(a: np.ndarray) -> np.ndarray:
+    """Werner states for an array of singlet fractions in [0, 1]."""
+    require_within(a, 0.0, 1.0, lambda v: ValueError(f"werner parameter must lie in [0, 1], got {v}"))
+    a = a[:, None, None]
+    return a * SINGLET + (1.0 - a) / 4.0 * np.eye(4, dtype=complex)
 
 
 def werner(a: float) -> DensityMatrix:
     """Singlet fraction a of the singlet projector plus (1 - a)/4 of the identity."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {a}")
-    singlet = np.zeros(4, dtype=complex)
-    singlet[1] = 1.0 / np.sqrt(2.0)
-    singlet[2] = -1.0 / np.sqrt(2.0)
-    matrix = a * np.outer(singlet, singlet.conj()) + (1.0 - a) / 4.0 * np.eye(4, dtype=complex)
-    return DensityMatrix(matrix)
+    return DensityMatrix(werner_matrices(np.array([a], dtype=float))[0])
+
+
+POPULATIONS = ("rho11", "rho22", "rho33", "rho44")
 
 
 @dataclass(frozen=True)
@@ -147,8 +183,11 @@ class XStateParams:
     rho23: complex = 0.0j
 
     def __post_init__(self):
-        pops = (self.rho11, self.rho22, self.rho33, self.rho44)
-        for name, p in zip(("rho11", "rho22", "rho33", "rho44"), pops):
+        for name in (*POPULATIONS, "rho14", "rho23"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise InvalidStateError(f"{name} = {getattr(self, name)} is not a finite number")
+        pops = tuple(getattr(self, name) for name in POPULATIONS)
+        for name, p in zip(POPULATIONS, pops):
             if p < -NEGLIGIBLE:
                 raise InvalidStateError(f"population {name} = {p:.12g} is negative")
         total = sum(pops)
@@ -165,24 +204,11 @@ class XStateParams:
         inner_half = np.hypot(self.rho22 - self.rho33, 2.0 * abs(self.rho23)) / 2.0
         outer_mid = (self.rho11 + self.rho44) / 2.0
         inner_mid = (self.rho22 + self.rho33) / 2.0
-        return np.sort(
-            [
-                outer_mid + outer_half,
-                outer_mid - outer_half,
-                inner_mid + inner_half,
-                inner_mid - inner_half,
-            ]
-        )
+        return np.sort([outer_mid + outer_half, outer_mid - outer_half, inner_mid + inner_half, inner_mid - inner_half])
 
     def to_json(self) -> dict:
-        return {
-            "rho11": self.rho11,
-            "rho22": self.rho22,
-            "rho33": self.rho33,
-            "rho44": self.rho44,
-            "rho14": [self.rho14.real, self.rho14.imag],
-            "rho23": [self.rho23.real, self.rho23.imag],
-        }
+        coherences = {name: [getattr(self, name).real, getattr(self, name).imag] for name in ("rho14", "rho23")}
+        return {**{name: getattr(self, name) for name in POPULATIONS}, **coherences}
 
     @classmethod
     def from_json(cls, data: dict) -> "XStateParams":
@@ -195,30 +221,34 @@ class XStateParams:
             return complex(re, im)
 
         try:
-            return cls(
-                rho11=float(data["rho11"]),
-                rho22=float(data["rho22"]),
-                rho33=float(data["rho33"]),
-                rho44=float(data["rho44"]),
-                rho14=as_complex(data.get("rho14", 0.0)),
-                rho23=as_complex(data.get("rho23", 0.0)),
-            )
+            coherences = (as_complex(data.get(name, 0.0)) for name in ("rho14", "rho23"))
+            return cls(*(float(data[name]) for name in POPULATIONS), *coherences)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidStateError(f"malformed x-state payload: {exc}") from exc
 
 
+def x_state_matrices(params: XStateParams, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:
+    """X-pattern matrices with the populations of ``params`` and arrays of anti-diagonal coherences."""
+    m = np.zeros((len(rho14), 4, 4), dtype=complex)
+    m[:, range(4), range(4)] = [getattr(params, name) for name in POPULATIONS]
+    m[:, 0, 3], m[:, 3, 0] = rho14, np.conj(rho14)
+    m[:, 1, 2], m[:, 2, 1] = rho23, np.conj(rho23)
+    return m
+
+
 def x_state(params: XStateParams) -> DensityMatrix:
     """Density matrix with the X sparsity pattern described by ``params``."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = params.rho11
-    m[1, 1] = params.rho22
-    m[2, 2] = params.rho33
-    m[3, 3] = params.rho44
-    m[0, 3] = params.rho14
-    m[3, 0] = np.conj(params.rho14)
-    m[1, 2] = params.rho23
-    m[2, 1] = np.conj(params.rho23)
-    return DensityMatrix(m)
+    return DensityMatrix(x_state_matrices(params, np.array([params.rho14]), np.array([params.rho23]))[0])
+
+
+def example2_matrices(x: np.ndarray) -> np.ndarray:
+    """Three-level mixtures for an array of parameters x in [0, 1/2]; see ``example2``."""
+    require_within(x, 0.0, 0.5, lambda v: ValueError(f"mixture parameter must lie in [0, 1/2], got {v}"))
+    m = np.zeros((len(x), 4, 4), dtype=complex)
+    m[:, 0, 0] = (1.0 - x) / 3.0
+    m[:, 1, 1] = m[:, 2, 2] = m[:, 1, 2] = m[:, 2, 1] = 1.0 / 3.0
+    m[:, 3, 3] = x / 3.0
+    return m
 
 
 def example2(x: float) -> DensityMatrix:
@@ -228,13 +258,7 @@ def example2(x: float) -> DensityMatrix:
     |psi+> = (|01> + |10>)/sqrt(2) and x in [0, 1/2]; its eigenvalues are
     0, x/3, (1-x)/3 and 2/3.
     """
-    if not 0.0 <= x <= 0.5:
-        raise ValueError(f"mixture parameter must lie in [0, 1/2], got {x}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (1.0 - x) / 3.0
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = 1.0 / 3.0
-    m[3, 3] = x / 3.0
-    return DensityMatrix(m)
+    return DensityMatrix(example2_matrices(np.array([x], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -282,12 +306,16 @@ def bloch_coefficients(rho: DensityMatrix) -> BlochCoefficients:
     return BlochCoefficients(a3=a3, b3=b3, t=t)
 
 
-def is_entangled(rho: DensityMatrix) -> bool:
-    """Partial-transpose criterion, exact for a qubit pair.
+def ppt_entangled(matrices: np.ndarray) -> np.ndarray:
+    """Partial-transpose verdict for each pair matrix of a stack, exact for a qubit pair.
 
-    Returns True exactly when the partial transpose over the second qubit has
-    an eigenvalue below -1e-10.
+    True exactly when the partial transpose over the second qubit has an
+    eigenvalue below -1e-10.
     """
-    transposed = require_pair(rho).matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    smallest = float(np.linalg.eigvalsh(transposed)[0])
-    return smallest < -PPT_NEG_TOL
+    transposed = matrices.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(matrices.shape)
+    return np.linalg.eigvalsh(transposed)[..., 0] < -PPT_NEG_TOL
+
+
+def is_entangled(rho: DensityMatrix) -> bool:
+    """Partial-transpose criterion of one qubit pair; see ``ppt_entangled``."""
+    return bool(ppt_entangled(require_pair(rho).matrix[None])[0])

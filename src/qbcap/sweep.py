@@ -2,23 +2,25 @@
 
 Each grid point builds a state, runs the measure-and-mix protocol, and
 records the capacities before and after together with the input spectrum and
-an entanglement verdict. Output is CSV (12 significant digits, deterministic
-bytes) or JSON.
+an entanglement verdict. The grid runs in chunks of ``CHUNK`` points, each as
+one stacked pass, so that memory stays bounded for any grid size. Output is
+CSV (12 significant digits, deterministic bytes) or JSON.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .battery import QubitPairEnergies
+from .battery import QubitPairEnergies, qubit_pair_hamiltonian, subsystem_a_hamiltonian
 from .errors import InvalidStateError
-from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
-from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
+from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix
+from .states import DensityMatrix, XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
+from .states import require_within, werner_matrices, x_state_matrices
 
 FAMILY_PARAMS = {
     "werner": ("a",),
@@ -29,6 +31,10 @@ FAMILY_PARAMS = {
 
 REQUIRED_KEYS = ("family", "param", "start", "stop", "count", "eps_a", "eps_b")
 SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
+
+# Grid points per stacked pass: enough to amortize numpy's per-call overhead,
+# few enough that a pass holds a few megabytes at most.
+CHUNK = 256
 
 
 def _finite(value, what: str) -> float:
@@ -125,20 +131,23 @@ class SweepSpec:
         """Evenly spaced parameter values, endpoints included."""
         return np.linspace(self.start, self.stop, self.count)
 
-    def state_at(self, value: float) -> DensityMatrix:
-        """State of the family at one grid point; constructors validate the domain."""
+    def matrices(self, values: np.ndarray) -> np.ndarray:
+        """The family's (N, 4, 4) matrices at the grid ``values``; each family checks its domain."""
         if self.family == "werner":
-            return werner(value)
+            return werner_matrices(values)
         if self.family == "example2":
-            return example2(value)
+            return example2_matrices(values)
         if self.family == "bell_diagonal":
-            triple = list(self.bell_diag)
-            triple[FAMILY_PARAMS["bell_diagonal"].index(self.param)] = value
-            return bell_diagonal(*triple)
-        if not 0.0 <= value <= 1.0:
-            raise InvalidStateError(f"coherence_scale must lie in [0, 1], got {value:.12g}")
+            triples = np.tile(np.array(self.bell_diag, dtype=float), (len(values), 1))
+            triples[:, FAMILY_PARAMS["bell_diagonal"].index(self.param)] = values
+            return bell_diagonal_matrices(triples)
+        require_within(values, 0.0, 1.0, lambda v: InvalidStateError(f"coherence_scale must lie in [0, 1], got {v:.12g}"))
         base = self.x_params
-        return x_state(replace(base, rho14=base.rho14 * value, rho23=base.rho23 * value))
+        return x_state_matrices(base, base.rho14 * values, base.rho23 * values)
+
+    def state_at(self, value: float) -> DensityMatrix:
+        """State of the family at one grid point."""
+        return DensityMatrix(self.matrices(np.array([value], dtype=float))[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,14 +195,30 @@ def figure_preset(name: str) -> SweepSpec:
     return SweepSpec.from_mapping(PRESETS[name])
 
 
+def _rows(spec: SweepSpec, values: np.ndarray, basis: MeasurementBasis, levels) -> list[SweepRow]:
+    matrices = spec.matrices(values)
+    spectra, gains = measure_and_mix(matrices, basis, spec.weights, levels)
+    columns = (values.tolist(), map(tuple, spectra.tolist()), map(tuple, gains.tolist()), ppt_entangled(matrices).tolist())
+    return [SweepRow(*row) for row in zip(*columns)]
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the protocol on every grid point, in grid order."""
+    """Evaluate the protocol on every grid point, in grid order, ``CHUNK`` points per stacked pass.
+
+    A failing chunk is run again point by point, to raise the first failing point's error.
+    """
     basis = MeasurementBasis(spec.basis_angles)
+    levels = (qubit_pair_hamiltonian(spec.energies).energies, subsystem_a_hamiltonian(spec.energies).energies)
+    grid = spec.grid()
     rows = []
-    for value in spec.grid():
-        rho = spec.state_at(float(value))
-        report = capacity_gain(rho, spec.energies, basis=basis, scheme=spec.scheme, weights=spec.weights)
-        rows.append(SweepRow(float(value), tuple(float(v) for v in rho.spectrum), report.gains, is_entangled(rho)))
+    for start in range(0, len(grid), CHUNK):
+        values = grid[start : start + CHUNK]
+        try:
+            rows += _rows(spec, values, basis, levels)
+        except (ValueError, ArithmeticError):
+            for k in range(len(values)):
+                _rows(spec, values[k : k + 1], basis, levels)
+            raise
     return rows
 
 

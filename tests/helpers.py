@@ -71,3 +71,55 @@ def random_rotated_basis(rng):
     theta = float(rng.uniform(0.0, np.pi))
     phi = float(rng.uniform(0.0, 2.0 * np.pi))
     return MeasurementBasis.rotated(theta, phi)
+
+
+def family_matrix(family, value, bell_diag=None, param=None, x=None):
+    """The family state at one grid value, built from its definition in plain numpy."""
+    if family == "werner":
+        psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        return value * np.outer(psi, psi) + (1.0 - value) / 4.0 * np.eye(4)
+    if family == "example2":
+        psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        return (np.diag([1.0 - value, 0.0, 0.0, value]) + 2.0 * np.outer(psi, psi)) / 3.0
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+    if family == "bell_diagonal":
+        c = list(bell_diag)
+        c[("c1", "c2", "c3").index(param)] = value
+        return (np.eye(4) + sum(ck * np.kron(p, p) for ck, p in zip(c, paulis))) / 4.0
+    m = np.diag([x.rho11, x.rho22, x.rho33, x.rho44]).astype(complex)
+    m[0, 3], m[1, 2] = value * x.rho14, value * x.rho23
+    return m + np.triu(m, 1).conj().T
+
+
+def protocol_oracle(matrix, eps_a, eps_b, angles, weights):
+    """Spectrum, the six gains and the PPT verdict of one state, without qbcap.
+
+    The measured direction n has Bloch angles ``angles`` (None: the z axis);
+    outcome k projects the second qubit on (I + (-1)^k n.sigma) / 2. Capacity
+    is the highest minus the lowest energy over the unitary orbit: sorted
+    levels against ascending, then descending, eigenvalues.
+    """
+    theta, phi = angles or (0.0, 0.0)
+    n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+    n_sigma = sum(nk * p for nk, p in zip(n, paulis))
+    branches = []
+    for sign in (1.0, -1.0):
+        op = np.kron(np.eye(2), (np.eye(2) + sign * n_sigma) / 2.0)
+        unnormalized = op @ matrix @ op
+        branches.append(unnormalized / np.trace(unnormalized).real)
+    final = sum(w * b for w, b in zip(weights or (0.5, 0.5), branches))
+
+    def capacity(m, levels):
+        lam, eps = np.linalg.eigvalsh(m), np.sort(levels)
+        return float(eps @ lam - eps @ lam[::-1])
+
+    def first_qubit(m):
+        return np.einsum("ijkj->ik", m.reshape(2, 2, 2, 2))
+
+    pair = (eps_a + eps_b, eps_a - eps_b, eps_b - eps_a, -eps_a - eps_b)
+    c_total = [capacity(m, pair) for m in (matrix, final)]
+    c_a = [capacity(first_qubit(m), (eps_a, -eps_a)) for m in (matrix, final)]
+    gains = (*c_total, *c_a, c_total[1] - c_total[0], c_a[1] - c_a[0])
+    transposed = matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return np.linalg.eigvalsh(matrix), gains, bool(np.linalg.eigvalsh(transposed)[0] < -1e-10)

@@ -86,6 +86,17 @@ def test_x_state_population_validation():
         XStateParams(rho11=-0.2, rho22=0.6, rho33=0.3, rho44=0.3)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rho11", float("nan")), ("rho33", float("inf")), ("rho14", complex(float("nan"), 0.0)), ("rho23", complex(0.0, float("-inf")))],
+)
+def test_x_state_rejects_non_finite_entries(field, value):
+    # NaN fails both the negativity and the sum comparison, so it needs its own check.
+    params = {"rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25, field: value}
+    with pytest.raises(InvalidStateError, match=f"{field} = .* is not a finite number"):
+        XStateParams(**params)
+
+
 def test_x_state_closed_form_spectra_match_eigh(rng):
     for _ in range(500):
         params = random_x_params(rng)

@@ -386,6 +386,15 @@ def test_cli_non_finite_weight_exit_2(capsys):
     assert "mu_0" in err and "finite" in err
 
 
+def test_cli_non_finite_x_state_exit_2(tmp_path, capsys):
+    # Python's json reads NaN; the X-state check names the field instead of failing later on the matrix.
+    path = tmp_path / "x.json"
+    path.write_text('{"rho11": NaN, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25}')
+    code, out, err = run_main(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "qbcap: error: malformed x-state payload: rho11 = nan is not a finite number\n"
+
+
 def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QBCAP_TOL", "1e-3")
     argv = ["capacity", "--werner", "0.6", "--eps-a", "0.5", "--eps-b", "0.3"]
@@ -410,3 +419,38 @@ def test_cli_reads_negative_exponent_numbers(capsys):
                              "--stop", "0.1", "--count", "3", "--bell-diag", "0", "0.1", "0.1", *energies], capsys)
     assert code == 0
     assert json.loads(out)["rows"][0]["c1"] == -1e-3
+
+
+X_ZERO_B1 = {"rho11": 0.6, "rho22": 0.0, "rho33": 0.4, "rho44": 0.0, "rho14": 0.0, "rho23": 0.0}
+X_BASE = {"rho11": 0.4, "rho22": 0.2, "rho33": 0.2, "rho44": 0.2, "rho14": [0.1, 0.05], "rho23": 0.1}
+PAIR_FLAGS = ["--eps-a", "0.5", "--eps-b", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # Werner a beyond 1: the first bad point (index 501, a = 1.002) lies past the first chunk.
+        (["--family", "werner", "--param", "a", "--start", "0", "--stop", "1.2", "--count", "601"],
+         "werner parameter must lie in [0, 1], got 1.002"),
+        (["--family", "bell_diagonal", "--param", "c1", "--start", "0", "--stop", "1", "--count", "11",
+          "--bell-diag", "0", "0.3", "0.3"],
+         "correlation triple (0.5, 0.3, 0.3) gives eigenvalue lambda_0 = -0.025 outside [0, 1]"),
+        (["--family", "x_state", "--param", "coherence_scale", "--start", "0", "--stop", "2", "--count", "11",
+          "--x-state", "{dir}/x_base.json"],
+         "coherence_scale must lie in [0, 1], got 1.2"),
+        # Every point has a zero-probability branch; point 0 fails on it before the scale
+        # check of the later points 2 and 3 (scales 1.0 < 1.5).
+        (["--family", "x_state", "--param", "coherence_scale", "--start", "0", "--stop", "1.5", "--count", "4",
+          "--x-state", "{dir}/x_zero.json"],
+         "branch 1 has probability 0.000e+00; the unweighted average is undefined"),
+        (["--family", "x_state", "--param", "coherence_scale", "--start", "0", "--stop", "1", "--count", "3",
+          "--x-state", "{dir}/x_zero.json", "--scheme", "weighted", "0.5", "0.5"],
+         "weight mu_1 = 0.5 assigned to a branch with probability 0.000e+00"),
+    ],
+)  # fmt: skip
+def test_sweep_reports_first_failing_point(tmp_path, capsys, grid, message):
+    # Exit code and stderr line pinned from the per-point engine.
+    (tmp_path / "x_zero.json").write_text(json.dumps(X_ZERO_B1))
+    (tmp_path / "x_base.json").write_text(json.dumps(X_BASE))
+    argv = ["sweep", *(arg.replace("{dir}", str(tmp_path)) for arg in grid), *PAIR_FLAGS]
+    assert run_main(argv, capsys) == (2, "", f"qbcap: error: {message}\n")
