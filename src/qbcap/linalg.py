@@ -36,13 +36,29 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
-    recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    err = np.abs(m - recon).max(axis=(-2, -1))
+    err = _reconstruction_error(m, values, vectors)
     if (err > RECONSTRUCTION_TOL).any():
         raise NumericError(f"eigendecomposition reconstruction error {err[err > RECONSTRUCTION_TOL][0]:.3e} exceeds 1e-11")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
+
+
+def _reconstruction_error(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """max|m - sum_k w_k v_k v_k^dagger| of each matrix, the sum taken one rank-1 term at a time.
+
+    The stack runs along the last axis of every operand, so that each term is
+    one pass over contiguous memory rather than a stacked small matmul.
+    """
+    d = m.shape[-1]
+    columns = vectors.reshape(-1, d, d).transpose(2, 1, 0).copy()  # [k, i, n]: entry i of v_k
+    conjugate = columns.conj()
+    columns *= values.reshape(-1, d).T[:, None]  # w_k v_k
+    diff = m.reshape(-1, d, d).transpose(1, 2, 0).copy()  # [i, j, n]
+    term = np.empty_like(diff)
+    for k in range(d):
+        diff -= np.multiply(columns[k, :, None], conjugate[k, None], out=term)
+    return np.abs(diff).max(axis=(0, 1)).reshape(values.shape[:-1])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ leading axis; the one-state functions are the same code on a stack of one.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,13 @@ from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, validation_tol
 PPT_NEG_TOL = 1e-10
 
 
+@functools.cache
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the entries (i, j), i <= j, of a d x d matrix, and of their mirror images (j, i)."""
+    i, j = np.triu_indices(d)
+    return i * d + j, j * d + i
+
+
 def check_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of density matrices; return their ascending spectra and eigenvectors.
 
@@ -35,12 +43,15 @@ def check_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     tol = validation_tol()
     finite = np.isfinite(matrices).all(axis=(-2, -1))
-    defect = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it
+    d = matrices.shape[-1]
+    upper, lower = _upper_triangle(d)
+    flat = matrices.reshape(*matrices.shape[:-2], d * d)
+    defect = np.abs(flat[..., upper] - flat[..., lower].conj()).max(axis=-1)
     trace = np.trace(matrices, axis1=-2, axis2=-1)
     off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
     if off.any():  # keep failed matrices out of eigh, so that they raise their own error below
-        dim = matrices.shape[-1]
-        matrices = np.where(off[..., None, None], np.eye(dim) / dim, matrices)
+        matrices = np.where(off[..., None, None], np.eye(d) / d, matrices)
     values, vectors = eigh(matrices)
     bad = (off | (values[..., 0] < -tol)).ravel()
     if bad.any():
@@ -212,7 +223,12 @@ class XStateParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "XStateParams":
-        """Build from a dict; coherences may be bare reals or [re, im] pairs."""
+        """Build from a dict; coherences may be bare reals or [re, im] pairs.
+
+        A payload that is not an object, lacks a population or holds an entry
+        that is not a number raises "malformed x-state payload"; a well-formed
+        one that fails validation raises that check's own error.
+        """
 
         def as_complex(value) -> complex:
             if isinstance(value, (int, float)):
@@ -220,11 +236,17 @@ class XStateParams:
             re, im = value
             return complex(re, im)
 
+        if not isinstance(data, dict):
+            raise InvalidStateError(f"malformed x-state payload: expected an object, got {type(data).__name__}")
+        missing = [name for name in POPULATIONS if name not in data]
+        if missing:
+            raise InvalidStateError(f"malformed x-state payload: missing {', '.join(missing)}")
         try:
-            coherences = (as_complex(data.get(name, 0.0)) for name in ("rho14", "rho23"))
-            return cls(*(float(data[name]) for name in POPULATIONS), *coherences)
-        except (KeyError, TypeError, ValueError) as exc:
+            populations = [float(data[name]) for name in POPULATIONS]
+            coherences = [as_complex(data.get(name, 0.0)) for name in ("rho14", "rho23")]
+        except (TypeError, ValueError) as exc:
             raise InvalidStateError(f"malformed x-state payload: {exc}") from exc
+        return cls(*populations, *coherences)
 
 
 def x_state_matrices(params: XStateParams, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:

@@ -3,14 +3,15 @@
 Each grid point builds a state, runs the measure-and-mix protocol, and
 records the capacities before and after together with the input spectrum and
 an entanglement verdict. The grid runs in chunks of ``CHUNK`` points, each as
-one stacked pass, so that memory stays bounded for any grid size. Output is
-CSV (12 significant digits, deterministic bytes) or JSON.
+one stacked pass, so that memory stays bounded for any grid size; results
+stay in columns (``SweepResult``) up to the output. Output is CSV (12
+significant digits, deterministic bytes) or JSON.
 """
 
 from __future__ import annotations
 
-import csv
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
@@ -169,6 +170,39 @@ class SweepRow:
         return self.gains[GAIN_FIELDS.index(name)]
 
 
+@dataclass(frozen=True, eq=False)
+class SweepResult(Sequence):
+    """A finished sweep as columns, read as a sequence of ``SweepRow`` built on demand.
+
+    ``values`` (N,) holds the grid, ``spectra`` (N, 4) the ascending input
+    spectra, ``gains`` (N, 6) the capacity fields in ``GAIN_FIELDS`` order and
+    ``entangled`` (N,) the PPT verdicts. Indexing, slicing and iteration build
+    the same rows as a list of ``SweepRow`` would hold.
+    """
+
+    values: np.ndarray
+    spectra: np.ndarray
+    gains: np.ndarray
+    entangled: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._iter_rows(index))
+        i = range(len(self))[index]  # negative indices count from the end; past either end raises IndexError
+        return next(self._iter_rows(slice(i, i + 1)))
+
+    def __iter__(self):
+        return self._iter_rows(slice(None))
+
+    def _iter_rows(self, index: slice):
+        columns = (self.values[index], self.spectra[index], self.gains[index], self.entangled[index])
+        values, spectra, gains, entangled = (column.tolist() for column in columns)
+        return map(SweepRow, values, map(tuple, spectra), map(tuple, gains), entangled)
+
+
 # The bundled studies, in spec-file form.
 PRESETS = {
     "fig2": {"family": "example2", "param": "x", "start": 0.0, "stop": 0.5, "count": 101, "eps_a": 0.5, "eps_b": 0.3},
@@ -195,14 +229,13 @@ def figure_preset(name: str) -> SweepSpec:
     return SweepSpec.from_mapping(PRESETS[name])
 
 
-def _rows(spec: SweepSpec, values: np.ndarray, basis: MeasurementBasis, levels) -> list[SweepRow]:
+def _chunk(spec: SweepSpec, values: np.ndarray, basis: MeasurementBasis, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrices = spec.matrices(values)
     spectra, gains = measure_and_mix(matrices, basis, spec.weights, levels)
-    columns = (values.tolist(), map(tuple, spectra.tolist()), map(tuple, gains.tolist()), ppt_entangled(matrices).tolist())
-    return [SweepRow(*row) for row in zip(*columns)]
+    return spectra, gains, ppt_entangled(matrices)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the protocol on every grid point, in grid order, ``CHUNK`` points per stacked pass.
 
     A failing chunk is run again point by point, to raise the first failing point's error.
@@ -210,35 +243,42 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     basis = MeasurementBasis(spec.basis_angles)
     levels = (qubit_pair_hamiltonian(spec.energies).energies, subsystem_a_hamiltonian(spec.energies).energies)
     grid = spec.grid()
-    rows = []
-    for start in range(0, len(grid), CHUNK):
-        values = grid[start : start + CHUNK]
+    n = len(grid)
+    result = SweepResult(grid, np.empty((n, len(SPECTRUM_COLUMNS))), np.empty((n, len(GAIN_FIELDS))), np.empty(n, bool))
+    for start in range(0, n, CHUNK):
+        block = slice(start, start + CHUNK)
         try:
-            rows += _rows(spec, values, basis, levels)
+            result.spectra[block], result.gains[block], result.entangled[block] = _chunk(spec, grid[block], basis, levels)
         except (ValueError, ArithmeticError):
-            for k in range(len(values)):
-                _rows(spec, values[k : k + 1], basis, levels)
+            for k in range(start, min(start + CHUNK, n)):
+                _chunk(spec, grid[k : k + 1], basis, levels)
             raise
-    return rows
+    return result
+
+
+# The one number format of every output: 12 significant digits of x + 0.0,
+# which turns a negative zero into 0 and leaves every other value as it is.
+NUMBER_FORMAT = "%.12g"
 
 
 def format_number(x: float) -> str:
     """12 significant digits, locale independent, no negative zero."""
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.12g}"
+    return NUMBER_FORMAT % (x + 0.0)
 
 
-def write_csv(rows: list[SweepRow], spec: SweepSpec, stream: IO[str]) -> None:
-    """Emit rows in grid order; repeated calls produce identical bytes."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([spec.param, *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"])
-    for row in rows:
-        numbers = (row.param_value, *row.spectrum, *row.gains)
-        writer.writerow([*map(format_number, numbers), "true" if row.entangled else "false"])
+def write_csv(result: SweepResult, spec: SweepSpec, stream: IO[str]) -> None:
+    """Emit the rows in grid order, ``CHUNK`` rows per write; repeated calls produce identical bytes."""
+    header = [spec.param, *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"]
+    line = ",".join([NUMBER_FORMAT] * (len(header) - 1)) + ",%s\n"
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(result), CHUNK):
+        block = slice(start, start + CHUNK)
+        table = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + 0.0
+        flags = np.where(result.entangled[block], "true", "false").tolist()
+        stream.write("".join([line % row for row in zip(*table.T.tolist(), flags)]))
 
 
-def rows_to_json(rows: list[SweepRow], spec: SweepSpec) -> dict:
+def rows_to_json(result: SweepResult, spec: SweepSpec) -> dict:
     """JSON form of a finished sweep: the spec echo plus one object per row."""
     meta = {
         "family": spec.family,
@@ -250,15 +290,10 @@ def rows_to_json(rows: list[SweepRow], spec: SweepSpec) -> dict:
     if spec.weights is not None:
         meta["weights"] = list(spec.weights)
     meta["basis"] = "computational" if spec.basis_angles is None else dict(zip(("theta", "phi"), spec.basis_angles))
-    return {
-        **meta,
-        "rows": [
-            {
-                spec.param: row.param_value,
-                "spectrum": list(row.spectrum),
-                **dict(zip(GAIN_FIELDS, row.gains)),
-                "entangled": row.entangled,
-            }
-            for row in rows
-        ],
-    }
+    columns = (result.values, result.spectra, result.gains, result.entangled)
+    values, spectra, gains, entangled = (column.tolist() for column in columns)
+    rows = [
+        {spec.param: value, "spectrum": spectrum, **dict(zip(GAIN_FIELDS, row_gains)), "entangled": flag}
+        for value, spectrum, row_gains, flag in zip(values, spectra, gains, entangled)
+    ]
+    return {**meta, "rows": rows}

@@ -3,9 +3,12 @@
 Each argv from ``invocations()`` runs in-process through ``qbcap.cli.main`` with
 ``QBCAP_TOL`` unset; ``{dir}`` stands for a directory holding the input files
 written by ``write_inputs``. The expected results live in ``golden_cli.json``.
-Regenerate it only when an output change is intended:
+New invocations go at the end of ``invocations()``; record them with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+which appends their pins and exits non-zero, writing nothing, if any existing
+pin would change.
 """
 
 import contextlib
@@ -121,6 +124,14 @@ INVALID = [
     ["sweep", "--figure", "fig2", "--out", "{dir}/missing/x.csv"],
 ]  # fmt: skip
 
+# Grids spanning many sweep chunks: 10,001 points as CSV and JSON, and 513 points in a rotated basis.
+WERNER_10K = ["sweep", "--family", "werner", "--param", "a", "--start", "0", "--stop", "1", "--count", "10001",
+              "--eps-a", "0.7", "--eps-b", "0.2", "--scheme", "weighted", "0.8", "0.2"]  # fmt: skip
+X_STATE_513 = ["sweep", "--family", "x_state", "--param", "coherence_scale", "--start", "0", "--stop", "1",
+               "--count", "513", "--x-state", "{dir}/x.json", "--eps-a", "0.6", "--eps-b", "0.2",
+               "--basis", "rotated", "0.7", "1.3"]  # fmt: skip
+MULTI_CHUNK = [WERNER_10K, [*WERNER_10K, "--format", "json"], X_STATE_513, [*X_STATE_513, "--format", "json"]]
+
 
 def invocations() -> list[list[str]]:
     calls = []
@@ -133,7 +144,7 @@ def invocations() -> list[list[str]]:
             for fmt in FORMATS
         ]
     calls += [["sweep", *source, *fmt] for source in SWEEP_SOURCES for fmt in ([], ["--format", "json"])]
-    return calls + CRITERION_9 + INVALID
+    return calls + CRITERION_9 + INVALID + MULTI_CHUNK
 
 
 def write_inputs(directory: Path) -> None:
@@ -170,7 +181,13 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("QBCAP_TOL", None)
+    pinned = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
+    if [e["argv"] for e in pinned] != invocations()[: len(pinned)]:
+        sys.exit(f"{FIXTURE.name}: the pinned invocations are not the start of invocations(); append new ones only")
     with tempfile.TemporaryDirectory() as tmp:
         recorded = results(Path(tmp))
+    changed = [e["argv"] for e, got in zip(pinned, recorded) if e != got]
+    if changed:
+        sys.exit(f"refusing to rewrite {len(changed)} changed pin(s) in {FIXTURE.name}, first {changed[0]}")
     FIXTURE.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in recorded) + "\n]\n")
-    print(f"recorded {len(recorded)} invocations in {FIXTURE}", file=sys.stderr)
+    print(f"{FIXTURE.name}: {len(pinned)} pins kept, {len(recorded) - len(pinned)} appended", file=sys.stderr)

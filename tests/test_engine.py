@@ -1,5 +1,10 @@
-"""The chunked sweep engine against a plain-numpy oracle and against its own one-state path."""
+"""The chunked sweep engine against a plain-numpy oracle and against its own one-state path,
+and its columnar result as rows, CSV and JSON."""
 
+import csv
+import hashlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,7 +15,8 @@ from hypothesis import strategies as st
 from helpers import family_matrix, protocol_oracle
 
 from qbcap import MeasurementBasis, QubitPairEnergies, SweepSpec, XStateParams, capacity_gain, is_entangled, run_sweep
-from qbcap.sweep import CHUNK
+from qbcap.measurement import GAIN_FIELDS
+from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, SweepRow, format_number, rows_to_json, write_csv
 
 unit = st.floats(0.0, 1.0)
 
@@ -65,15 +71,68 @@ def test_sweep_rows_match_oracle_and_one_state_path(count, data):
 
 
 def test_sweep_memory_is_bounded_by_the_chunk():
-    # Peak traced memory beyond the returned rows stays fixed as the grid grows,
-    # because the stacks hold one chunk at a time.
+    # Peak traced memory beyond the returned result stays fixed as the grid grows,
+    # because the stacks hold one chunk at a time; the result itself is a few columns.
     for count in (10_001, 40_001):
         spec = SweepSpec("werner", "a", 0.0, 1.0, count, QubitPairEnergies(0.7, 0.2), "weighted", (0.8, 0.2))
         tracemalloc.start()
         try:
             rows = run_sweep(spec)
             held, peak = tracemalloc.get_traced_memory()
+            out = io.StringIO()
+            tracemalloc.reset_peak()
+            write_csv(rows, spec, out)
+            written, csv_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(rows) == count
         assert peak - held < 8 * 2**20, f"{count} points: {(peak - held) / 2**20:.1f} MiB beyond the rows"
+        assert held <= 128 * count, f"{count} points: the result holds {held / count:.0f} B per point"
+        assert csv_peak - written < 8 * 2**20, f"{count} points: write_csv peaked {(csv_peak - written) / 2**20:.1f} MiB beyond its output"
+
+
+# Parameter values the 12-digit format must get right: signed zeros, the smallest subnormal,
+# tiny values of either sign, and neighbours of 12th-digit rounding ties.
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 1.0000000000005, -1.0000000000005,
+                  0.99999999999950, 9.9999999999995, 0.12345678901250, 123456789012.5, 1e300, -2.5e-300]  # fmt: skip
+
+
+def test_write_csv_matches_per_cell_reference():
+    rng = np.random.default_rng(5)
+    n = 2 * CHUNK + 7
+    ties = np.array(SPECIAL_VALUES)
+    pool = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), rng.standard_normal(20)])
+    table = rng.choice(pool, size=(n, 1 + len(SPECTRUM_COLUMNS) + len(GAIN_FIELDS)))
+    result = SweepResult(table[:, 0], table[:, 1:5], table[:, 5:], rng.random(n) < 0.5)
+    spec = SweepSpec("werner", "a", 0.0, 1.0, n, QubitPairEnergies(0.7, 0.2))
+    got = io.StringIO()
+    write_csv(result, spec, got)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["a", *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"])
+    for row in result:
+        numbers = (row.param_value, *row.spectrum, *row.gains)
+        writer.writerow([*map(format_number, numbers), "true" if row.entangled else "false"])
+    assert got.getvalue() == want.getvalue()
+    assert "-0," not in got.getvalue() and ",0," in got.getvalue()
+
+
+def test_sweep_result_reads_as_a_sequence_of_rows():
+    x = XStateParams(0.4, 0.25, 0.2, 0.15, 0.1 + 0.05j, 0.1)
+    spec = SweepSpec("x_state", "coherence_scale", 0.0, 1.0, CHUNK + 2, QubitPairEnergies(0.6, 0.2),
+                     "weighted", (0.3, 0.7), (0.7, 1.3), x_params=x)  # fmt: skip
+    rows = run_sweep(spec)
+    n = len(rows)
+    assert n == CHUNK + 2
+    assert rows[-1] == rows[n - 1] and rows[-n] == rows[0]
+    assert rows[1:3] == [rows[1], rows[2]]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[index]
+    assert list(rows) == [rows[i] for i in range(n)]
+    last = rows[-1]
+    assert isinstance(last, SweepRow) and type(last.param_value) is float and type(last.entangled) is bool
+    assert last.param_value == 1.0 and last.big_f == last.gains[GAIN_FIELDS.index("big_f")]
+    # The JSON form is byte for byte the one of the list-of-rows engine this result replaced.
+    digest = hashlib.sha256(json.dumps(rows_to_json(rows, spec)).encode()).hexdigest()
+    assert digest == "dfd6ddc4a030d6a6ecdc00aee844f0ad8b0f278a1a5dad3038006bd11786f227"

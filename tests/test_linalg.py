@@ -85,6 +85,15 @@ def test_eigh_rejects_non_hermitian():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def test_eigh_reports_the_first_failing_matrix_of_a_stack():
+    # eigh reads one triangle, so an entry missing from its mirror image breaks the reconstruction.
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (2, 3, 1, 1))
+    stack[0, 2, 0, 3] = 2e-6
+    stack[1, 0, 0, 2] = 0.5
+    with pytest.raises(NumericError, match=r"^eigendecomposition reconstruction error 2\.000e-06 exceeds 1e-11$"):
+        eigh(stack)
+
+
 def test_eigh_contracts_random_hermitian(rng):
     for dim in (2, 4):
         for _ in range(25):

@@ -19,6 +19,7 @@ from qbcap import (
     x_state,
 )
 from qbcap.linalg import IDENTITY_2, PAULIS, SIGMA_3
+from qbcap.states import check_states
 
 
 def test_bell_diagonal_zero_triple_is_maximally_mixed():
@@ -254,3 +255,11 @@ PAIR_ONLY = {
 def test_pair_only_entry_points_reject_a_qubit(entry):
     with pytest.raises(ValueError, match="two-qubit"):
         PAIR_ONLY[entry](DensityMatrix(np.eye(2) / 2.0))
+
+
+def test_check_states_names_the_first_non_hermitian_matrix_of_a_stack():
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (3, 1, 1))
+    stack[1, 3, 0] = 2e-6j
+    stack[2, 1, 2] = 0.3
+    with pytest.raises(InvalidStateError, match=r"^matrix is not Hermitian: max \|m - m\^dagger\| = 2\.000e-06$"):
+        check_states(stack)

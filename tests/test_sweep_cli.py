@@ -392,7 +392,24 @@ def test_cli_non_finite_x_state_exit_2(tmp_path, capsys):
     path.write_text('{"rho11": NaN, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25}')
     code, out, err = run_main(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys)
     assert (code, out) == (2, "")
-    assert err == "qbcap: error: malformed x-state payload: rho11 = nan is not a finite number\n"
+    assert err == "qbcap: error: rho11 = nan is not a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # Well-formed but invalid: the validation error keeps its own message.
+        ('{"rho11":0.5,"rho22":0.2,"rho33":0.2,"rho44":0.1,"rho14":0.4}',
+         "positivity violated: rho11*rho44 < |rho14|^2"),
+        # Malformed: a missing population is named as missing.
+        ('{"rho11":0.5,"rho22":0.2,"rho44":0.1}', "malformed x-state payload: missing rho33"),
+    ],
+)  # fmt: skip
+def test_cli_x_state_errors_name_their_cause(tmp_path, capsys, payload, message):
+    path = tmp_path / "x.json"
+    path.write_text(payload)
+    code, out, err = run_main(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys)
+    assert (code, out, err) == (2, "", f"qbcap: error: {message}\n")
 
 
 def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
