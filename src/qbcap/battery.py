@@ -54,6 +54,10 @@ class QubitPairEnergies:
         if not (math.isfinite(self.eps_a) and math.isfinite(self.eps_b) and self.eps_a >= self.eps_b >= 0.0):
             raise ValueError(f"require finite eps_a >= eps_b >= 0, got eps_a={self.eps_a}, eps_b={self.eps_b}")
 
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending levels of the pair Hamiltonian and of the first qubit's, the protocol's ``levels``."""
+        return qubit_pair_hamiltonian(self).energies, subsystem_a_hamiltonian(self).energies
+
 
 def qubit_pair_hamiltonian(energies: QubitPairEnergies) -> Hamiltonian:
     """Non-interacting pair eps_a s3 x I + eps_b I x s3.

@@ -18,7 +18,7 @@ from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsys
 from .errors import NumericError
 from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
 from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
-from .sweep import PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, rows_to_json, run_sweep, write_csv
+from .sweep import FAMILY_PARAMS, PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, rows_to_json, run_sweep, write_csv
 from .tolerances import set_validation_tol, validation_tol
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
     swe = subs.add_parser("sweep", help="run the protocol over a parameter grid")
     swe.add_argument("--figure", choices=tuple(PRESETS), help="bundled preset study")
     swe.add_argument("--spec", metavar="FILE", help="JSON sweep specification")
-    swe.add_argument("--family", choices=("werner", "bell_diagonal", "x_state", "example2"))
+    swe.add_argument("--family", choices=tuple(FAMILY_PARAMS))
     swe.add_argument("--param", metavar="NAME", help="swept parameter name")
     swe.add_argument("--start", type=float)
     swe.add_argument("--stop", type=float)
@@ -221,26 +221,21 @@ def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
             parser.error("custom sweeps need --eps-a and --eps-b")
         scheme, weights = _parse_scheme(args.scheme, parser)
         angles = _parse_basis(args.basis, parser)
-        data = {**grid, "eps_a": args.eps_a, "eps_b": args.eps_b, "scheme": scheme}
-        if weights is not None:
-            data["weights"] = list(weights)
-        if angles is not None:
-            data["basis"] = {"theta": angles[0], "phi": angles[1]}
-        if args.bell_diag is not None:
-            data["bell_diag"] = args.bell_diag
-        if args.x_state is not None:
-            data["x_state"] = _read_json(args.x_state)
+        data = {**grid, "eps_a": args.eps_a, "eps_b": args.eps_b, "scheme": scheme, "weights": weights,
+                "basis": None if angles is None else dict(zip(("theta", "phi"), angles)), "bell_diag": args.bell_diag,
+                "x_state": None if args.x_state is None else _read_json(args.x_state)}  # fmt: skip
+        data = {key: value for key, value in data.items() if value is not None}
     return SweepSpec.from_mapping(data)
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
     spec = _sweep_spec_from_args(args, parser)
-    rows = run_sweep(spec)
+    result = run_sweep(spec)
     if args.format == "json":
-        text = json.dumps(rows_to_json(rows, spec), indent=2) + "\n"
+        text = json.dumps(rows_to_json(result, spec), indent=2) + "\n"
     else:
         buf = io.StringIO()
-        write_csv(rows, spec, buf)
+        write_csv(result, spec, buf)
         text = buf.getvalue()
     _emit(text, args.out)
     return EXIT_OK

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .battery import QubitPairEnergies, capacities, qubit_pair_hamiltonian, subsystem_a_hamiltonian
+from .battery import QubitPairEnergies, capacities
 from .errors import NumericError, UndefinedAverageError
 from .linalg import IDENTITY_2
 from .states import DensityMatrix, check_states, reduce_a, require_pair
@@ -282,6 +282,5 @@ def capacity_gain(
     check_scheme(scheme, weights)
     w = None if weights is None else _as_weights(weights)
     basis = basis or MeasurementBasis.computational()
-    levels = (qubit_pair_hamiltonian(energies).energies, subsystem_a_hamiltonian(energies).energies)
-    _, gains = measure_and_mix(rho.matrix[None], basis, w, levels)
+    _, gains = measure_and_mix(rho.matrix[None], basis, w, energies.levels())
     return CapacityGainReport(*gains[0].tolist(), scheme, None if w is None else w.mu)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, validation_tol
 # Threshold for calling a partial-transpose eigenvalue negative; fixed, not
 # affected by the runtime validation-tolerance override.
 PPT_NEG_TOL = 1e-10
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (a float, or an int in float range, but not a bool); else a ValueError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @functools.cache
@@ -103,11 +112,11 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
-        """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2."""
+        """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a ``json_number``."""
         try:
             dims = {key: data[key] for key in ("dim_a", "dim_b")}
-            re = np.array(data["re"], dtype=float)
-            im = np.array(data["im"], dtype=float)
+            entries = {key: np.array(data[key], dtype=object) for key in ("re", "im")}
+            re, im = (np.reshape([json_number(v, f"{key} entry") for v in a.flat], a.shape) for key, a in entries.items())
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc
         for key, dim in dims.items():
@@ -226,15 +235,14 @@ class XStateParams:
         """Build from a dict; coherences may be bare reals or [re, im] pairs.
 
         A payload that is not an object, lacks a population or holds an entry
-        that is not a number raises "malformed x-state payload"; a well-formed
-        one that fails validation raises that check's own error.
+        that is not a ``json_number`` raises "malformed x-state payload"; a
+        well-formed one that fails validation raises that check's own error.
         """
 
-        def as_complex(value) -> complex:
-            if isinstance(value, (int, float)):
-                return complex(value)
-            re, im = value
-            return complex(re, im)
+        def as_complex(name: str) -> complex:
+            value = data.get(name, 0.0)
+            parts = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+            return complex(*(json_number(part, name) for part in parts))
 
         if not isinstance(data, dict):
             raise InvalidStateError(f"malformed x-state payload: expected an object, got {type(data).__name__}")
@@ -242,9 +250,9 @@ class XStateParams:
         if missing:
             raise InvalidStateError(f"malformed x-state payload: missing {', '.join(missing)}")
         try:
-            populations = [float(data[name]) for name in POPULATIONS]
-            coherences = [as_complex(data.get(name, 0.0)) for name in ("rho14", "rho23")]
-        except (TypeError, ValueError) as exc:
+            populations = [json_number(data[name], name) for name in POPULATIONS]
+            coherences = [as_complex(name) for name in ("rho14", "rho23")]
+        except ValueError as exc:
             raise InvalidStateError(f"malformed x-state payload: {exc}") from exc
         return cls(*populations, *coherences)
 

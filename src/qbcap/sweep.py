@@ -10,27 +10,28 @@ significant digits, deterministic bytes) or JSON.
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .battery import QubitPairEnergies, qubit_pair_hamiltonian, subsystem_a_hamiltonian
+from .battery import QubitPairEnergies
 from .errors import InvalidStateError
 from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix
 from .states import DensityMatrix, XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
-from .states import require_within, werner_matrices, x_state_matrices
+from .states import json_number, require_within, werner_matrices, x_state_matrices
 
+# The families and the parameters each sweeps, in the order `sweep --help` lists them.
 FAMILY_PARAMS = {
     "werner": ("a",),
-    "example2": ("x",),
     "bell_diagonal": ("c1", "c2", "c3"),
     "x_state": ("coherence_scale",),
+    "example2": ("x",),
 }
 
 REQUIRED_KEYS = ("family", "param", "start", "stop", "count", "eps_a", "eps_b")
+ECHO_KEYS = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
 SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
 
 # Grid points per stacked pass: enough to amortize numpy's per-call overhead,
@@ -39,10 +40,11 @@ CHUNK = 256
 
 
 def _finite(value, what: str) -> float:
-    """A JSON number as float; booleans, strings, NaN, infinities and integers beyond float range are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    """A JSON number (see ``json_number``) as float; NaN and infinities are rejected too."""
+    number = json_number(value, f"sweep specification: {what}")
+    if not math.isfinite(number):
         raise ValueError(f"sweep specification: {what} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _finite_list(values, what: str, length: int | None = None) -> tuple[float, ...]:
@@ -128,6 +130,16 @@ class SweepSpec:
             x_params=XStateParams.from_json(data["x_state"]) if "x_state" in data else None,
         )
 
+    def to_mapping(self) -> dict:
+        """The spec's JSON form, the inverse of ``from_mapping``; optional keys left unset are left out."""
+        data = {
+            "family": self.family, "param": self.param, "start": self.start, "stop": self.stop, "count": self.count,
+            "eps_a": self.energies.eps_a, "eps_b": self.energies.eps_b, "scheme": self.scheme, "weights": self.weights,
+            "basis": "computational" if self.basis_angles is None else dict(zip(("theta", "phi"), self.basis_angles)),
+            "bell_diag": self.bell_diag, "x_state": None if self.x_params is None else self.x_params.to_json(),
+        }  # fmt: skip
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in data.items() if value is not None}
+
     def grid(self) -> np.ndarray:
         """Evenly spaced parameter values, endpoints included."""
         return np.linspace(self.start, self.stop, self.count)
@@ -151,33 +163,10 @@ class SweepSpec:
         return DensityMatrix(self.matrices(np.array([value], dtype=float))[0])
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """Protocol results at one grid point.
-
-    ``gains`` holds the report's capacity fields in ``GAIN_FIELDS`` order;
-    each also reads as an attribute, e.g. ``row.big_f``.
-    """
-
-    param_value: float
-    spectrum: tuple[float, float, float, float]
-    gains: tuple[float, ...]
-    entangled: bool
-
-    def __getattr__(self, name: str) -> float:
-        if name not in GAIN_FIELDS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.gains[GAIN_FIELDS.index(name)]
-
-
 @dataclass(frozen=True, eq=False)
-class SweepResult(Sequence):
-    """A finished sweep as columns, read as a sequence of ``SweepRow`` built on demand.
-
-    ``values`` (N,) holds the grid, ``spectra`` (N, 4) the ascending input
-    spectra, ``gains`` (N, 6) the capacity fields in ``GAIN_FIELDS`` order and
-    ``entangled`` (N,) the PPT verdicts. Indexing, slicing and iteration build
-    the same rows as a list of ``SweepRow`` would hold.
+class SweepResult:
+    """A finished sweep as columns: ``values`` (N,) holds the grid, ``spectra`` (N, 4) the ascending input
+    spectra, ``gains`` (N, 6) the capacity fields in ``GAIN_FIELDS`` order and ``entangled`` (N,) the PPT verdicts.
     """
 
     values: np.ndarray
@@ -185,22 +174,9 @@ class SweepResult(Sequence):
     gains: np.ndarray
     entangled: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._iter_rows(index))
-        i = range(len(self))[index]  # negative indices count from the end; past either end raises IndexError
-        return next(self._iter_rows(slice(i, i + 1)))
-
-    def __iter__(self):
-        return self._iter_rows(slice(None))
-
-    def _iter_rows(self, index: slice):
-        columns = (self.values[index], self.spectra[index], self.gains[index], self.entangled[index])
-        values, spectra, gains, entangled = (column.tolist() for column in columns)
-        return map(SweepRow, values, map(tuple, spectra), map(tuple, gains), entangled)
+    def gain(self, name: str) -> np.ndarray:
+        """The (N,) column of one capacity field, e.g. ``result.gain("big_f")``."""
+        return self.gains[:, GAIN_FIELDS.index(name)]
 
 
 # The bundled studies, in spec-file form.
@@ -231,8 +207,7 @@ def figure_preset(name: str) -> SweepSpec:
 
 def _chunk(spec: SweepSpec, values: np.ndarray, basis: MeasurementBasis, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrices = spec.matrices(values)
-    spectra, gains = measure_and_mix(matrices, basis, spec.weights, levels)
-    return spectra, gains, ppt_entangled(matrices)
+    return (*measure_and_mix(matrices, basis, spec.weights, levels), ppt_entangled(matrices))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -241,7 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     A failing chunk is run again point by point, to raise the first failing point's error.
     """
     basis = MeasurementBasis(spec.basis_angles)
-    levels = (qubit_pair_hamiltonian(spec.energies).energies, subsystem_a_hamiltonian(spec.energies).energies)
+    levels = spec.energies.levels()
     grid = spec.grid()
     n = len(grid)
     result = SweepResult(grid, np.empty((n, len(SPECTRUM_COLUMNS))), np.empty((n, len(GAIN_FIELDS))), np.empty(n, bool))
@@ -271,7 +246,7 @@ def write_csv(result: SweepResult, spec: SweepSpec, stream: IO[str]) -> None:
     header = [spec.param, *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"]
     line = ",".join([NUMBER_FORMAT] * (len(header) - 1)) + ",%s\n"
     stream.write(",".join(header) + "\n")
-    for start in range(0, len(result), CHUNK):
+    for start in range(0, len(result.values), CHUNK):
         block = slice(start, start + CHUNK)
         table = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + 0.0
         flags = np.where(result.entangled[block], "true", "false").tolist()
@@ -279,21 +254,11 @@ def write_csv(result: SweepResult, spec: SweepSpec, stream: IO[str]) -> None:
 
 
 def rows_to_json(result: SweepResult, spec: SweepSpec) -> dict:
-    """JSON form of a finished sweep: the spec echo plus one object per row."""
-    meta = {
-        "family": spec.family,
-        "param": spec.param,
-        "eps_a": spec.energies.eps_a,
-        "eps_b": spec.energies.eps_b,
-        "scheme": spec.scheme,
-    }
-    if spec.weights is not None:
-        meta["weights"] = list(spec.weights)
-    meta["basis"] = "computational" if spec.basis_angles is None else dict(zip(("theta", "phi"), spec.basis_angles))
+    """JSON form of a finished sweep: the ``ECHO_KEYS`` of the spec plus one object per grid point."""
+    meta = {key: value for key, value in spec.to_mapping().items() if key in ECHO_KEYS}
     columns = (result.values, result.spectra, result.gains, result.entangled)
-    values, spectra, gains, entangled = (column.tolist() for column in columns)
     rows = [
-        {spec.param: value, "spectrum": spectrum, **dict(zip(GAIN_FIELDS, row_gains)), "entangled": flag}
-        for value, spectrum, row_gains, flag in zip(values, spectra, gains, entangled)
+        {spec.param: value, "spectrum": spectrum, **dict(zip(GAIN_FIELDS, gains)), "entangled": flag}
+        for value, spectrum, gains, flag in zip(*(column.tolist() for column in columns))
     ]
     return {**meta, "rows": rows}

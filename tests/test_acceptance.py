@@ -253,8 +253,8 @@ def test_library_sweep_matches_cli_csv():
 
 def test_sweep_specs_for_criteria_have_json_echo():
     spec = figure_preset("fig3")
-    rows = run_sweep(spec)
+    result = run_sweep(spec)
     proc = run_cli("sweep", "--figure", "fig3", "--format", "json")
     data = json.loads(proc.stdout)
-    assert len(data["rows"]) == len(rows)
-    assert abs(data["rows"][0]["big_f"] - rows[0].big_f) < 1e-15
+    assert len(data["rows"]) == len(result.values)
+    assert abs(data["rows"][0]["big_f"] - result.gain("big_f")[0]) < 1e-15

@@ -1,7 +1,8 @@
 """Byte-level pins on the CLI: exit code and sha256 of stdout per invocation.
 
 Each argv from ``invocations()`` runs in-process through ``qbcap.cli.main`` with
-``QBCAP_TOL`` unset; ``{dir}`` stands for a directory holding the input files
+``QBCAP_TOL`` unset and ``COLUMNS=80``, the width argparse wraps help text to;
+``{dir}`` stands for a directory holding the input files
 written by ``write_inputs``. The expected results live in ``golden_cli.json``.
 New invocations go at the end of ``invocations()``; record them with
 
@@ -131,6 +132,7 @@ X_STATE_513 = ["sweep", "--family", "x_state", "--param", "coherence_scale", "--
                "--count", "513", "--x-state", "{dir}/x.json", "--eps-a", "0.6", "--eps-b", "0.2",
                "--basis", "rotated", "0.7", "1.3"]  # fmt: skip
 MULTI_CHUNK = [WERNER_10K, [*WERNER_10K, "--format", "json"], X_STATE_513, [*X_STATE_513, "--format", "json"]]
+HELP = [["--help"], ["capacity", "--help"], ["measure", "--help"], ["sweep", "--help"]]
 
 
 def invocations() -> list[list[str]]:
@@ -144,7 +146,7 @@ def invocations() -> list[list[str]]:
             for fmt in FORMATS
         ]
     calls += [["sweep", *source, *fmt] for source in SWEEP_SOURCES for fmt in ([], ["--format", "json"])]
-    return calls + CRITERION_9 + INVALID + MULTI_CHUNK
+    return calls + CRITERION_9 + INVALID + MULTI_CHUNK + HELP
 
 
 def write_inputs(directory: Path) -> None:
@@ -173,6 +175,7 @@ def results(directory: Path) -> list[dict]:
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     monkeypatch.delenv("QBCAP_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     expected = json.loads(FIXTURE.read_text())
     assert [e["argv"] for e in expected] == invocations()
     mismatched = [(e, got) for e, got in zip(expected, results(tmp_path)) if e != got]
@@ -181,6 +184,7 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("QBCAP_TOL", None)
+    os.environ["COLUMNS"] = "80"
     pinned = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
     if [e["argv"] for e in pinned] != invocations()[: len(pinned)]:
         sys.exit(f"{FIXTURE.name}: the pinned invocations are not the start of invocations(); append new ones only")

@@ -1,5 +1,5 @@
 """The chunked sweep engine against a plain-numpy oracle and against its own one-state path,
-and its columnar result as rows, CSV and JSON."""
+its columnar result as CSV and JSON, and the spec's JSON form."""
 
 import csv
 import hashlib
@@ -16,7 +16,7 @@ from helpers import family_matrix, protocol_oracle
 
 from qbcap import MeasurementBasis, QubitPairEnergies, SweepSpec, XStateParams, capacity_gain, is_entangled, run_sweep
 from qbcap.measurement import GAIN_FIELDS
-from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, SweepRow, format_number, rows_to_json, write_csv
+from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv
 
 unit = st.floats(0.0, 1.0)
 
@@ -52,22 +52,22 @@ def sweep_specs(draw, count):
 @given(data=st.data())
 def test_sweep_rows_match_oracle_and_one_state_path(count, data):
     spec = data.draw(sweep_specs(count))
-    rows = run_sweep(spec)
-    assert [row.param_value for row in rows] == spec.grid().tolist()
+    result = run_sweep(spec)
+    assert result.values.tolist() == spec.grid().tolist()
     basis = MeasurementBasis(spec.basis_angles)
     e = spec.energies
-    for row in rows:
-        matrix = family_matrix(spec.family, row.param_value, spec.bell_diag, spec.param, spec.x_params)
+    for value, row_spectrum, row_gains, row_entangled in zip(result.values, result.spectra, result.gains, result.entangled):
+        matrix = family_matrix(spec.family, value, spec.bell_diag, spec.param, spec.x_params)
         spectrum, gains, entangled = protocol_oracle(matrix, e.eps_a, e.eps_b, spec.basis_angles, spec.weights)
-        np.testing.assert_allclose(row.spectrum, spectrum, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(row.gains, gains, rtol=0.0, atol=1e-12)
-        assert row.entangled == entangled
+        np.testing.assert_allclose(row_spectrum, spectrum, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(row_gains, gains, rtol=0.0, atol=1e-12)
+        assert row_entangled == entangled
         # Bit for bit the same as the one-state path, on either side of every chunk boundary.
-        rho = spec.state_at(row.param_value)
+        rho = spec.state_at(value)
         report = capacity_gain(rho, e, basis=basis, scheme=spec.scheme, weights=spec.weights)
-        assert row.spectrum == tuple(rho.spectrum.tolist())
-        assert row.gains == report.gains
-        assert row.entangled == is_entangled(rho)
+        assert row_spectrum.tolist() == rho.spectrum.tolist()
+        assert tuple(row_gains.tolist()) == report.gains
+        assert row_entangled == is_entangled(rho)
 
 
 def test_sweep_memory_is_bounded_by_the_chunk():
@@ -77,16 +77,16 @@ def test_sweep_memory_is_bounded_by_the_chunk():
         spec = SweepSpec("werner", "a", 0.0, 1.0, count, QubitPairEnergies(0.7, 0.2), "weighted", (0.8, 0.2))
         tracemalloc.start()
         try:
-            rows = run_sweep(spec)
+            result = run_sweep(spec)
             held, peak = tracemalloc.get_traced_memory()
             out = io.StringIO()
             tracemalloc.reset_peak()
-            write_csv(rows, spec, out)
+            write_csv(result, spec, out)
             written, csv_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == count
-        assert peak - held < 8 * 2**20, f"{count} points: {(peak - held) / 2**20:.1f} MiB beyond the rows"
+        assert len(result.values) == count
+        assert peak - held < 8 * 2**20, f"{count} points: {(peak - held) / 2**20:.1f} MiB beyond the result"
         assert held <= 128 * count, f"{count} points: the result holds {held / count:.0f} B per point"
         assert csv_peak - written < 8 * 2**20, f"{count} points: write_csv peaked {(csv_peak - written) / 2**20:.1f} MiB beyond its output"
 
@@ -110,29 +110,37 @@ def test_write_csv_matches_per_cell_reference():
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["a", *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"])
-    for row in result:
-        numbers = (row.param_value, *row.spectrum, *row.gains)
-        writer.writerow([*map(format_number, numbers), "true" if row.entangled else "false"])
+    for value, spectrum, gains, entangled in zip(result.values, result.spectra, result.gains, result.entangled):
+        numbers = (value, *spectrum, *gains)
+        writer.writerow([*map(format_number, numbers), "true" if entangled else "false"])
     assert got.getvalue() == want.getvalue()
     assert "-0," not in got.getvalue() and ",0," in got.getvalue()
 
 
-def test_sweep_result_reads_as_a_sequence_of_rows():
+def test_sweep_result_columns_and_json_bytes():
     x = XStateParams(0.4, 0.25, 0.2, 0.15, 0.1 + 0.05j, 0.1)
     spec = SweepSpec("x_state", "coherence_scale", 0.0, 1.0, CHUNK + 2, QubitPairEnergies(0.6, 0.2),
                      "weighted", (0.3, 0.7), (0.7, 1.3), x_params=x)  # fmt: skip
-    rows = run_sweep(spec)
-    n = len(rows)
+    result = run_sweep(spec)
+    n = len(result.values)
     assert n == CHUNK + 2
-    assert rows[-1] == rows[n - 1] and rows[-n] == rows[0]
-    assert rows[1:3] == [rows[1], rows[2]]
-    for index in (n, -n - 1):
-        with pytest.raises(IndexError):
-            rows[index]
-    assert list(rows) == [rows[i] for i in range(n)]
-    last = rows[-1]
-    assert isinstance(last, SweepRow) and type(last.param_value) is float and type(last.entangled) is bool
-    assert last.param_value == 1.0 and last.big_f == last.gains[GAIN_FIELDS.index("big_f")]
-    # The JSON form is byte for byte the one of the list-of-rows engine this result replaced.
-    digest = hashlib.sha256(json.dumps(rows_to_json(rows, spec)).encode()).hexdigest()
+    assert (result.spectra.shape, result.gains.shape, result.entangled.shape) == ((n, 4), (n, len(GAIN_FIELDS)), (n,))
+    assert result.values[-1] == 1.0
+    for k, name in enumerate(GAIN_FIELDS):
+        assert result.gain(name).tolist() == result.gains[:, k].tolist()
+    # The JSON form is byte for byte the one of the list-of-rows engine the columns replaced.
+    digest = hashlib.sha256(json.dumps(rows_to_json(result, spec)).encode()).hexdigest()
     assert digest == "dfd6ddc4a030d6a6ecdc00aee844f0ad8b0f278a1a5dad3038006bd11786f227"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_spec_to_mapping_round_trips(data):
+    spec = data.draw(sweep_specs(data.draw(st.integers(2, 10_000))))
+    mapping = spec.to_mapping()
+    assert SweepSpec.from_mapping(mapping) == spec
+    assert SweepSpec.from_mapping(json.loads(json.dumps(mapping))) == spec
+    # The JSON output echoes these keys of the same mapping, in this order.
+    empty = SweepResult(np.empty(0), np.empty((0, 4)), np.empty((0, len(GAIN_FIELDS))), np.empty(0, bool))
+    echo = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
+    assert list(rows_to_json(empty, spec).items()) == [(key, mapping[key]) for key in echo if key in mapping] + [("rows", [])]

@@ -10,6 +10,7 @@ from helpers import subprocess_env
 
 from qbcap import (
     VALIDATION_TOL,
+    DensityMatrix,
     MixingWeights,
     QubitPairEnergies,
     SweepSpec,
@@ -70,12 +71,12 @@ def test_spec_validation():
 
 def test_werner_sweep_rows():
     spec = SweepSpec(family="werner", param="a", start=0.0, stop=1.0, count=11, energies=PAIR_053)
-    rows = run_sweep(spec)
-    assert len(rows) == 11
-    for row in rows:
+    result = run_sweep(spec)
+    assert len(result.values) == 11
+    for a, c_before, entangled in zip(result.values, result.gain("c_before_total"), result.entangled):
         # Closed form: whole-pair capacity 2a(eps_a + eps_b) before measuring.
-        assert abs(row.c_before_total - 2.0 * row.param_value * 0.8) < 1e-10
-        assert row.entangled == (row.param_value > 1.0 / 3.0)
+        assert abs(c_before - 2.0 * a * 0.8) < 1e-10
+        assert entangled == (a > 1.0 / 3.0)
 
 
 def test_bell_diagonal_sweep_overrides_one_component():
@@ -88,11 +89,10 @@ def test_bell_diagonal_sweep_overrides_one_component():
         energies=PAIR_053,
         bell_diag=(0.4, 0.0, 0.1),
     )
-    rows = run_sweep(spec)
-    mid = rows[3]
-    assert abs(mid.param_value) < 1e-12
+    result = run_sweep(spec)
+    assert abs(result.values[3]) < 1e-12
     ref = bell_diagonal(0.4, 0.0, 0.1)
-    np.testing.assert_allclose(mid.spectrum, ref.spectrum, atol=1e-12)
+    np.testing.assert_allclose(result.spectra[3], ref.spectrum, atol=1e-12)
 
 
 def test_x_state_scale_sweep():
@@ -106,10 +106,10 @@ def test_x_state_scale_sweep():
         energies=PAIR_053,
         x_params=base,
     )
-    rows = run_sweep(spec)
-    assert len(rows) == 5
+    result = run_sweep(spec)
+    assert len(result.values) == 5
     # Scale 0 kills the coherences, leaving the diagonal state.
-    np.testing.assert_allclose(rows[0].spectrum, sorted([0.4, 0.2, 0.2, 0.2]), atol=1e-12)
+    np.testing.assert_allclose(result.spectra[0], sorted([0.4, 0.2, 0.2, 0.2]), atol=1e-12)
 
 
 def test_csv_round_trip_recomputes():
@@ -123,9 +123,9 @@ def test_csv_round_trip_recomputes():
         scheme="weighted",
         weights=(0.7, 0.3),
     )
-    rows = run_sweep(spec)
+    result = run_sweep(spec)
     buf = io.StringIO()
-    write_csv(rows, spec, buf)
+    write_csv(result, spec, buf)
     lines = buf.getvalue().strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "a" and header[-1] == "entangled"
@@ -149,19 +149,19 @@ def test_csv_round_trip_recomputes():
 
 def test_csv_bytes_deterministic():
     spec = figure_preset("fig2")
-    rows = run_sweep(spec)
+    result = run_sweep(spec)
     bufs = []
     for _ in range(2):
         buf = io.StringIO()
-        write_csv(rows, spec, buf)
+        write_csv(result, spec, buf)
         bufs.append(buf.getvalue())
     assert bufs[0] == bufs[1]
 
 
 def test_rows_to_json_echoes_spec():
     spec = figure_preset("fig3")
-    rows = run_sweep(spec)
-    data = rows_to_json(rows, spec)
+    result = run_sweep(spec)
+    data = rows_to_json(result, spec)
     assert data["scheme"] == "weighted" and data["weights"] == [0.1, 0.9]
     assert data["basis"] == "computational"
     assert len(data["rows"]) == 101
@@ -410,6 +410,46 @@ def test_cli_x_state_errors_name_their_cause(tmp_path, capsys, payload, message)
     path.write_text(payload)
     code, out, err = run_main(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys)
     assert (code, out, err) == (2, "", f"qbcap: error: {message}\n")
+
+
+X_QUARTERS = {"rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25}
+NOT_NUMBERS = [True, "0.25", 10**400]  # a bool, a numeric string, an integer beyond float range
+
+
+def _state_with_entry(field, value):
+    state = werner(0.4).to_json()
+    state[field][1][2] = value
+    return state
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=["bool", "string", "huge"])
+@pytest.mark.parametrize(
+    "flag, payload, field",
+    [
+        ("--x-state", lambda v: {**X_QUARTERS, "rho11": v}, "rho11"),
+        ("--x-state", lambda v: {**X_QUARTERS, "rho23": v}, "rho23"),
+        ("--x-state", lambda v: {**X_QUARTERS, "rho14": [0.1, v]}, "rho14"),
+        ("--state", lambda v: _state_with_entry("re", v), "re entry"),
+        ("--state", lambda v: _state_with_entry("im", v), "im entry"),
+    ],
+    ids=["population", "coherence", "coherence-pair", "re", "im"],
+)
+def test_json_inputs_take_only_numbers(tmp_path, capsys, flag, payload, field, value):
+    # One rule for every JSON number: an int or a float, and not a bool; spec files are
+    # covered by test_malformed_sweep_spec_exits_2.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload(value)))
+    code, out, err = run_main(["capacity", flag, str(path), *PAIR_FLAGS], capsys)
+    assert (code, out) == (2, "")
+    kind = "x-state" if flag == "--x-state" else "density-matrix"
+    assert err == f"qbcap: error: malformed {kind} payload: {field} must be a number, got {value!r}\n"
+
+
+def test_json_inputs_take_ints_and_floats():
+    # Integers are numbers too: |00><00| written with int entries reads as that state.
+    assert XStateParams.from_json({"rho11": 1, "rho22": 0, "rho33": 0, "rho44": 0, "rho14": [0, 0.0]}).rho11 == 1.0
+    state = {"dim_a": 2, "dim_b": 2, "re": np.diag([1, 0, 0, 0]).tolist(), "im": [[0] * 4] * 4}
+    assert DensityMatrix.from_json(state).spectrum.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
