@@ -26,7 +26,6 @@ from .measurement import (
     CapacityGainReport,
     MeasurementBasis,
     MeasurementEnsemble,
-    MixingWeights,
     capacity_gain,
     final_state_uniform,
     final_state_weighted,

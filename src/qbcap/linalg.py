@@ -38,7 +38,8 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
     err = _reconstruction_error(m, values, vectors)
     if (err > RECONSTRUCTION_TOL).any():
-        raise NumericError(f"eigendecomposition reconstruction error {err[err > RECONSTRUCTION_TOL][0]:.3e} exceeds 1e-11")
+        first = err[err > RECONSTRUCTION_TOL][0]
+        raise NumericError(f"eigendecomposition reconstruction error {first:.3e} exceeds {RECONSTRUCTION_TOL:g}")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors

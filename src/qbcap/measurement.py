@@ -23,10 +23,7 @@ from .battery import QubitPairEnergies, capacities
 from .errors import NumericError, UndefinedAverageError
 from .linalg import IDENTITY_2
 from .states import DensityMatrix, check_states, reduce_a, require_pair
-from .tolerances import NEGLIGIBLE, validation_tol
-
-# Branches below this probability are flagged instead of normalized.
-ZERO_PROBABILITY = NEGLIGIBLE
+from .tolerances import NEGLIGIBLE, ZERO_PROBABILITY, validation_tol
 
 
 class MeasurementBasis:
@@ -118,38 +115,24 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
     return MeasurementEnsemble(tuple(Branch(p, None if f else DensityMatrix(b)) for b, p, f in ensemble), basis)
 
 
-@dataclass(frozen=True)
-class MixingWeights:
-    """Convex weights over measurement branches: nonnegative, summing to 1 within 1e-12."""
+def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu) -> np.ndarray:
+    """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
 
-    mu: tuple[float, ...]
-
-    def __post_init__(self):
-        for k, w in enumerate(self.mu):
+    Weights are finite, nonnegative, sum to 1 within 1e-12 and number one per
+    branch. A flagged branch leaves the average undefined and must carry zero
+    weight in a weighted sum, which must have some unflagged branch.
+    """
+    n = branches.shape[1]
+    if mu is not None:
+        for k, w in enumerate(mu):
             if not math.isfinite(w):
                 raise ValueError(f"weight mu_{k} = {w} is not a finite number")
             if w < -NEGLIGIBLE:
                 raise ValueError(f"weight mu_{k} = {w:.12g} is negative")
-        total = sum(self.mu)
-        if abs(total - 1.0) > NEGLIGIBLE:
-            raise ValueError(f"weights sum to {total:.12g}, expected 1 within 1e-12")
-
-
-def _as_weights(weights: "MixingWeights | Sequence[float]") -> MixingWeights:
-    if isinstance(weights, MixingWeights):
-        return weights
-    return MixingWeights(mu=tuple(float(w) for w in weights))
-
-
-def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu) -> np.ndarray:
-    """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
-
-    A flagged branch leaves the average undefined and must carry zero weight
-    in a weighted sum, which must have some unflagged branch.
-    """
-    n = branches.shape[1]
-    if mu is not None and len(mu) != n:
-        raise ValueError(f"{len(mu)} weights for {n} branches")
+        if abs(sum(mu) - 1.0) > NEGLIGIBLE:
+            raise ValueError(f"weights sum to {sum(mu):.12g}, expected 1 within {NEGLIGIBLE:g}")
+        if len(mu) != n:
+            raise ValueError(f"{len(mu)} weights for {n} branches")
     broken = flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE)
     if broken.any():
         i, k = np.unravel_index(np.argmax(broken), broken.shape)
@@ -180,25 +163,25 @@ def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
     return _mix_ensemble(ensemble, None)
 
 
-def final_state_weighted(ensemble: MeasurementEnsemble, weights: "MixingWeights | Sequence[float]") -> DensityMatrix:
+def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]) -> DensityMatrix:
     """Convex combination sum_k mu_k rho_k of the normalized branches.
 
     Flagged zero-probability branches must carry zero weight. Choosing
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
-    return _mix_ensemble(ensemble, _as_weights(weights).mu)
+    return _mix_ensemble(ensemble, tuple(map(float, weights)))
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels) -> tuple[np.ndarray, np.ndarray]:
     """The protocol on an (N, 4, 4) stack of pair matrices: their spectra (N, 4) and gains (N, 6).
 
-    ``weights`` None is the uniform scheme; ``levels`` are the ascending pair
-    and first-qubit levels. Gains come in ``GAIN_FIELDS`` order. The input,
-    branch and final matrices are validated by one stacked check, the two
-    reduced states by a second. On a stack of several points the error
+    ``weights`` are floats, or None for the uniform scheme; ``levels`` are the
+    ascending pair and first-qubit levels. Gains come in ``GAIN_FIELDS`` order.
+    The input, branch and final matrices are validated by one stacked check,
+    the two reduced states by a second. On a stack of several points the error
     raised may belong to a later point than the first failing one.
     """
-    mu = None if weights is None else _as_weights(weights).mu
+    mu = None if weights is None else tuple(map(float, weights))
     branches, probabilities, flagged = _branches(matrices, basis)
     final = _mix(branches, probabilities, flagged, mu)
     stack = np.concatenate([matrices[:, None], branches, final[:, None]], axis=1)
@@ -260,7 +243,7 @@ def capacity_gain(
     energies: QubitPairEnergies,
     basis: MeasurementBasis | None = None,
     scheme: str = "uniform",
-    weights: "MixingWeights | Sequence[float] | None" = None,
+    weights: Sequence[float] | None = None,
 ) -> CapacityGainReport:
     """Measure the second qubit, mix the branches, and compare capacities.
 
@@ -275,12 +258,12 @@ def capacity_gain(
     scheme : str
         "uniform" for the unweighted branch average, "weighted" for a convex
         combination with ``weights``.
-    weights : MixingWeights or sequence of float, optional
-        Required exactly when scheme is "weighted".
+    weights : sequence of float, optional
+        Convex weights, one per branch; required exactly when scheme is "weighted".
     """
     require_pair(rho)
     check_scheme(scheme, weights)
-    w = None if weights is None else _as_weights(weights)
+    mu = None if weights is None else tuple(map(float, weights))
     basis = basis or MeasurementBasis.computational()
-    _, gains = measure_and_mix(rho.matrix[None], basis, w, energies.levels())
-    return CapacityGainReport(*gains[0].tolist(), scheme, None if w is None else w.mu)
+    _, gains = measure_and_mix(rho.matrix[None], basis, mu, energies.levels())
+    return CapacityGainReport(*gains[0].tolist(), scheme, mu)

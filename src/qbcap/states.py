@@ -19,11 +19,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NumericError
 from .linalg import IDENTITY_2, PAULIS, SIGMA_3, eigh
-from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, validation_tol
-
-# Threshold for calling a partial-transpose eigenvalue negative; fixed, not
-# affected by the runtime validation-tolerance override.
-PPT_NEG_TOL = 1e-10
+from .tolerances import NEGLIGIBLE, PPT_NEG_TOL, RECONSTRUCTION_TOL, validation_tol
 
 
 def json_number(value, what: str) -> float:
@@ -113,6 +109,8 @@ class DensityMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
         """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a ``json_number``."""
+        if not isinstance(data, dict):
+            raise InvalidStateError(f"malformed density-matrix payload: expected an object, got {type(data).__name__}")
         try:
             dims = {key: data[key] for key in ("dim_a", "dim_b")}
             entries = {key: np.array(data[key], dtype=object) for key in ("re", "im")}
@@ -159,7 +157,7 @@ def bell_diagonal_matrices(triples: np.ndarray) -> np.ndarray:
     c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
     lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
     lams = np.stack(lams, axis=1).reshape(-1, 4)
-    bad = (lams < -tol) | (lams > 1.0 + tol)
+    bad = ~((lams >= -tol) & (lams <= 1.0 + tol))  # NaN counts as outside
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         c = ", ".join(str(float(v)) for v in triples[i])
@@ -185,6 +183,7 @@ def werner(a: float) -> DensityMatrix:
 
 
 POPULATIONS = ("rho11", "rho22", "rho33", "rho44")
+COHERENCES = ("rho14", "rho23")
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ class XStateParams:
     rho23: complex = 0.0j
 
     def __post_init__(self):
-        for name in (*POPULATIONS, "rho14", "rho23"):
+        for name in (*POPULATIONS, *COHERENCES):
             if not cmath.isfinite(getattr(self, name)):
                 raise InvalidStateError(f"{name} = {getattr(self, name)} is not a finite number")
         pops = tuple(getattr(self, name) for name in POPULATIONS)
@@ -212,7 +211,7 @@ class XStateParams:
                 raise InvalidStateError(f"population {name} = {p:.12g} is negative")
         total = sum(pops)
         if abs(total - 1.0) > NEGLIGIBLE:
-            raise InvalidStateError(f"populations sum to {total:.12g}, expected 1 within 1e-12")
+            raise InvalidStateError(f"populations sum to {total:.12g}, expected 1 within {NEGLIGIBLE:g}")
         if self.rho11 * self.rho44 - abs(self.rho14) ** 2 < -NEGLIGIBLE:
             raise InvalidStateError("positivity violated: rho11*rho44 < |rho14|^2")
         if self.rho22 * self.rho33 - abs(self.rho23) ** 2 < -NEGLIGIBLE:
@@ -227,16 +226,17 @@ class XStateParams:
         return np.sort([outer_mid + outer_half, outer_mid - outer_half, inner_mid + inner_half, inner_mid - inner_half])
 
     def to_json(self) -> dict:
-        coherences = {name: [getattr(self, name).real, getattr(self, name).imag] for name in ("rho14", "rho23")}
+        coherences = {name: [getattr(self, name).real, getattr(self, name).imag] for name in COHERENCES}
         return {**{name: getattr(self, name) for name in POPULATIONS}, **coherences}
 
     @classmethod
     def from_json(cls, data: dict) -> "XStateParams":
         """Build from a dict; coherences may be bare reals or [re, im] pairs.
 
-        A payload that is not an object, lacks a population or holds an entry
-        that is not a ``json_number`` raises "malformed x-state payload"; a
-        well-formed one that fails validation raises that check's own error.
+        A payload that is not an object, lacks a population, has an unknown
+        key or holds an entry that is not a ``json_number`` raises "malformed
+        x-state payload"; a well-formed one that fails validation raises that
+        check's own error.
         """
 
         def as_complex(name: str) -> complex:
@@ -249,9 +249,12 @@ class XStateParams:
         missing = [name for name in POPULATIONS if name not in data]
         if missing:
             raise InvalidStateError(f"malformed x-state payload: missing {', '.join(missing)}")
+        unknown = [key for key in data if key not in (*POPULATIONS, *COHERENCES)]
+        if unknown:
+            raise InvalidStateError(f"malformed x-state payload: unknown key {', '.join(map(repr, unknown))}")
         try:
             populations = [json_number(data[name], name) for name in POPULATIONS]
-            coherences = [as_complex(name) for name in ("rho14", "rho23")]
+            coherences = [as_complex(name) for name in COHERENCES]
         except ValueError as exc:
             raise InvalidStateError(f"malformed x-state payload: {exc}") from exc
         return cls(*populations, *coherences)
@@ -298,18 +301,6 @@ class BlochCoefficients:
     a3: float
     b3: float
     t: np.ndarray
-
-    @property
-    def c1(self) -> float:
-        return float(self.t[0, 0])
-
-    @property
-    def c2(self) -> float:
-        return float(self.t[1, 1])
-
-    @property
-    def c3(self) -> float:
-        return float(self.t[2, 2])
 
 
 def bloch_coefficients(rho: DensityMatrix) -> BlochCoefficients:

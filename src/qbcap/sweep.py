@@ -31,6 +31,7 @@ FAMILY_PARAMS = {
 }
 
 REQUIRED_KEYS = ("family", "param", "start", "stop", "count", "eps_a", "eps_b")
+OPTIONAL_KEYS = ("scheme", "weights", "basis", "bell_diag", "x_state")
 ECHO_KEYS = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
 SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
 
@@ -98,21 +99,24 @@ class SweepSpec:
         Required keys are ``REQUIRED_KEYS``; optional ones are ``scheme``,
         ``weights``, ``basis`` ("computational" or {"theta": ..., "phi": ...}),
         ``bell_diag`` and ``x_state`` (an x-state parameter object). Numbers
-        must be finite and ``count`` an integer; anything malformed raises
-        ValueError naming the entry.
+        must be finite and ``count`` an integer; an unknown key or anything
+        malformed raises ValueError naming the entry.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a sweep specification is a JSON object, got {type(data).__name__}")
         missing = [key for key in REQUIRED_KEYS if key not in data]
         if missing:
             raise ValueError(f"malformed sweep specification: missing {', '.join(missing)}")
+        unknown = [key for key in data if key not in (*REQUIRED_KEYS, *OPTIONAL_KEYS)]
+        if unknown:
+            raise ValueError(f"malformed sweep specification: unknown key {', '.join(map(repr, unknown))}")
         count = data["count"]
         if isinstance(count, bool) or not isinstance(count, int):
             raise ValueError(f"sweep specification: count must be an integer, got {count!r}")
         basis = data.get("basis", "computational")
         if basis == "computational":
             basis_angles = None
-        elif isinstance(basis, dict) and {"theta", "phi"} <= set(basis):
+        elif isinstance(basis, dict) and set(basis) == {"theta", "phi"}:
             basis_angles = (_finite(basis["theta"], "basis theta"), _finite(basis["phi"], "basis phi"))
         else:
             raise ValueError(f"malformed basis entry: {basis!r}")

@@ -195,7 +195,7 @@ def test_criterion_8_structural_identities(rng):
         params = random_x_params(rng)
         xrho = x_state(params)
         coeffs = bloch_coefficients(xrho)
-        a3, b3, c3 = coeffs.a3, coeffs.b3, coeffs.c3
+        a3, b3, c3 = coeffs.a3, coeffs.b3, coeffs.t[2, 2]
         xens = measure_b(xrho, MeasurementBasis.computational())
         expected0 = np.diag([1 + b3 + a3 + c3, 0.0, 1 + b3 - a3 - c3, 0.0]) / (2.0 * (1 + b3))
         expected1 = np.diag([0.0, 1 - b3 + a3 - c3, 0.0, 1 - b3 - a3 + c3]) / (2.0 * (1 - b3))

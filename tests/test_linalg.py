@@ -42,7 +42,7 @@ def test_kron_frozen_cases():
     coeffs = bloch_coefficients(DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])))
     assert abs(coeffs.a3 - (0.1 + 0.2 - 0.3 - 0.4)) < 1e-15
     assert abs(coeffs.b3 - (0.1 - 0.2 + 0.3 - 0.4)) < 1e-15
-    assert abs(coeffs.c3 - (0.1 - 0.2 - 0.3 + 0.4)) < 1e-15
+    assert abs(coeffs.t[2, 2] - (0.1 - 0.2 - 0.3 + 0.4)) < 1e-15
 
 
 def test_partial_trace_identity():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from qbcap import (
     DensityMatrix,
     MeasurementBasis,
     MeasurementEnsemble,
-    MixingWeights,
     QubitPairEnergies,
     UndefinedAverageError,
     bell_diagonal,
@@ -83,7 +84,7 @@ def test_measure_x_state_branches(rng):
         params = random_x_params(rng)
         rho = x_state(params)
         coeffs = bloch_coefficients(rho)
-        a3, b3, c3 = coeffs.a3, coeffs.b3, coeffs.c3
+        a3, b3, c3 = coeffs.a3, coeffs.b3, coeffs.t[2, 2]
         ensemble = measure_b(rho, MeasurementBasis.computational())
         assert abs(ensemble.probabilities[0] - (1.0 + b3) / 2.0) < 1e-11
         assert abs(ensemble.probabilities[1] - (1.0 - b3) / 2.0) < 1e-11
@@ -218,19 +219,41 @@ def test_weighted_validation(rng):
     with pytest.raises(ValueError, match="weights"):
         final_state_weighted(ensemble, (1.0,))
     with pytest.raises(ValueError, match="negative"):
-        MixingWeights(mu=(1.2, -0.2))
+        final_state_weighted(ensemble, (1.2, -0.2))
     with pytest.raises(ValueError, match="sum"):
-        MixingWeights(mu=(0.6, 0.3))
+        final_state_weighted(ensemble, (0.6, 0.3))
     with pytest.raises(ValueError, match="mu_0"):
-        MixingWeights(mu=(float("nan"), 1.0))
+        final_state_weighted(ensemble, (float("nan"), 1.0))
     with pytest.raises(ValueError, match="mu_1"):
-        MixingWeights(mu=(0.0, float("inf")))
+        final_state_weighted(ensemble, (0.0, float("inf")))
     flagged = measure_b(product_with_b_ground(rng), MeasurementBasis.computational())
     with pytest.raises(ValueError, match="mu_1"):
         final_state_weighted(flagged, (0.4, 0.6))
     np.testing.assert_allclose(
         final_state_weighted(flagged, (1.0, 0.0)).matrix, flagged.branches[0].state.matrix, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("entry", ["final_state_weighted", "capacity_gain"])
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((float("nan"), 1.0), "weight mu_0 = nan is not a finite number"),
+        ((1.2, -0.2), "weight mu_1 = -0.2 is negative"),
+        ((0.6, 0.3), "weights sum to 0.9, expected 1 within 1e-12"),
+        ((0.5, 0.5, 0.0), "3 weights for 2 branches"),
+        ((0.5, 0.6, -0.1), "weight mu_2 = -0.1 is negative"),  # the values are checked before the count
+    ],
+)
+def test_weight_rule_messages(entry, weights, message):
+    # The one weights rule, reached from both entry points with the same texts.
+    rho = werner(0.5)
+    call = {
+        "final_state_weighted": lambda: final_state_weighted(measure_b(rho, MeasurementBasis.computational()), weights),
+        "capacity_gain": lambda: capacity_gain(rho, PAIR_053, scheme="weighted", weights=weights),
+    }[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_uniform_gain_on_bell_diagonal(rng):

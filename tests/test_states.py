@@ -127,6 +127,12 @@ def test_example2_reduced_state():
         )
 
 
+def test_nan_bell_triple_names_the_triple():
+    message = r"^correlation triple \(nan, 0\.0, 0\.0\) gives eigenvalue lambda_0 = nan outside \[0, 1\]$"
+    with pytest.raises(InvalidStateError, match=message):
+        bell_diagonal(float("nan"), 0.0, 0.0)
+
+
 def test_example2_rejects_out_of_range():
     with pytest.raises(ValueError):
         example2(-0.1)
@@ -154,7 +160,7 @@ def test_bloch_of_example2():
         expected = (1.0 - 2.0 * x) / 3.0
         assert abs(coeffs.a3 - expected) < 1e-12
         assert abs(coeffs.b3 - expected) < 1e-12
-        assert abs(coeffs.c3 - (-1.0 / 3.0)) < 1e-12
+        assert abs(coeffs.t[2, 2] - (-1.0 / 3.0)) < 1e-12
 
 
 def test_bloch_rejects_non_two_qubit():
@@ -234,6 +240,9 @@ def test_density_matrix_json_rejects_malformed():
         DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": [[1.0]]})
     with pytest.raises(InvalidStateError):
         DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": [[1.0]], "im": [[0.0, 0.0]]})
+    for payload, kind in (([1, 2], "list"), ("state", "str")):
+        with pytest.raises(InvalidStateError, match=f"^malformed density-matrix payload: expected an object, got {kind}$"):
+            DensityMatrix.from_json(payload)
     valid = werner(0.3).to_json()
     for key, bad in (("dim_a", 2.7), ("dim_b", "2"), ("dim_a", 2.0), ("dim_b", True), ("dim_a", 4)):
         with pytest.raises(InvalidStateError, match=key):

@@ -11,7 +11,6 @@ from helpers import subprocess_env
 from qbcap import (
     VALIDATION_TOL,
     DensityMatrix,
-    MixingWeights,
     QubitPairEnergies,
     SweepSpec,
     XStateParams,
@@ -369,8 +368,12 @@ def test_from_mapping_matches_keyword_construction():
         weights=(0.8, 0.2),
         basis_angles=(0.3, 0.0),
     )
+    without_count = {k: v for k, v in WERNER_SPEC.items() if k != "count"}
     with pytest.raises(ValueError, match="missing count"):
-        SweepSpec.from_mapping({k: v for k, v in WERNER_SPEC.items() if k != "count"})
+        SweepSpec.from_mapping(without_count)
+    # A mistyped required key reads as missing, not as unknown.
+    with pytest.raises(ValueError, match="missing count"):
+        SweepSpec.from_mapping({**without_count, "cuont": 5})
 
 
 def test_cli_non_finite_energies_exit_2(capsys):
@@ -409,6 +412,38 @@ def test_cli_x_state_errors_name_their_cause(tmp_path, capsys, payload, message)
     path = tmp_path / "x.json"
     path.write_text(payload)
     code, out, err = run_main(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys)
+    assert (code, out, err) == (2, "", f"qbcap: error: {message}\n")
+
+
+EXAMPLE2_SPEC = {"family": "example2", "param": "x", "start": 0.0, "stop": 0.5, "count": 3, "eps_a": 0.5, "eps_b": 0.3}
+X_TYPO = {"rho11": 0.4, "rho22": 0.3, "rho33": 0.2, "rho44": 0.1, "rho41": 0.15}
+X_SPEC = {**EXAMPLE2_SPEC, "family": "x_state", "param": "coherence_scale", "stop": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("sweep --spec", {**EXAMPLE2_SPEC, "bassis": {"theta": 1, "phi": 0}},
+         "malformed sweep specification: unknown key 'bassis'"),
+        ("sweep --spec", {**EXAMPLE2_SPEC, "basis": {"theta": 1, "phi": 0, "psi": 3}},
+         "malformed basis entry: {'theta': 1, 'phi': 0, 'psi': 3}"),
+        ("sweep --spec", {**X_SPEC, "x_state": X_TYPO}, "malformed x-state payload: unknown key 'rho41'"),
+        ("capacity --x-state", X_TYPO, "malformed x-state payload: unknown key 'rho41'"),
+    ],
+    ids=["spec-key", "basis-key", "spec-x-state-key", "x-state-key"],
+)  # fmt: skip
+def test_unknown_input_keys_exit_2(tmp_path, capsys, command, payload, message):
+    # A mistyped optional key would otherwise be dropped, and the run go on without it.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    extra = PAIR_FLAGS if command.startswith("capacity") else []
+    code, out, err = run_main([*command.split(), str(path), *extra], capsys)
+    assert (code, out, err) == (2, "", f"qbcap: error: {message}\n")
+
+
+def test_cli_nan_bell_triple_names_the_triple(capsys):
+    code, out, err = run_main(["measure", "--bell-diag", "nan", "0", "0", *PAIR_FLAGS], capsys)
+    message = "correlation triple (nan, 0.0, 0.0) gives eigenvalue lambda_0 = nan outside [0, 1]"
     assert (code, out, err) == (2, "", f"qbcap: error: {message}\n")
 
 
