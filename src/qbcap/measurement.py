@@ -21,9 +21,9 @@ import numpy as np
 
 from .battery import QubitPairEnergies, capacities
 from .errors import NumericError, UndefinedAverageError
-from .linalg import IDENTITY_2
-from .states import DensityMatrix, check_states, reduce_a, require_pair
-from .tolerances import NEGLIGIBLE, ZERO_PROBABILITY, validation_tol
+from .linalg import IDENTITY_2, eigh
+from .states import DensityMatrix, check_states, json_number, reduce_a, require_pair, screen_states
+from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, ZERO_PROBABILITY, validation_tol
 
 
 class MeasurementBasis:
@@ -46,10 +46,10 @@ class MeasurementBasis:
             v = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
             self.description = f"rotated(theta={theta:.12g}, phi={phi:.12g})"
         self.angles = angles
-        self.projectors = tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(2))
-        # I x P_k, the measurement operators on the pair
+        # P_k = v_k v_k^dagger, stacked (2, 2, 2), and I x P_k, the measurement operators on the pair
+        self.projectors = v.T[:, :, None] * v.T[:, None, :].conj()
         self.operators = np.stack([np.kron(IDENTITY_2, p) for p in self.projectors])
-        for p in (*self.projectors, self.operators):
+        for p in (self.projectors, self.operators):
             p.setflags(write=False)
 
     @classmethod
@@ -99,8 +99,10 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray
     if unclosed.any():
         raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
     flagged = probabilities < ZERO_PROBABILITY
-    scale = np.where(flagged, 1.0, probabilities)[..., None, None]
-    return np.where(flagged[..., None, None], 0.0, unnormalized / scale), probabilities, flagged
+    branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
+    if flagged.any():
+        branches[flagged] = 0.0
+    return branches, probabilities, flagged
 
 
 def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsemble:
@@ -115,14 +117,23 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
     return MeasurementEnsemble(tuple(Branch(p, None if f else DensityMatrix(b)) for b, p, f in ensemble), basis)
 
 
+def _weight_values(weights) -> tuple[float, ...] | None:
+    """``weights`` as a tuple of floats, or None; each weight is a number by ``json_number``, numpy scalars included."""
+    if weights is None:
+        return None
+    return tuple(json_number(w.item() if isinstance(w, np.generic) else w, f"weight mu_{k}") for k, w in enumerate(weights))
+
+
 def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu) -> np.ndarray:
     """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
 
-    Weights are finite, nonnegative, sum to 1 within 1e-12 and number one per
-    branch. A flagged branch leaves the average undefined and must carry zero
-    weight in a weighted sum, which must have some unflagged branch.
+    Weights are numbers (not bools or strings), finite, nonnegative, sum to 1
+    within 1e-12 and number one per branch. A flagged branch leaves the average
+    undefined and must carry zero weight in a weighted sum, which must have
+    some unflagged branch.
     """
     n = branches.shape[1]
+    mu = _weight_values(mu)
     if mu is not None:
         for k, w in enumerate(mu):
             if not math.isfinite(w):
@@ -169,26 +180,65 @@ def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]
     Flagged zero-probability branches must carry zero weight. Choosing
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
-    return _mix_ensemble(ensemble, tuple(map(float, weights)))
+    return _mix_ensemble(ensemble, weights)
+
+
+def _branch_bounds(branches: np.ndarray, defects: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Lower bounds on the lowest eigenvalue of (N, n, 4, 4) branches, each checked as a product rho_{A|k} x P_k.
+
+    rho_{A|k} is the Hermitian part of the first-qubit state of branch k. The
+    residue of a branch, the larger of max|branch - rho_{A|k} x P_k| and its
+    Hermiticity defect ``defects``, must stay within 1e-11, the bound ``eigh``
+    puts on its reconstruction; the first branch in stack order that misses
+    it raises. The spectrum of rho_{A|k} x P_k is that of rho_{A|k} (2x2, in
+    closed form) plus two zeros, and a 4x4 residue R has ||R||_2 <= 4 max|R|,
+    so by Weyl's inequality the branch has no eigenvalue below
+    min(lambda_min(rho_{A|k}), 0) - 4 * residue.
+    """
+    conditional = reduce_a(branches)
+    conditional = (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0
+    product = (conditional[..., :, None, :, None] * projectors[:, None, :, None, :]).reshape(branches.shape)
+    residue = np.maximum(np.abs(branches - product).reshape(*branches.shape[:-2], 16).max(axis=-1), defects)
+    if residue.max() > RECONSTRUCTION_TOL:
+        i, k = np.unravel_index(np.argmax(residue > RECONSTRUCTION_TOL), residue.shape)
+        raise NumericError(f"branch {k} residue {residue[i, k]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}")
+    a, d = conditional[..., 0, 0].real, conditional[..., 1, 1].real
+    lowest = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(conditional[..., 1, 0]))
+    return np.minimum(lowest, 0.0) - 4.0 * residue
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels) -> tuple[np.ndarray, np.ndarray]:
     """The protocol on an (N, 4, 4) stack of pair matrices: their spectra (N, 4) and gains (N, 6).
 
-    ``weights`` are floats, or None for the uniform scheme; ``levels`` are the
+    ``weights`` are numbers, or None for the uniform scheme; ``levels`` are the
     ascending pair and first-qubit levels. Gains come in ``GAIN_FIELDS`` order.
-    The input, branch and final matrices are validated by one stacked check,
-    the two reduced states by a second. On a stack of several points the error
-    raised may belong to a later point than the first failing one.
+    The input, branch and final matrices pass one stacked ``screen_states``;
+    then the input and final matrices are eigendecomposed and the branches
+    checked as product states (``_branch_bounds``). A branch residue beyond
+    1e-11 raises first, then a missed eigendecomposition bound, then the first
+    failing matrix in the order input, branch 0, branch 1, final of each point
+    in turn. The two reduced states go through ``check_states``. On a stack of
+    several points the error raised may belong to a later point than the
+    first failing one.
     """
-    mu = None if weights is None else tuple(map(float, weights))
     branches, probabilities, flagged = _branches(matrices, basis)
-    final = _mix(branches, probabilities, flagged, mu)
+    final = _mix(branches, probabilities, flagged, weights)
+    if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
+        branches = np.where(flagged[..., None, None], basis.operators / 2.0, branches)
     stack = np.concatenate([matrices[:, None], branches, final[:, None]], axis=1)
-    if flagged.any():  # a flagged branch has no state to check; the identity/4 stands in
-        stack[:, 1:3][flagged] = np.eye(4) / 4.0
-    spectra = check_states(stack)[0]
-    total = capacities(spectra[:, ::3], levels[0])
+    off, defects, verdict = screen_states(stack)
+    checked = stack
+    if off.any():  # a matrix that failed the screen raises its own error; a valid state stands in for it
+        stand_ins = np.concatenate([np.eye(4)[None] / 4.0, basis.operators / 2.0, np.eye(4)[None] / 4.0])
+        checked = np.where(off[..., None, None], stand_ins, stack)
+        defects = np.where(off, 0.0, defects)
+    lowest = np.empty(off.shape)
+    lowest[:, 1:3] = _branch_bounds(checked[:, 1:3], defects[:, 1:3], basis.projectors)
+    values, _ = eigh(checked[:, ::3])
+    lowest[:, ::3] = values[..., 0]
+    verdict(lowest)
+    spectra = np.maximum(values, 0.0)
+    total = capacities(spectra, levels[0])
     first = capacities(check_states(reduce_a(stack[:, ::3]))[0], levels[1])
     return spectra[:, 0], np.column_stack([total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]])
 
@@ -263,7 +313,7 @@ def capacity_gain(
     """
     require_pair(rho)
     check_scheme(scheme, weights)
-    mu = None if weights is None else tuple(map(float, weights))
+    mu = _weight_values(weights)
     basis = basis or MeasurementBasis.computational()
     _, gains = measure_and_mix(rho.matrix[None], basis, mu, energies.levels())
     return CapacityGainReport(*gains[0].tolist(), scheme, mu)

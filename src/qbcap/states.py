@@ -31,49 +31,72 @@ def json_number(value, what: str) -> float:
 
 
 @functools.cache
-def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the entries (i, j), i <= j, of a d x d matrix, and of their mirror images (j, i)."""
+def _mirrored_pairs(d: int) -> np.ndarray:
+    """Flat indices of the entries (i, j), i <= j, of a d x d matrix, followed by those of their mirror images (j, i)."""
     i, j = np.triu_indices(d)
-    return i * d + j, j * d + i
+    return np.concatenate([i * d + j, j * d + i])
+
+
+def screen_states(matrices: np.ndarray):
+    """The finite, Hermiticity and unit-trace pass of the state check over a stack of matrices.
+
+    Returns the mask of the matrices that fail it, their Hermiticity defects
+    max |m - m^dagger| and ``verdict(lowest)``. Given the lowest eigenvalue of
+    every matrix, or a lower bound on it (any value where the mask is set),
+    ``verdict`` raises the error of the first failing matrix in stack order:
+    non-finite, non-Hermitian or off unit trace beyond the validation
+    tolerance, else an eigenvalue below minus the tolerance.
+    """
+    tol = validation_tol()
+    # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it; it is
+    # NaN or infinite exactly when some entry of m is
+    d = matrices.shape[-1]
+    flat = matrices.reshape(-1, d * d)
+    entries = flat[:, _mirrored_pairs(d)]
+    upper, lower = entries[:, : d * (d + 1) // 2], entries[:, d * (d + 1) // 2 :]
+    np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
+    defect = np.abs(upper).max(axis=-1).reshape(matrices.shape[:-2])
+    finite = np.isfinite(defect)
+    trace = flat[:, :: d + 1].sum(axis=-1).reshape(matrices.shape[:-2])
+    off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
+
+    def verdict(lowest: np.ndarray) -> None:
+        bad = (off | (lowest < -tol)).ravel()
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite.flat[i]:
+                raise InvalidStateError("matrix contains non-finite entries")
+            if defect.flat[i] > tol:
+                raise InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect.flat[i]:.3e}")
+            if off.flat[i]:
+                raise InvalidStateError(f"trace = {trace.flat[i].real:.12g}, expected 1 within {tol:g}")
+            raise InvalidStateError(f"negative eigenvalue {lowest.flat[i]:.3e} below -{tol:g}")
+
+    return off, defect, verdict
 
 
 def check_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of density matrices; return their ascending spectra and eigenvectors.
 
-    Each matrix must be finite, Hermitian and of unit trace within the
-    validation tolerance, meet the eigendecomposition bound and have no
-    eigenvalue below minus the tolerance; round-off negatives above it are
-    clamped to zero. Of several failing matrices the first in stack order
-    raises, save that a missed eigendecomposition bound raises ahead of all.
+    Each matrix must pass ``screen_states``, meet the eigendecomposition bound
+    and have no eigenvalue below minus the validation tolerance; round-off
+    negatives above it are clamped to zero. Of several failing matrices the
+    first in stack order raises, save that a missed eigendecomposition bound
+    raises ahead of all.
     """
-    tol = validation_tol()
-    finite = np.isfinite(matrices).all(axis=(-2, -1))
-    # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it
-    d = matrices.shape[-1]
-    upper, lower = _upper_triangle(d)
-    flat = matrices.reshape(*matrices.shape[:-2], d * d)
-    defect = np.abs(flat[..., upper] - flat[..., lower].conj()).max(axis=-1)
-    trace = np.trace(matrices, axis1=-2, axis2=-1)
-    off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
+    off, _, verdict = screen_states(matrices)
     if off.any():  # keep failed matrices out of eigh, so that they raise their own error below
+        d = matrices.shape[-1]
         matrices = np.where(off[..., None, None], np.eye(d) / d, matrices)
     values, vectors = eigh(matrices)
-    bad = (off | (values[..., 0] < -tol)).ravel()
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not finite.flat[i]:
-            raise InvalidStateError("matrix contains non-finite entries")
-        if defect.flat[i] > tol:
-            raise InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect.flat[i]:.3e}")
-        if off.flat[i]:
-            raise InvalidStateError(f"trace = {trace.flat[i].real:.12g}, expected 1 within {tol:g}")
-        raise InvalidStateError(f"negative eigenvalue {values.reshape(-1, values.shape[-1])[i, 0]:.3e} below -{tol:g}")
+    verdict(values[..., 0])
     return np.maximum(values, 0.0), vectors
 
 
 def reduce_a(matrices: np.ndarray) -> np.ndarray:
     """First-qubit states of a stack of pair matrices: the second qubit traced out."""
-    return matrices.reshape(*matrices.shape[:-2], 2, 2, 2, 2).trace(axis1=-3, axis2=-1)
+    blocks = matrices.reshape(*matrices.shape[:-2], 2, 2, 2, 2)  # [a, b, a', b'] of entry (2a + b, 2a' + b')
+    return blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1]
 
 
 class DensityMatrix:
@@ -108,12 +131,20 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
-        """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a ``json_number``."""
+        """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a ``json_number``.
+
+        A payload that is not an object, lacks a key, has an unknown key or
+        holds an entry that is not a number raises "malformed density-matrix
+        payload".
+        """
         if not isinstance(data, dict):
             raise InvalidStateError(f"malformed density-matrix payload: expected an object, got {type(data).__name__}")
         try:
             dims = {key: data[key] for key in ("dim_a", "dim_b")}
             entries = {key: np.array(data[key], dtype=object) for key in ("re", "im")}
+            unknown = [key for key in data if key not in (*dims, *entries)]
+            if unknown:
+                raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
             re, im = (np.reshape([json_number(v, f"{key} entry") for v in a.flat], a.shape) for key, a in entries.items())
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc

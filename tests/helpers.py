@@ -73,6 +73,32 @@ def random_rotated_basis(rng):
     return MeasurementBasis.rotated(theta, phi)
 
 
+def classical_quantum(conditionals, probabilities, basis):
+    """sum_k p_k rho_k x P_k for 2x2 conditional states rho_k and the projectors P_k of ``basis``."""
+    return sum(p * np.kron(rho, proj) for rho, p, proj in zip(conditionals, probabilities, basis.projectors))
+
+
+def eigh_check_oracle(matrices, tol=1e-10):
+    """The state check of every matrix by its full eigendecomposition, as qbcap ran it on measurement branches.
+
+    Returns None if every matrix of the stack passes, else the message of the
+    first failing one in stack order, its causes tried in the order non-finite,
+    non-Hermitian, trace, lowest eigenvalue.
+    """
+    for m in matrices.reshape(-1, *matrices.shape[-2:]):
+        if not np.isfinite(m).all():
+            return "matrix contains non-finite entries"
+        defect = np.abs(m - m.conj().T).max()
+        if defect > tol:
+            return f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}"
+        if abs(np.trace(m) - 1.0) > tol:
+            return f"trace = {np.trace(m).real:.12g}, expected 1 within {tol:g}"
+        lowest = np.linalg.eigh(m)[0][0]
+        if lowest < -tol:
+            return f"negative eigenvalue {lowest:.3e} below -{tol:g}"
+    return None
+
+
 def family_matrix(family, value, bell_diag=None, param=None, x=None):
     """The family state at one grid value, built from its definition in plain numpy."""
     if family == "werner":

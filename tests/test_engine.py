@@ -5,6 +5,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import family_matrix, protocol_oracle
+from helpers import classical_quantum, eigh_check_oracle, family_matrix, protocol_oracle
 
+import qbcap.linalg
 from qbcap import MeasurementBasis, QubitPairEnergies, SweepSpec, XStateParams, capacity_gain, is_entangled, run_sweep
-from qbcap.measurement import GAIN_FIELDS
+from qbcap.measurement import GAIN_FIELDS, _branches, _mix, measure_and_mix
+from qbcap.states import reduce_a
 from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv
 
 unit = st.floats(0.0, 1.0)
@@ -144,3 +148,87 @@ def test_spec_to_mapping_round_trips(data):
     empty = SweepResult(np.empty(0), np.empty((0, 4)), np.empty((0, len(GAIN_FIELDS))), np.empty(0, bool))
     echo = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
     assert list(rows_to_json(empty, spec).items()) == [(key, mapping[key]) for key in echo if key in mapping] + [("rows", [])]
+
+
+@st.composite
+def near_negative_points(draw, basis):
+    """A classical-quantum pair matrix sum_k p_k rho_k x P_k in the measured basis.
+
+    Each conditional state rho_k = U diag(l, 1 - l) U^dagger has its lowest eigenvalue l on a 1e-13 grid in
+    [-2e-10, 0], so the input's own eigenvalues p_k l lie there too. The grid keeps every reported value
+    clear of a rounding tie of the 4-digit message and skips l = -1e-10, the tolerance itself, where two
+    ways of computing one eigenvalue may fall on either side of the bound.
+    """
+    p0 = draw(st.integers(0, 19).flatmap(lambda i: st.just(1.0) if i == 0 else st.floats(0.05, 0.95)))  # 1: flagged
+    conditionals = []
+    for _ in range(2):
+        low = draw(st.integers(-2000, 0).filter(lambda j: j != -1000)) * 1e-13
+        alpha, beta = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+        u = np.array([[np.cos(alpha), -np.sin(alpha) * np.exp(-1j * beta)], [np.sin(alpha) * np.exp(1j * beta), np.cos(alpha)]])
+        conditionals.append(u @ np.diag([low, 1.0 - low]) @ u.conj().T)
+    return classical_quantum(conditionals, (p0, 1.0 - p0), basis)
+
+
+def eigh_rule_message(matrices, basis, weights):
+    """The error text of the protocol with every input, branch and final matrix checked by full eigh, or None."""
+    try:
+        branches, probabilities, flagged = _branches(matrices, basis)
+        final = _mix(branches, probabilities, flagged, weights)
+    except (ValueError, ArithmeticError) as exc:
+        return str(exc)
+    stack = np.concatenate([matrices[:, None], branches, final[:, None]], axis=1)
+    stack[:, 1:3][flagged] = np.eye(4) / 4.0
+    return eigh_check_oracle(stack) or eigh_check_oracle(reduce_a(stack[:, ::3]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_branch_verdicts_match_the_eigh_rule(data):
+    # Branches are checked as products rho_{A|k} x P_k; verdict and message equal those of a full
+    # eigendecomposition of every branch, on stacks of 1-4 points in either kind of basis.
+    angles = data.draw(st.one_of(st.none(), st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))))
+    basis = MeasurementBasis(angles)
+    weights = data.draw(st.one_of(st.none(), st.just((1.0, 0.0)), st.floats(0.0, 1.0).map(lambda mu: (mu, 1.0 - mu))))
+    matrices = np.array(data.draw(st.lists(near_negative_points(basis), min_size=1, max_size=4)))
+    try:
+        measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
+        message = None
+    except (ValueError, ArithmeticError) as exc:
+        message = str(exc)
+    assert message == eigh_rule_message(matrices, basis, weights)
+
+
+@pytest.mark.parametrize("angles", [None, (0.9, 2.1)], ids=["computational", "rotated"])
+@pytest.mark.parametrize("weights", [None, (0.7, 0.3)], ids=["uniform", "weighted"])
+def test_malformed_points_raise_as_under_the_eigh_rule(angles, weights):
+    # Inputs that fail the screen reach no spectral check: each raises its own error, in stack order.
+    basis = MeasurementBasis(angles)
+    good = classical_quantum((np.diag([0.3, 0.7]), np.diag([0.6, 0.4])), (0.5, 0.5), basis)
+    skew, off_trace, nan = good.copy(), good * 1.1, good.copy()
+    skew[0, 1] += 1e-9j  # not Hermitian, and neither are its branches
+    nan[2, 2] = np.nan
+    for bad in (skew, off_trace, nan):
+        matrices = np.array([good, bad, good])
+        with pytest.raises((ValueError, ArithmeticError)) as raised:
+            measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
+        assert str(raised.value) == eigh_rule_message(matrices, basis, weights)
+
+
+def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):
+    # Only the input and final matrices of a point reach eigh, with its two reduced states; the
+    # branches are checked as product states. That is two eigh calls per chunk.
+    original, received = qbcap.linalg.eigh, []
+
+    def counting(m):
+        received.append(m.shape)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qbcap" or name.startswith("qbcap.")) and getattr(module, "eigh", None) is original:
+            monkeypatch.setattr(module, "eigh", counting)
+    count = 600
+    spec = SweepSpec("werner", "a", 0.0, 1.0, count, QubitPairEnergies(0.7, 0.2), "weighted", (0.8, 0.2), (0.7, 1.3))
+    run_sweep(spec)
+    matrices = {d: sum(math.prod(shape[:-2]) for shape in received if shape[-1] == d) for d in (2, 4)}
+    assert matrices == {4: 2 * count, 2: 2 * count}
+    assert len(received) == 2 * math.ceil(count / CHUNK)

@@ -16,6 +16,7 @@ from qbcap import (
     eigh,
     haar_unitary,
 )
+from qbcap.states import reduce_a
 
 # Frozen by hand expansion of sigma_1 x sigma_1.
 KRON_S1_S1 = np.array(
@@ -61,6 +62,16 @@ def test_partial_trace_preserves_trace(rng):
     for _ in range(50):
         rho = random_density(rng)
         assert abs(np.trace(rho.reduced_a().matrix) - np.trace(rho.matrix)) < 1e-12
+
+
+def test_reduce_a_matches_the_entrywise_partial_trace(rng):
+    # Stacked, the partial trace adds the b = 0 and b = 1 terms of each entry in that order, bit for bit.
+    stack = rng.standard_normal((5, 3, 4, 4)) + 1j * rng.standard_normal((5, 3, 4, 4))
+    reference = np.empty((5, 3, 2, 2), dtype=complex)
+    for index in np.ndindex(5, 3):
+        for a, a2 in np.ndindex(2, 2):
+            reference[(*index, a, a2)] = stack[(*index, 2 * a, 2 * a2)] + stack[(*index, 2 * a + 1, 2 * a2 + 1)]
+    assert (reduce_a(stack) == reference).all()
 
 
 def test_partial_trace_shape_mismatch():

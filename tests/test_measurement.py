@@ -3,11 +3,20 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_bell_triple, random_density, random_energies, random_rotated_basis, random_x_params
+from helpers import (
+    classical_quantum,
+    random_bell_triple,
+    random_density,
+    random_energies,
+    random_rotated_basis,
+    random_x_params,
+)
 
 from qbcap import (
     Branch,
     DensityMatrix,
+    InvalidStateError,
+    NumericError,
     MeasurementBasis,
     MeasurementEnsemble,
     QubitPairEnergies,
@@ -22,6 +31,7 @@ from qbcap import (
     werner,
     x_state,
 )
+from qbcap.measurement import _branch_bounds, measure_and_mix
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -256,6 +266,38 @@ def test_weight_rule_messages(entry, weights, message):
         call()
 
 
+@pytest.mark.parametrize("entry", ["final_state_weighted", "capacity_gain"])
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([True, False], "weight mu_0 must be a number, got True"),
+        (["a", 1], "weight mu_0 must be a number, got 'a'"),
+        ((0.5, np.bool_(True)), "weight mu_1 must be a number, got True"),
+        ((0.5, "0.5"), "weight mu_1 must be a number, got '0.5'"),
+    ],
+    ids=["bool", "string", "numpy-bool", "numeric-string"],
+)
+def test_weights_must_be_numbers(entry, weights, message):
+    # The JSON-number rule of spec-file weights holds for library weights too.
+    rho = werner(0.5)
+    call = {
+        "final_state_weighted": lambda: final_state_weighted(measure_b(rho, MeasurementBasis.computational()), weights),
+        "capacity_gain": lambda: capacity_gain(rho, PAIR_053, scheme="weighted", weights=weights),
+    }[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_weights_are_numbers():
+    want = capacity_gain(werner(0.4), PAIR_053, scheme="weighted", weights=(0.8, 0.2))
+    for weights in (np.array([0.8, 0.2]), (np.float64(0.8), np.float64(0.2)), [0.8, np.float64(0.2)]):
+        report = capacity_gain(werner(0.4), PAIR_053, scheme="weighted", weights=weights)
+        assert report == want
+        assert all(type(w) is float for w in report.weights)
+    ints = capacity_gain(werner(0.4), PAIR_053, scheme="weighted", weights=(np.int64(1), 0))
+    assert ints == capacity_gain(werner(0.4), PAIR_053, scheme="weighted", weights=(1.0, 0.0))
+
+
 def test_uniform_gain_on_bell_diagonal(rng):
     # Uniform mixing leaves 2|c3| eps_a of whole-pair capacity, wipes the
     # first-qubit capacity change, and never raises the whole-pair value.
@@ -336,3 +378,74 @@ def test_report_json_shape():
     assert abs(data["small_f"] - 0.24) < 1e-12
     uniform = capacity_gain(werner(0.4), PAIR_053).to_json()
     assert "weights" not in uniform
+
+
+BRANCH_BASES = [MeasurementBasis.computational(), MeasurementBasis.rotated(0.9, 2.1)]
+
+
+def near_negative_stack(basis, *lowest):
+    """Classical-quantum pair matrices, one per entry of ``lowest``: branch 0 is diag(1/3, 2/3) x P_0 with
+    probability 0.75, branch 1 is diag(l, 1 - l) x P_1 with probability 0.25, so the input has eigenvalue l / 4."""
+    conditionals = [(np.diag([1.0 / 3.0, 2.0 / 3.0]), np.diag([low, 1.0 - low])) for low in lowest]
+    return np.array([classical_quantum(rho, (0.75, 0.25), basis) for rho in conditionals])
+
+
+@pytest.mark.parametrize("basis", BRANCH_BASES, ids=["computational", "rotated"])
+def test_stack_reports_the_failing_branch_of_the_first_failing_point(basis):
+    # Point 2 fails in branch 1 (-3.6e-10) with a valid input (-0.9e-10); point 3 fails in its
+    # input (-6e-10 / 4 = -1.5e-10), later in stack order.
+    matrices = near_negative_stack(basis, 0.5, 0.0, -3.6e-10, -6e-10)
+    with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -3\.600e-10 below -1e-10$"):
+        measure_and_mix(matrices, basis, None, PAIR_053.levels())
+    with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -1\.500e-10 below -1e-10$"):
+        measure_and_mix(matrices[3:], basis, None, PAIR_053.levels())
+    spectra, gains = measure_and_mix(matrices[:2], basis, None, PAIR_053.levels())
+    assert spectra.shape == (2, 4) and gains.shape == (2, 6)
+
+
+@pytest.mark.parametrize("weights", [None, (0.5, 0.5), (1.0, 0.0)], ids=["uniform", "halves", "zero-weight"])
+@pytest.mark.parametrize("basis", BRANCH_BASES, ids=["computational", "rotated"])
+def test_failing_branch_is_reported_ahead_of_its_final_state(basis, weights):
+    # Branch 1 has eigenvalue -3.6e-10. With equal weights the final state fails too, at
+    # -1.8e-10, after the branch in stack order; with zero weight the branch is still checked.
+    matrices = near_negative_stack(basis, -3.6e-10)
+    with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -3\.600e-10 below -1e-10$"):
+        measure_and_mix(matrices, basis, weights, PAIR_053.levels())
+    if weights != (1.0, 0.0):
+        final = classical_quantum((np.diag([1.0 / 3.0, 2.0 / 3.0]), np.diag([-3.6e-10, 1.0 + 3.6e-10])), (0.5, 0.5), basis)
+        with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -1\.800e-10 below -1e-10$"):
+            DensityMatrix(final)
+
+
+def test_branch_bounds_carry_the_weyl_term(rng):
+    # A branch within 1e-11 of a product rho_A x P_k is bounded below by min(lambda_min(rho_A), 0) - 4 * residue,
+    # which the lowest eigenvalue eigh finds never undercuts; rho_A is the Hermitian part of the branch's
+    # first-qubit state, and the residue the larger of the distance from the product and the Hermiticity defect.
+    for _ in range(200):
+        basis = random_rotated_basis(rng)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        low = rng.uniform(-3e-10, 0.3)
+        rho_a = low * np.eye(2) + (1.0 - 2.0 * low) * (g @ g.conj().T) / np.linalg.norm(g) ** 2
+        noise = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        noise *= rng.uniform(0.0, 2e-12) / np.abs(noise).max(axis=(-2, -1), keepdims=True)  # residue at most 6e-12
+        branches = np.stack([np.kron(rho_a, p) for p in basis.projectors]) + noise
+        defects = np.abs(branches - branches.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bounds = _branch_bounds(branches[None], defects[None], basis.projectors)[0]
+        conditionals = np.einsum("kibjb->kij", branches.reshape(2, 2, 2, 2, 2))
+        hermitian = (conditionals + conditionals.conj().swapaxes(-1, -2)) / 2.0
+        products = np.stack([np.kron(c, p) for c, p in zip(hermitian, basis.projectors)])
+        residue = np.maximum(np.abs(branches - products).max(axis=(-2, -1)), defects)
+        want = np.minimum(np.linalg.eigvalsh(hermitian)[:, 0], 0.0) - 4.0 * residue
+        np.testing.assert_allclose(bounds, want, rtol=0.0, atol=1e-15)
+        assert (np.linalg.eigvalsh(branches)[:, 0] >= bounds - 1e-15).all()
+    # A residue beyond 1e-11 raises naming the branch, be it off the product or off Hermitian.
+    projectors = MeasurementBasis.computational().projectors
+    point = np.stack([np.kron(np.diag([0.4, 0.6]), p) for p in projectors])
+    off_block, skew = point.copy(), point.copy()
+    off_block[1, 0, 3] = off_block[1, 3, 0] = 2e-11  # Hermitian, outside the b = 1 block
+    skew[1, 1, 3] = skew[1, 3, 1] = 1e-11j  # inside the block, skew-Hermitian: defect 2e-11
+    for shifted in (off_block, skew):
+        stack = np.stack([point, shifted])
+        defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        with pytest.raises(NumericError, match=r"^branch 1 residue 2\.000e-11 from a product state exceeds 1e-11$"):
+            _branch_bounds(stack, defects, projectors)

@@ -249,6 +249,11 @@ def test_density_matrix_json_rejects_malformed():
             DensityMatrix.from_json({**valid, key: bad})
     with pytest.raises(ValueError, match="two-qubit"):
         DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": (np.eye(2) / 2.0).tolist(), "im": [[0.0] * 2] * 2})
+    # A missing key is named ahead of an unknown one, as in the other JSON inputs.
+    with pytest.raises(InvalidStateError, match="^malformed density-matrix payload: unknown key 'comment'$"):
+        DensityMatrix.from_json({**valid, "comment": "x"})
+    with pytest.raises(InvalidStateError, match="^malformed density-matrix payload: 'im'$"):
+        DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": valid["re"], "imag": valid["im"]})
 
 
 PAIR_ONLY = {

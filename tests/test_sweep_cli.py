@@ -429,8 +429,10 @@ X_SPEC = {**EXAMPLE2_SPEC, "family": "x_state", "param": "coherence_scale", "sto
          "malformed basis entry: {'theta': 1, 'phi': 0, 'psi': 3}"),
         ("sweep --spec", {**X_SPEC, "x_state": X_TYPO}, "malformed x-state payload: unknown key 'rho41'"),
         ("capacity --x-state", X_TYPO, "malformed x-state payload: unknown key 'rho41'"),
+        ("capacity --state", {**werner(0.4).to_json(), "dim_c": 3, "comment": "x"},
+         "malformed density-matrix payload: unknown key 'dim_c', 'comment'"),
     ],
-    ids=["spec-key", "basis-key", "spec-x-state-key", "x-state-key"],
+    ids=["spec-key", "basis-key", "spec-x-state-key", "x-state-key", "state-keys"],
 )  # fmt: skip
 def test_unknown_input_keys_exit_2(tmp_path, capsys, command, payload, message):
     # A mistyped optional key would otherwise be dropped, and the run go on without it.
@@ -546,3 +548,31 @@ def test_sweep_reports_first_failing_point(tmp_path, capsys, grid, message):
     (tmp_path / "x_base.json").write_text(json.dumps(X_BASE))
     argv = ["sweep", *(arg.replace("{dir}", str(tmp_path)) for arg in grid), *PAIR_FLAGS]
     assert run_main(argv, capsys) == (2, "", f"qbcap: error: {message}\n")
+
+
+# diag(0.25, -0.9e-10, 0.5, 0.25 + 0.9e-10): a valid state, its eigenvalue -0.9e-10 within the
+# tolerance, whose measurement branch 1 has eigenvalue -0.9e-10 / 0.25 = -3.6e-10. Its uniform
+# final state would report -1.8e-10; with weights (1, 0) the final state is branch 0 and valid.
+NEAR_NEGATIVE_STATE = {
+    "dim_a": 2,
+    "dim_b": 2,
+    "re": np.diag([0.25, -0.9e-10, 0.5, 0.25 + 0.9e-10]).tolist(),
+    "im": [[0.0] * 4] * 4,
+}
+
+
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        (["capacity"], 0, ""),
+        (["measure"], 2, "qbcap: error: negative eigenvalue -3.600e-10 below -1e-10\n"),
+        (["measure", "--scheme", "weighted", "1", "0"], 2, "qbcap: error: negative eigenvalue -3.600e-10 below -1e-10\n"),
+    ],
+    ids=["capacity", "measure", "measure-zero-weight"],
+)
+def test_branch_check_pins(tmp_path, capsys, command, code, err):
+    # Exit code and stderr of the branch check, pinned from the check by full eigendecomposition.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(NEAR_NEGATIVE_STATE))
+    got = run_main([*command, "--state", str(path), *PAIR_FLAGS], capsys)
+    assert (got[0], got[2]) == (code, err)
