@@ -8,17 +8,17 @@ state-validation tolerance (default 1e-10).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
 import sys
+from typing import IO, Callable
 
 from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsystem_a_hamiltonian
 from .errors import NumericError
 from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
 from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
-from .sweep import FAMILY_PARAMS, PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, rows_to_json, run_sweep, write_csv
+from .sweep import FAMILY_PARAMS, PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, run_sweep, write_csv, write_json
 from .tolerances import set_validation_tol, validation_tol
 
 EXIT_OK = 0
@@ -147,12 +147,13 @@ def _parse_basis(tokens: list[str], parser: _Parser) -> tuple[float, float] | No
     parser.error(f"expected 'computational' or 'rotated THETA PHI', got {' '.join(tokens)!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
+    """Call ``write`` on stdout, or on the file ``out`` opened for it."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _render(fmt: str | None, data: dict, cells: dict[str, str], lines: dict[str, str]) -> str:
@@ -180,7 +181,7 @@ def cmd_capacity(args, parser: _Parser) -> int:
         {**numbers, **dict(zip(SPECTRUM_COLUMNS, lams)), "entangled": flag},
         {**numbers, "spectrum": " ".join(lams), "entangled": flag},
     )
-    _emit(text, args.out)
+    _emit(lambda stream: stream.write(text), args.out)
     return EXIT_OK
 
 
@@ -198,7 +199,7 @@ def cmd_measure(args, parser: _Parser) -> int:
         {**gains, "scheme": report.scheme, "weights": ";".join(mu)},
         {"scheme": " ".join([report.scheme, *mu]), **gains},
     )
-    _emit(text, args.out)
+    _emit(lambda stream: stream.write(text), args.out)
     return EXIT_OK
 
 
@@ -230,14 +231,9 @@ def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
 
 def cmd_sweep(args, parser: _Parser) -> int:
     spec = _sweep_spec_from_args(args, parser)
-    result = run_sweep(spec)
-    if args.format == "json":
-        text = json.dumps(rows_to_json(result, spec), indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        write_csv(result, spec, buf)
-        text = buf.getvalue()
-    _emit(text, args.out)
+    result = run_sweep(spec)  # before the output file is opened, so that a failing sweep leaves none
+    write = write_json if args.format == "json" else write_csv
+    _emit(lambda stream: write(result, spec, stream), args.out)
     return EXIT_OK
 
 

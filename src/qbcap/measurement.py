@@ -92,14 +92,16 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray
     Branches below the 1e-12 probability floor are flagged and set to zero
     instead of normalized; probabilities must close to 1 for every matrix.
     """
-    unnormalized = basis.operators @ matrices[:, None] @ basis.operators
-    probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
-    total = probabilities.sum(axis=1)
-    unclosed = np.abs(total - 1.0) > validation_tol()
-    if unclosed.any():
-        raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
-    flagged = probabilities < ZERO_PROBABILITY
-    branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
+    # Non-finite or huge entries make NaNs and infinities here, which the state screen reports as non-finite.
+    with np.errstate(invalid="ignore", over="ignore"):
+        unnormalized = basis.operators @ matrices[:, None] @ basis.operators
+        probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
+        total = probabilities.sum(axis=1)
+        unclosed = np.abs(total - 1.0) > validation_tol()
+        if unclosed.any():
+            raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
+        flagged = probabilities < ZERO_PROBABILITY
+        branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
     if flagged.any():
         branches[flagged] = 0.0
     return branches, probabilities, flagged
@@ -154,9 +156,10 @@ def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, m
         raise ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
     if flagged.all(axis=1).any():
         raise ValueError("all branches are flagged; nothing to mix")
-    if mu is None:
-        return sum(branches[:, k] for k in range(n)) / n
-    return sum(w * branches[:, k] for k, w in enumerate(mu))
+    with np.errstate(invalid="ignore"):  # NaN branches of non-finite input, reported by the state screen
+        if mu is None:
+            return sum(branches[:, k] for k in range(n)) / n
+        return sum(w * branches[:, k] for k, w in enumerate(mu))
 
 
 def _mix_ensemble(ensemble: MeasurementEnsemble, mu) -> DensityMatrix:

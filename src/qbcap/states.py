@@ -54,10 +54,11 @@ def screen_states(matrices: np.ndarray):
     flat = matrices.reshape(-1, d * d)
     entries = flat[:, _mirrored_pairs(d)]
     upper, lower = entries[:, : d * (d + 1) // 2], entries[:, d * (d + 1) // 2 :]
-    np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, which the finite test below reports
+        np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
+        trace = flat[:, :: d + 1].sum(axis=-1).reshape(matrices.shape[:-2])
     defect = np.abs(upper).max(axis=-1).reshape(matrices.shape[:-2])
     finite = np.isfinite(defect)
-    trace = flat[:, :: d + 1].sum(axis=-1).reshape(matrices.shape[:-2])
     off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
 
     def verdict(lowest: np.ndarray) -> None:

@@ -5,11 +5,13 @@ records the capacities before and after together with the input spectrum and
 an entanglement verdict. The grid runs in chunks of ``CHUNK`` points, each as
 one stacked pass, so that memory stays bounded for any grid size; results
 stay in columns (``SweepResult``) up to the output. Output is CSV (12
-significant digits, deterministic bytes) or JSON.
+significant digits, deterministic bytes) or JSON, either written ``CHUNK``
+rows at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import IO
@@ -245,24 +247,59 @@ def format_number(x: float) -> str:
     return NUMBER_FORMAT % (x + 0.0)
 
 
+def _write_rows(result: SweepResult, stream: IO[str], row: str, sep: str, zero: float) -> None:
+    """Every grid point as ``row % (value, *spectrum, *gains, "true" or "false")``, rows joined by ``sep``.
+
+    The numbers enter plus ``zero``: 0.0 turns a negative zero into 0, -0.0
+    leaves every value as it is. The rows go out ``CHUNK`` per write.
+    """
+    for start in range(0, len(result.values), CHUNK):
+        block = slice(start, start + CHUNK)
+        table = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + zero
+        flags = np.where(result.entangled[block], "true", "false").tolist()
+        stream.write((sep if start else "") + sep.join([row % cells for cells in zip(*table.T.tolist(), flags)]))
+
+
 def write_csv(result: SweepResult, spec: SweepSpec, stream: IO[str]) -> None:
     """Emit the rows in grid order, ``CHUNK`` rows per write; repeated calls produce identical bytes."""
     header = [spec.param, *SPECTRUM_COLUMNS, *GAIN_FIELDS, "entangled"]
-    line = ",".join([NUMBER_FORMAT] * (len(header) - 1)) + ",%s\n"
     stream.write(",".join(header) + "\n")
-    for start in range(0, len(result.values), CHUNK):
-        block = slice(start, start + CHUNK)
-        table = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + 0.0
-        flags = np.where(result.entangled[block], "true", "false").tolist()
-        stream.write("".join([line % row for row in zip(*table.T.tolist(), flags)]))
+    _write_rows(result, stream, ",".join([NUMBER_FORMAT] * (len(header) - 1)) + ",%s\n", sep="", zero=0.0)
+
+
+def _echo(spec: SweepSpec) -> dict:
+    return {key: value for key, value in spec.to_mapping().items() if key in ECHO_KEYS}
 
 
 def rows_to_json(result: SweepResult, spec: SweepSpec) -> dict:
-    """JSON form of a finished sweep: the ``ECHO_KEYS`` of the spec plus one object per grid point."""
-    meta = {key: value for key, value in spec.to_mapping().items() if key in ECHO_KEYS}
+    """JSON form of a finished sweep: the ``ECHO_KEYS`` of the spec plus one object per grid point.
+
+    For a result of finite numbers, as every ``run_sweep`` result is,
+    ``write_json(result, spec, stream)`` writes exactly
+    ``json.dumps(rows_to_json(result, spec), indent=2) + "\\n"``.
+    """
     columns = (result.values, result.spectra, result.gains, result.entangled)
     rows = [
         {spec.param: value, "spectrum": spectrum, **dict(zip(GAIN_FIELDS, gains)), "entangled": flag}
         for value, spectrum, gains, flag in zip(*(column.tolist() for column in columns))
     ]
-    return {**meta, "rows": rows}
+    return {**_echo(spec), "rows": rows}
+
+
+def write_json(result: SweepResult, spec: SweepSpec, stream: IO[str]) -> None:
+    """Emit the sweep as JSON, ``CHUNK`` rows per write: exactly ``json.dumps(rows_to_json(result, spec), indent=2) + "\\n"``.
+
+    Each row fills one template that holds the ``indent=2`` layout; numbers are
+    written as ``repr``, the form ``json`` gives a finite float. A non-finite
+    number, which no ``run_sweep`` result holds and standard JSON cannot
+    carry, raises ValueError.
+    """
+    if not all(np.isfinite(column).all() for column in (result.values, result.spectra, result.gains)):
+        raise ValueError("a sweep result with a non-finite number has no JSON form")
+    head, tail = json.dumps({**_echo(spec), "rows": []}, indent=2).rsplit("[]", 1)
+    spectrum = "[\n" + ",\n".join(["        %r"] * len(SPECTRUM_COLUMNS)) + "\n      ]"
+    fields = {spec.param: "%r", "spectrum": spectrum, **dict.fromkeys(GAIN_FIELDS, "%r"), "entangled": "%s"}
+    row = "\n    {\n" + ",\n".join(f"      {json.dumps(key)}: {cell}" for key, cell in fields.items()) + "\n    }"
+    stream.write(head + "[")
+    _write_rows(result, stream, row, sep=",", zero=-0.0)
+    stream.write(("\n  ]" if len(result.values) else "]") + tail + "\n")

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,15 +21,16 @@ import qbcap.linalg
 from qbcap import MeasurementBasis, QubitPairEnergies, SweepSpec, XStateParams, capacity_gain, is_entangled, run_sweep
 from qbcap.measurement import GAIN_FIELDS, _branches, _mix, measure_and_mix
 from qbcap.states import reduce_a
-from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv
+from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
 
 unit = st.floats(0.0, 1.0)
+FAMILIES = ["werner", "example2", "bell_diagonal", "x_state"]
 
 
 @st.composite
-def sweep_specs(draw, count):
+def sweep_specs(draw, count, family=None):
     """A valid sweep of ``count`` points whose branches all keep a probability well above the flag floor."""
-    family = draw(st.sampled_from(["werner", "example2", "bell_diagonal", "x_state"]))
+    family = family or draw(st.sampled_from(FAMILIES))
     eps_b = draw(st.floats(0.0, 1.0))
     energies = QubitPairEnergies(eps_a=eps_b + draw(unit), eps_b=eps_b)
     mu0 = draw(st.floats(0.0, 1.0))
@@ -137,6 +139,70 @@ def test_sweep_result_columns_and_json_bytes():
     assert digest == "dfd6ddc4a030d6a6ecdc00aee844f0ad8b0f278a1a5dad3038006bd11786f227"
 
 
+def assert_writes_json_reference(result, spec):
+    """write_json's text is json.dumps of the dict form; a mismatch reports its first differing offset
+    rather than a diff of two long texts, which pytest would take minutes to build on every shrink step."""
+    out = io.StringIO()
+    write_json(result, spec, out)
+    got, want = out.getvalue(), json.dumps(rows_to_json(result, spec), indent=2) + "\n"
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"write_json differs from offset {i}: {got[max(i - 40, 0) : i + 40]!r} != {want[max(i - 40, 0) : i + 40]!r}")
+    return got
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rotated", [False, True], ids=["computational", "rotated"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_write_json_is_json_dumps_of_rows_to_json(family, rotated, weighted, data):
+    # Every family, basis and scheme, on grids that end on either side of each chunk boundary.
+    count = data.draw(st.sampled_from([2, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+    kind = (rotated, weighted)
+    spec = data.draw(sweep_specs(count, family).filter(lambda s: (s.basis_angles is not None, s.weights is not None) == kind))
+    assert_writes_json_reference(run_sweep(spec), spec)
+
+
+def test_write_json_bytes_at_special_values():
+    rng = np.random.default_rng(7)
+    n = CHUNK + 3
+    ties = np.array(SPECIAL_VALUES)
+    pool = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    table = rng.choice(pool, size=(n, 1 + len(SPECTRUM_COLUMNS) + len(GAIN_FIELDS)))
+    table[:len(ties), 0] = ties
+    result = SweepResult(table[:, 0], table[:, 1:5], table[:, 5:], rng.random(n) < 0.5)
+    spec = SweepSpec("werner", "a", 0.0, 1.0, n, QubitPairEnergies(0.7, 0.2), "weighted", (0.25, 0.75), (0.7, 1.3))
+    text = assert_writes_json_reference(result, spec)
+    assert '"a": -0.0,' in text and '"a": 5e-324,' in text
+    empty = SweepResult(np.empty(0), np.empty((0, 4)), np.empty((0, len(GAIN_FIELDS))), np.empty(0, bool))
+    assert assert_writes_json_reference(empty, spec).endswith('"rows": []\n}\n')
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_json_rejects_non_finite_numbers(bad):
+    spec = SweepSpec("werner", "a", 0.0, 1.0, 2, QubitPairEnergies(0.7, 0.2))
+    result = run_sweep(spec)
+    result.gains[1, 4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(result, spec, io.StringIO())
+
+
+def test_write_json_memory_is_bounded_by_the_chunk():
+    count = 40_001
+    spec = SweepSpec("werner", "a", 0.0, 1.0, count, QubitPairEnergies(0.7, 0.2), "weighted", (0.8, 0.2))
+    result = run_sweep(spec)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        write_json(result, spec, out)
+        written, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().count('"entangled"') == count
+    assert peak - written < 8 * 2**20, f"write_json peaked {(peak - written) / 2**20:.1f} MiB beyond its output"
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_spec_to_mapping_round_trips(data):
@@ -212,6 +278,26 @@ def test_malformed_points_raise_as_under_the_eigh_rule(angles, weights):
         with pytest.raises((ValueError, ArithmeticError)) as raised:
             measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
         assert str(raised.value) == eigh_rule_message(matrices, basis, weights)
+
+
+@pytest.mark.parametrize("angles", [None, (0.9, 2.1)], ids=["computational", "rotated"])
+@pytest.mark.parametrize("weights", [None, (0.7, 0.3)], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308])
+def test_non_finite_and_huge_entries_raise_without_a_warning(angles, weights, bad):
+    # NaNs and infinities, given or made by a huge entry, spread through the branches and the final state
+    # until the screen reports them; numpy warns of none of them.
+    basis = MeasurementBasis(angles)
+    good = classical_quantum((np.diag([0.3, 0.7]), np.diag([0.6, 0.4])), (0.5, 0.5), basis)
+    for position in ((0, 0), (1, 2), (0, 2)):
+        point = good.copy()
+        point[position] = bad
+        matrices = np.array([good, point])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValueError, ArithmeticError)) as raised:
+                measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
+        assert str(raised.value) == eigh_rule_message(matrices, basis, weights)
+        assert math.isfinite(bad) or str(raised.value) == "matrix contains non-finite entries"
 
 
 def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):

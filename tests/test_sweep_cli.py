@@ -576,3 +576,39 @@ def test_branch_check_pins(tmp_path, capsys, command, code, err):
     path.write_text(json.dumps(NEAR_NEGATIVE_STATE))
     got = run_main([*command, "--state", str(path), *PAIR_FLAGS], capsys)
     assert (got[0], got[2]) == (code, err)
+
+
+SWEEP_300 = ["sweep", "--family", "werner", "--param", "a", "--start", "0", "--stop", "1", "--count", "300",
+             "--basis", "rotated", "0.7", "1.3", "--scheme", "weighted", "0.8", "0.2", *PAIR_FLAGS]  # fmt: skip
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_sweep_out_file_holds_the_stdout_bytes(tmp_path, fmt):
+    # Both formats stream to the output in chunks; a file gets the same bytes as stdout.
+    out_path = tmp_path / f"rows.{fmt}"
+    to_stdout = run_cli(*SWEEP_300, "--format", fmt)
+    to_file = run_cli(*SWEEP_300, "--format", fmt, "--out", str(out_path))
+    assert (to_stdout.returncode, to_file.returncode, to_file.stdout) == (0, 0, b"")
+    assert out_path.read_bytes() == to_stdout.stdout
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_sweep_writes_no_file(tmp_path, capsys, fmt):
+    out_path = tmp_path / f"rows.{fmt}"
+    argv = ["sweep", "--family", "werner", "--param", "a", "--start", "0", "--stop", "2", "--count", "5", *PAIR_FLAGS]
+    got = run_main([*argv, "--format", fmt, "--out", str(out_path)], capsys)
+    assert got == (2, "", "qbcap: error: werner parameter must lie in [0, 1], got 1.5\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "measure"])
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_cli_non_finite_state_prints_one_error_line(tmp_path, command, bad):
+    # Python's json reads these; the run reports them as one error line, with no numpy warning on stderr.
+    payload = werner(0.4).to_json()
+    payload["re"][0][0] = float(bad)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert bad in path.read_text()
+    proc = run_cli(command, "--state", str(path), *PAIR_FLAGS)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"qbcap: error: matrix contains non-finite entries\n")
