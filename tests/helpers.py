@@ -1,5 +1,6 @@
 """Seeded samplers and the subprocess environment shared across the test modules."""
 
+import ctypes
 import os
 from pathlib import Path
 
@@ -8,6 +9,28 @@ import numpy as np
 from qbcap import DensityMatrix, MeasurementBasis, QubitPairEnergies, XStateParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The OpenBLAS kernel the byte pins (golden CLI digests, demo digests) were recorded under.
+PINNED_KERNEL = "SkylakeX"
+
+
+def blas_kernel():
+    """The OpenBLAS kernel numpy's bundled scipy-openblas picked at run time, e.g. "SkylakeX" or "Haswell".
+
+    None where that library or its ``scipy_openblas_get_corename64_`` symbol is missing.
+    """
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def kernel_note():
+    """The kernel a byte-pin check ran under, for its failure message."""
+    return f"ran under BLAS kernel {blas_kernel()}; the pins were recorded under {PINNED_KERNEL}"
 
 
 def subprocess_env(extra=None):

@@ -21,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from helpers import kernel_note
+
 from qbcap.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
@@ -179,7 +181,7 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     expected = json.loads(FIXTURE.read_text())
     assert [e["argv"] for e in expected] == invocations()
     mismatched = [(e, got) for e, got in zip(expected, results(tmp_path)) if e != got]
-    assert not mismatched, mismatched
+    assert not mismatched, f"{len(mismatched)} pins changed; {kernel_note()}: {mismatched}"
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Each demo runs to exit 0 and prints exactly its pinned stdout.
 
-The sha256 digests were recorded with Python 3.11.7 and numpy 2.4.6. The
-demos print rounded floats, so another Python or numpy version may change a
-last digit; if it does, check the difference by eye and record the digests
-again.
+The sha256 digests were recorded with Python 3.11.7, numpy 2.4.6 and numpy's
+bundled OpenBLAS running its SkylakeX kernel. The demos print rounded
+floats, so another Python or numpy version, or another OpenBLAS kernel, may
+change a last digit; if it does, check the difference by eye and record the
+digests again. OpenBLAS picks its kernel at run time (``OPENBLAS_CORETYPE``
+forces one): under Haswell 21 of the 138 golden CLI pins and the digest of
+demo 01 move, under the generic core 25 pins and that digest. A failing
+digest names the kernel it ran under.
 """
 
 import hashlib
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import subprocess_env
+from helpers import kernel_note, subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -30,4 +34,4 @@ STDOUT_SHA256 = {
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name], kernel_note()

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import subprocess_env
+from helpers import classical_quantum, random_density, subprocess_env
 
 from qbcap import (
     VALIDATION_TOL,
     DensityMatrix,
+    MeasurementBasis,
     QubitPairEnergies,
     SweepSpec,
     XStateParams,
@@ -576,6 +577,24 @@ def test_branch_check_pins(tmp_path, capsys, command, code, err):
     path.write_text(json.dumps(NEAR_NEGATIVE_STATE))
     got = run_main([*command, "--state", str(path), *PAIR_FLAGS], capsys)
     assert (got[0], got[2]) == (code, err)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="dividing by p_k scales the round-off of the I x P_k products by 1/p_k, past the branch residue "
+    "and Hermiticity checks; the branch-free engine of ROADMAP item 6 removes the cause",
+)
+def test_cli_low_probability_branch_runs(tmp_path, capsys):
+    # A valid state (1 - 1e-7) rho_a x P_0 + 1e-7 rho_b x P_1 in the measured rotated basis; weights (1, 0)
+    # make the final state branch 0, so the run has nothing to reject.
+    rng = np.random.default_rng(7)
+    basis = MeasurementBasis.rotated(0.9, 2.1)
+    conditionals = [random_density(rng, 2).matrix, random_density(rng, 2).matrix]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(DensityMatrix(classical_quantum(conditionals, (1.0 - 1e-7, 1e-7), basis)).to_json()))
+    argv = ["measure", "--state", str(path), "--basis", "rotated", "0.9", "2.1", "--scheme", "weighted", "1", "0"]
+    got = run_main([*argv, *PAIR_FLAGS], capsys)
+    assert (got[0], got[2]) == (0, "")
 
 
 SWEEP_300 = ["sweep", "--family", "werner", "--param", "a", "--start", "0", "--stop", "1", "--count", "300",
