@@ -8,10 +8,8 @@ side.
 
 ``measure_and_mix`` runs the whole protocol on a stack of N pair matrices;
 ``measure_b``, the two mixing rules and ``capacity_gain`` are its stages on
-a stack of one. Both get their branches from ``_branches``, which forms the
-products (I x P_k) rho (I x P_k) of a whole stack in two GEMM steps: one
-left product for every outcome and matrix at once, then one right product
-per outcome.
+a stack of one. Both get their branches from ``_branches``, which takes the
+left products of a whole stack in one GEMM.
 """
 
 from __future__ import annotations
@@ -99,12 +97,11 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray
     ops = basis.operators
     # Non-finite or huge entries make NaNs and infinities here, which the state screen reports as non-finite.
     with np.errstate(invalid="ignore", over="ignore"):
-        # (I x P_k) rho_n (I x P_k) in two GEMM steps instead of 4N separate 4x4 products: one left product
-        # for the stack, rows (k, i) and columns (n, j), then one (4N x 4)(4 x 4) right product per outcome.
-        # Each 4x4 block keeps the contiguous layout np.trace sums pairwise, as in the separate products.
+        # (I x P_k) rho_n (I x P_k): one GEMM for the left products, rows (k, i) and columns (n, j), then a 4x4
+        # right product per branch. Rows of a (4N x 4)(4 x 4) product can take another kernel path with N
+        # (OpenBLAS Haswell), which would make a branch's bits depend on the size of its stack.
         left = ops.reshape(8, 4) @ matrices.transpose(1, 0, 2).reshape(4, 4 * n)
-        right = left.reshape(2, 4, n, 4).transpose(0, 2, 1, 3).reshape(2, 4 * n, 4) @ ops
-        unnormalized = right.reshape(2, n, 4, 4).transpose(1, 0, 2, 3)
+        unnormalized = left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3) @ ops
         probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
         total = probabilities.sum(axis=1)
         unclosed = np.abs(total - 1.0) > validation_tol()

@@ -5,7 +5,7 @@ bundled OpenBLAS running its SkylakeX kernel. The demos print rounded
 floats, so another Python or numpy version, or another OpenBLAS kernel, may
 change a last digit; if it does, check the difference by eye and record the
 digests again. OpenBLAS picks its kernel at run time (``OPENBLAS_CORETYPE``
-forces one): under Haswell 21 of the 138 golden CLI pins and the digest of
+forces one): under Haswell 20 of the 138 golden CLI pins and the digest of
 demo 01 move, under the generic core 25 pins and that digest. A failing
 digest names the kernel it ran under.
 """

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import blas_kernel, classical_quantum, eigh_check_oracle, family_matrix, protocol_oracle, random_density
+from helpers import classical_quantum, eigh_check_oracle, family_matrix, kernel_note, protocol_oracle, random_density
 
 import qbcap.linalg
 from qbcap import MeasurementBasis, QubitPairEnergies, SweepSpec, XStateParams, capacity_gain, is_entangled, run_sweep
@@ -217,39 +217,54 @@ def test_spec_to_mapping_round_trips(data):
     assert list(rows_to_json(empty, spec).items()) == [(key, mapping[key]) for key in echo if key in mapping] + [("rows", [])]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_branches_are_bitwise_the_stacked_products(data):
-    # The two GEMM steps of _branches give the bits of the 4N stacked products (I x P_k) rho (I x P_k),
-    # on real and complex stacks of either kind of basis, with exact zeros of either sign among the entries.
-    angles = data.draw(st.one_of(st.none(), st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))))
+@st.composite
+def branch_stacks(draw):
+    """A basis and a stack of 1, 2, CHUNK or CHUNK + 1 pair matrices, real or complex, with exact zeros of either sign."""
+    angles = draw(st.one_of(st.none(), st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))))
     basis = MeasurementBasis(angles)
-    n = data.draw(st.sampled_from([1, 2, CHUNK, CHUNK + 1]))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    if data.draw(st.booleans()):  # classical-quantum points: with p_0 = 1, branch 1 holds round-off only and is flagged
-        p0 = data.draw(st.sampled_from([1.0, 0.5, 1.0 - 1e-7]))
+    n = draw(st.sampled_from([1, 2, CHUNK, CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # classical-quantum points: with p_0 = 1, branch 1 holds round-off only and is flagged
+        p0 = draw(st.sampled_from([1.0, 0.5, 1.0 - 1e-7]))
         points = [classical_quantum([random_density(rng, 2).matrix for _ in range(2)], (p0, 1.0 - p0), basis) for _ in range(n)]
     else:
         points = [random_density(rng).matrix for _ in range(n)]
     matrices = np.array(points)
-    off_diagonal = ~np.eye(4, dtype=bool) & (rng.random((n, 4, 4)) < data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    off_diagonal = ~np.eye(4, dtype=bool) & (rng.random((n, 4, 4)) < draw(st.sampled_from([0.0, 0.3, 1.0])))
     matrices.real[off_diagonal] = np.where(rng.random(off_diagonal.sum()) < 0.5, 0.0, -0.0)
     matrices.imag[rng.random((n, 4, 4)) < 0.3] = -0.0
-    if data.draw(st.booleans()):
+    if draw(st.booleans()):
         matrices = np.ascontiguousarray(matrices.real)  # the family stacks are real
-    got = _branches(matrices, basis)
+    return basis, matrices
+
+
+def assert_same_bytes(got, want, what):
+    for name, a, b in zip(("branches", "probabilities", "flags"), got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        differ = np.ascontiguousarray(a).view(np.uint8) != np.ascontiguousarray(b).view(np.uint8)
+        assert not differ.any(), f"{name} differ from {what} in {differ.sum()} bytes; {kernel_note()}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stack=branch_stacks())
+def test_branches_are_bitwise_the_stacked_products(stack):
+    # The GEMM of the left products gives the bits of the 4N stacked products (I x P_k) rho (I x P_k).
+    basis, matrices = stack
     unnormalized = basis.operators @ matrices[:, None] @ basis.operators
     probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
     flagged = probabilities < ZERO_PROBABILITY
     branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
     branches[flagged] = 0.0
-    for name, a, b in zip(("branches", "probabilities", "flags"), got, (branches, probabilities, flagged)):
-        assert a.shape == b.shape and a.dtype == b.dtype, name
-        differ = np.ascontiguousarray(a).view(np.uint8) != np.ascontiguousarray(b).view(np.uint8)
-        assert not differ.any(), (
-            f"{name} differ from the stacked products in {differ.sum()} bytes under BLAS kernel {blas_kernel()}; "
-            "they agree bit for bit under SkylakeX and the generic core, not under Haswell"
-        )
+    assert_same_bytes(_branches(matrices, basis), (branches, probabilities, flagged), "the stacked products")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(stack=branch_stacks())
+def test_branches_of_a_stack_are_those_of_each_matrix_alone(stack):
+    # A matrix's branches have the same bits whatever the size of its stack, under every BLAS kernel.
+    basis, matrices = stack
+    alone = [_branches(m[None], basis) for m in matrices]
+    assert_same_bytes(_branches(matrices, basis), [np.concatenate(a) for a in zip(*alone)], "those of each matrix alone")
 
 
 @st.composite
