@@ -108,7 +108,10 @@ def build_parser() -> _Parser:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _state_from_args(args) -> DensityMatrix:

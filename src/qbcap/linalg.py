@@ -55,11 +55,11 @@ def _reconstruction_error(m: np.ndarray, values: np.ndarray, vectors: np.ndarray
     columns = vectors.reshape(-1, d, d).transpose(2, 1, 0).copy()  # [k, i, n]: entry i of v_k
     conjugate = columns.conj()
     columns *= values.reshape(-1, d).T[:, None]  # w_k v_k
-    diff = m.reshape(-1, d, d).transpose(1, 2, 0).copy()  # [i, j, n]
+    diff = m.transpose(m.ndim - 2, m.ndim - 1, *range(m.ndim - 2)).copy().reshape(d, d, -1)  # [i, j, n], one copy
     term = np.empty_like(diff)
     for k in range(d):
         diff -= np.multiply(columns[k, :, None], conjugate[k, None], out=term)
-    return np.abs(diff).max(axis=(0, 1)).reshape(values.shape[:-1])
+    return np.abs(diff, out=term.real).max(axis=(0, 1)).reshape(values.shape[:-1])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -87,11 +87,11 @@ class MeasurementEnsemble:
         return tuple(b.probability for b in self.branches)
 
 
-def _branches(matrices: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome branches (N, 2, 4, 4) of a stack of pair matrices, their probabilities and zero-probability flags.
 
-    Branches below the 1e-12 probability floor are flagged and set to zero
-    instead of normalized; probabilities must close to 1 for every matrix.
+    Branches below the 1e-12 probability floor are flagged and set to zero instead of normalized, in ``out``
+    if given (complex, each 4x4 contiguous); probabilities must close to 1 for every matrix.
     """
     n = len(matrices)
     ops = basis.operators
@@ -101,14 +101,14 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray
         # right product per branch. Rows of a (4N x 4)(4 x 4) product can take another kernel path with N
         # (OpenBLAS Haswell), which would make a branch's bits depend on the size of its stack.
         left = ops.reshape(8, 4) @ matrices.transpose(1, 0, 2).reshape(4, 4 * n)
-        unnormalized = left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3) @ ops
-        probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
+        branches = np.matmul(left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3), ops, out=out)
+        probabilities = np.trace(branches, axis1=-2, axis2=-1).real
         total = probabilities.sum(axis=1)
         unclosed = np.abs(total - 1.0) > validation_tol()
         if unclosed.any():
             raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
         flagged = probabilities < ZERO_PROBABILITY
-        branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
+        np.divide(branches, np.where(flagged, 1.0, probabilities)[..., None, None], out=branches)
     if flagged.any():
         branches[flagged] = 0.0
     return branches, probabilities, flagged
@@ -133,13 +133,13 @@ def _weight_values(weights) -> tuple[float, ...] | None:
     return tuple(json_number(w.item() if isinstance(w, np.generic) else w, f"weight mu_{k}") for k, w in enumerate(weights))
 
 
-def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu) -> np.ndarray:
+def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu, out=None) -> np.ndarray:
     """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
 
     Weights are numbers (not bools or strings), finite, nonnegative, sum to 1
     within 1e-12 and number one per branch. A flagged branch leaves the average
     undefined and must carry zero weight in a weighted sum, which must have
-    some unflagged branch.
+    some unflagged branch. The final states are written into ``out`` if given.
     """
     n = branches.shape[1]
     mu = _weight_values(mu)
@@ -164,9 +164,10 @@ def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, m
     if flagged.all(axis=1).any():
         raise ValueError("all branches are flagged; nothing to mix")
     with np.errstate(invalid="ignore"):  # NaN branches of non-finite input, reported by the state screen
-        if mu is None:
-            return sum(branches[:, k] for k in range(n)) / n
-        return sum(w * branches[:, k] for k, w in enumerate(mu))
+        final = np.add(0, branches[:, 0] if mu is None else mu[0] * branches[:, 0], out=out)  # from 0, as sum(): -0.0 becomes 0.0
+        for k in range(1, n):
+            final += branches[:, k] if mu is None else mu[k] * branches[:, k]
+        return final if mu is not None else np.divide(final, n, out=final)
 
 
 def _mix_ensemble(ensemble: MeasurementEnsemble, mu) -> DensityMatrix:
@@ -222,31 +223,29 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
 
     ``weights`` are numbers, or None for the uniform scheme; ``levels`` are the
     ascending pair and first-qubit levels. Gains come in ``GAIN_FIELDS`` order.
-    The input, branch and final matrices pass one stacked ``screen_states``;
-    then the input and final matrices are eigendecomposed and the branches
-    checked as product states (``_branch_bounds``). A branch residue beyond
-    1e-11 raises first, then a missed eigendecomposition bound, then the first
-    failing matrix in the order input, branch 0, branch 1, final of each point
-    in turn. The two reduced states go through ``check_states``. On a stack of
-    several points the error raised may belong to a later point than the
-    first failing one.
+    Input, branch and final matrices are written into one buffer, in that role
+    order, and read point-major: one stacked ``screen_states``, then ``eigh`` of
+    the input and final matrices and the product check of the branches
+    (``_branch_bounds``). A branch residue beyond 1e-11 raises first, then a
+    missed eigendecomposition bound, then the first failing matrix in the order
+    input, branch 0, branch 1, final of each point in turn. The two reduced
+    states go through ``check_states``. On a stack of several points the error
+    raised may belong to a later point than the first failing one.
     """
-    branches, probabilities, flagged = _branches(matrices, basis)
-    final = _mix(branches, probabilities, flagged, weights)
+    stack = np.empty((4, len(matrices), 4, 4), dtype=complex).transpose(1, 0, 2, 3)
+    stack[:, 0] = matrices
+    _, probabilities, flagged = _branches(matrices, basis, out=stack[:, 1:3])
+    _mix(stack[:, 1:3], probabilities, flagged, weights, out=stack[:, 3])
     if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
-        branches = np.where(flagged[..., None, None], basis.operators / 2.0, branches)
-    stack = np.concatenate([matrices[:, None], branches, final[:, None]], axis=1)
+        np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
     off, defects, verdict = screen_states(stack)
-    checked = stack
-    if off.any():  # a matrix that failed the screen raises its own error; a valid state stands in for it
+    if off.any():  # a matrix that failed the screen raises its own error in verdict; a valid state stands in for it
         stand_ins = np.concatenate([np.eye(4)[None] / 4.0, basis.operators / 2.0, np.eye(4)[None] / 4.0])
-        checked = np.where(off[..., None, None], stand_ins, stack)
+        np.copyto(stack, stand_ins, where=off[..., None, None])  # in place: nothing reads the failed matrices again
         defects = np.where(off, 0.0, defects)
-    lowest = np.empty(off.shape)
-    lowest[:, 1:3] = _branch_bounds(checked[:, 1:3], defects[:, 1:3], basis.projectors)
-    values, _ = eigh(checked[:, ::3])
-    lowest[:, ::3] = values[..., 0]
-    verdict(lowest)
+    bounds = _branch_bounds(stack[:, 1:3], defects[:, 1:3], basis.projectors)
+    values, _ = eigh(stack[:, ::3])
+    verdict(np.concatenate([values[:, :1, 0], bounds, values[:, 1:, 0]], axis=1))
     spectra = np.maximum(values, 0.0)
     total = capacities(spectra, levels[0])
     first = capacities(check_states(reduce_a(stack[:, ::3]))[0], levels[1])

@@ -51,13 +51,13 @@ def screen_states(matrices: np.ndarray):
     # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it; it is
     # NaN or infinite exactly when some entry of m is
     d = matrices.shape[-1]
-    flat = matrices.reshape(-1, d * d)
-    entries = flat[:, _mirrored_pairs(d)]
-    upper, lower = entries[:, : d * (d + 1) // 2], entries[:, d * (d + 1) // 2 :]
+    flat = matrices.reshape(*matrices.shape[:-2], d * d)  # a view also of a stack whose matrices alone are contiguous
+    entries = flat[..., _mirrored_pairs(d)]
+    upper, lower = entries[..., : d * (d + 1) // 2], entries[..., d * (d + 1) // 2 :]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, which the finite test below reports
         np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
-        trace = flat[:, :: d + 1].sum(axis=-1).reshape(matrices.shape[:-2])
-    defect = np.abs(upper).max(axis=-1).reshape(matrices.shape[:-2])
+        trace = flat[..., :: d + 1].sum(axis=-1)
+    defect = np.abs(upper).max(axis=-1)
     finite = np.isfinite(defect)
     off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
 
@@ -244,9 +244,10 @@ class XStateParams:
         total = sum(pops)
         if abs(total - 1.0) > NEGLIGIBLE:
             raise InvalidStateError(f"populations sum to {total:.12g}, expected 1 within {NEGLIGIBLE:g}")
-        if self.rho11 * self.rho44 - abs(self.rho14) ** 2 < -NEGLIGIBLE:
+        # |z|^2 as re*re + im*im, which overflows to inf where abs(z) ** 2 raises OverflowError
+        if self.rho11 * self.rho44 - (self.rho14.real * self.rho14.real + self.rho14.imag * self.rho14.imag) < -NEGLIGIBLE:
             raise InvalidStateError("positivity violated: rho11*rho44 < |rho14|^2")
-        if self.rho22 * self.rho33 - abs(self.rho23) ** 2 < -NEGLIGIBLE:
+        if self.rho22 * self.rho33 - (self.rho23.real * self.rho23.real + self.rho23.imag * self.rho23.imag) < -NEGLIGIBLE:
             raise InvalidStateError("positivity violated: rho22*rho33 < |rho23|^2")
 
     def closed_form_eigenvalues(self) -> np.ndarray:

@@ -40,6 +40,8 @@ SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
 # Grid points per stacked pass: enough to amortize numpy's per-call overhead,
 # few enough that a pass holds a few megabytes at most.
 CHUNK = 256
+# The largest grid: the result columns take about 96 bytes per point, so about 1 GB.
+MAX_COUNT = 10**7
 
 
 def _finite(value, what: str) -> float:
@@ -86,8 +88,8 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family!r} sweeps one of {FAMILY_PARAMS[self.family]}, got {self.param!r}"
             )
-        if self.count < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.count}")
+        if not 2 <= self.count <= MAX_COUNT:
+            raise ValueError(f"grid needs at least 2 and at most {MAX_COUNT} points, got {self.count}")
         if self.family == "bell_diagonal" and self.bell_diag is None:
             raise ValueError("bell_diagonal sweeps need a base (c1, c2, c3) triple")
         if self.family == "x_state" and self.x_params is None:

@@ -72,8 +72,8 @@ def test_sweep_rows_match_oracle_and_one_state_path(count, data):
         # Bit for bit the same as the one-state path, on either side of every chunk boundary.
         rho = spec.state_at(value)
         report = capacity_gain(rho, e, basis=basis, scheme=spec.scheme, weights=spec.weights)
-        assert row_spectrum.tolist() == rho.spectrum.tolist()
-        assert tuple(row_gains.tolist()) == report.gains
+        assert row_spectrum.tolist() == rho.spectrum.tolist(), kernel_note()
+        assert tuple(row_gains.tolist()) == report.gains, kernel_note()
         assert row_entangled == is_entangled(rho)
 
 
@@ -137,7 +137,7 @@ def test_sweep_result_columns_and_json_bytes():
         assert result.gain(name).tolist() == result.gains[:, k].tolist()
     # The JSON form is byte for byte the one of the list-of-rows engine the columns replaced.
     digest = hashlib.sha256(json.dumps(rows_to_json(result, spec)).encode()).hexdigest()
-    assert digest == "dfd6ddc4a030d6a6ecdc00aee844f0ad8b0f278a1a5dad3038006bd11786f227"
+    assert digest == "dfd6ddc4a030d6a6ecdc00aee844f0ad8b0f278a1a5dad3038006bd11786f227", kernel_note()
 
 
 def assert_writes_json_reference(result, spec):
@@ -256,6 +256,12 @@ def test_branches_are_bitwise_the_stacked_products(stack):
     branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
     branches[flagged] = 0.0
     assert_same_bytes(_branches(matrices, basis), (branches, probabilities, flagged), "the stacked products")
+    # Written into the branch slabs of measure_and_mix's role-major buffer, which are strided: a matmul
+    # that left BLAS for such an output would show here.
+    slabs = np.full((4, len(matrices), 4, 4), np.nan, dtype=complex)[1:3].transpose(1, 0, 2, 3)
+    got = _branches(matrices, basis, out=slabs)
+    assert got[0] is slabs
+    assert_same_bytes(got, (branches, probabilities, flagged), "the stacked products, written into strided slabs")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qbcap import (
     write_csv,
 )
 from qbcap.cli import main
+from qbcap.sweep import MAX_COUNT
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -407,6 +409,9 @@ def test_cli_non_finite_x_state_exit_2(tmp_path, capsys):
          "positivity violated: rho11*rho44 < |rho14|^2"),
         # Malformed: a missing population is named as missing.
         ('{"rho11":0.5,"rho22":0.2,"rho44":0.1}', "malformed x-state payload: missing rho33"),
+        # |rho14|^2 overflows a float: the positivity check fails rather than raising OverflowError.
+        ('{"rho11":0.25,"rho22":0.25,"rho33":0.25,"rho44":0.25,"rho14":[1e308,1e308]}',
+         "positivity violated: rho11*rho44 < |rho14|^2"),
     ],
 )  # fmt: skip
 def test_cli_x_state_errors_name_their_cause(tmp_path, capsys, payload, message):
@@ -488,6 +493,45 @@ def test_json_inputs_take_ints_and_floats():
     assert XStateParams.from_json({"rho11": 1, "rho22": 0, "rho33": 0, "rho44": 0, "rho14": [0, 0.0]}).rho11 == 1.0
     state = {"dim_a": 2, "dim_b": 2, "re": np.diag([1, 0, 0, 0]).tolist(), "im": [[0] * 4] * 4}
     assert DensityMatrix.from_json(state).spectrum.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past Python's recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("sweep --spec", json.dumps({**X_SPEC, "x_state": {**X_QUARTERS, "rho14": [1e308, 1e308]}}),
+         "positivity violated: rho11*rho44 < |rho14|^2"),
+        ("capacity --state", DEEP_JSON, "{path}: JSON nested too deeply to read"),
+        ("capacity --x-state", DEEP_JSON, "{path}: JSON nested too deeply to read"),
+        ("sweep --spec", DEEP_JSON, "{path}: JSON nested too deeply to read"),
+    ],
+    ids=["spec-x-state-overflow", "state-deep", "x-state-deep", "spec-deep"],
+)  # fmt: skip
+def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
+    # A spec's overflowing coherence (see also test_cli_x_state_errors_name_their_cause) or a nesting past
+    # the recursion limit ends in one error line, not a traceback.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    extra = PAIR_FLAGS if command.startswith("capacity") else []
+    code, out, err = run_main([*command.split(), str(path), *extra], capsys)
+    assert (code, out, err) == (2, "", f"qbcap: error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("count", [10**13, MAX_COUNT + 1])
+def test_huge_grid_exits_2_without_allocating_it(capsys, count):
+    argv = ["sweep", "--family", "werner", "--param", "a", "--start", "0", "--stop", "1", "--count", str(count)]
+    tracemalloc.start()
+    try:
+        got = run_main([*argv, *PAIR_FLAGS], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (2, "", f"qbcap: error: grid needs at least 2 and at most {MAX_COUNT} points, got {count}\n")
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    with pytest.raises(ValueError, match="at most"):
+        SweepSpec("werner", "a", 0.0, 1.0, count, PAIR_053)
 
 
 def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
