@@ -36,7 +36,7 @@ ensemble = measure_b(RHO, basis)
 print("state spectrum:", np.round(RHO.spectrum, 4))
 print("outcome probabilities:", [round(p, 4) for p in ensemble.probabilities])
 for k, branch in enumerate(ensemble.branches):
-    print(f"branch {k} (diagonal):", np.round(np.diag(branch.state.matrix).real, 4))
+    print(f"branch {k} (diagonal):", np.round(np.diag(branch).real, 4))
 print()
 
 # Uniform recombination: each branch enters with weight 1/2.

@@ -22,7 +22,6 @@ from .battery import (
 from .errors import InvalidStateError, NumericError, UndefinedAverageError
 from .linalg import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, eigh, haar_unitary
 from .measurement import (
-    Branch,
     CapacityGainReport,
     MeasurementBasis,
     MeasurementEnsemble,

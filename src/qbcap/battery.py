@@ -8,6 +8,7 @@ state spectrum and sorted energy levels, so no optimization is ever run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,13 @@ class Hamiltonian:
         return f"Hamiltonian(dim={self.dim})"
 
 
+# The largest eps_a: pair levels stay within max/4 and capacities within max/2, so each level, capacity and gain is finite.
+MAX_SPLITTING = sys.float_info.max / 8
+
+
 @dataclass(frozen=True)
 class QubitPairEnergies:
-    """Finite level splittings of the two non-interacting qubits, eps_a >= eps_b >= 0."""
+    """Finite level splittings of the two non-interacting qubits, MAX_SPLITTING >= eps_a >= eps_b >= 0."""
 
     eps_a: float
     eps_b: float
@@ -53,6 +58,8 @@ class QubitPairEnergies:
     def __post_init__(self):
         if not (math.isfinite(self.eps_a) and math.isfinite(self.eps_b) and self.eps_a >= self.eps_b >= 0.0):
             raise ValueError(f"require finite eps_a >= eps_b >= 0, got eps_a={self.eps_a}, eps_b={self.eps_b}")
+        if self.eps_a > MAX_SPLITTING:
+            raise ValueError(f"eps_a={self.eps_a} exceeds {MAX_SPLITTING!r}, beyond which capacities overflow")
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending levels of the pair Hamiltonian and of the first qubit's, the protocol's ``levels``."""

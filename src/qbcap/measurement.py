@@ -68,23 +68,29 @@ class MeasurementBasis:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One measurement outcome; ``state`` is None when the probability vanishes."""
-
-    probability: float
-    state: DensityMatrix | None
-
-
-@dataclass(frozen=True)
 class MeasurementEnsemble:
-    """Outcome branches of a projective measurement, in basis order."""
+    """Outcome branches of a projective measurement of one state, in basis order, as ``_branches`` gives them.
 
-    branches: tuple[Branch, ...]
-    basis: MeasurementBasis
+    ``branches`` holds the (n, 4, 4) normalized branch states and ``flagged``
+    the (n,) marks of those below the 1e-12 probability floor, which
+    ``_branches`` leaves as zeros; both are read-only copies. The unflagged
+    branches must pass the ``DensityMatrix`` state check, run once over all
+    of them.
+    """
 
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(b.probability for b in self.branches)
+    branches: np.ndarray
+    probabilities: tuple[float, ...]
+    flagged: np.ndarray
+
+    def __post_init__(self):
+        branches, flagged = np.array(self.branches, dtype=complex), np.array(self.flagged, dtype=bool)
+        n = len(self.probabilities)
+        if branches.shape != (n, 4, 4) or flagged.shape != (n,):
+            raise ValueError(f"branches {branches.shape} and flags {flagged.shape} do not fit {n} probabilities")
+        check_states(branches[~flagged])
+        for name, a in (("branches", branches), ("flagged", flagged)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,15 +121,14 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[
 
 
 def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsemble:
-    """Measure the second subsystem, returning normalized branches and probabilities.
+    """Measure the second subsystem: ``_branches`` on a stack of one, returned as a ``MeasurementEnsemble``.
 
     The probability-weighted branch sum equals the dephasing of the input in
     the measured basis, and the probabilities close to 1; branches below the
     1e-12 probability floor are flagged rather than normalized.
     """
     branches, probabilities, flagged = (a[0] for a in _branches(require_pair(rho).matrix[None], basis))
-    ensemble = zip(branches, probabilities.tolist(), flagged)
-    return MeasurementEnsemble(tuple(Branch(p, None if f else DensityMatrix(b)) for b, p, f in ensemble), basis)
+    return MeasurementEnsemble(branches, tuple(probabilities.tolist()), flagged)
 
 
 def _weight_values(weights) -> tuple[float, ...] | None:
@@ -162,18 +167,12 @@ def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, m
             )
         raise ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
     if flagged.all(axis=1).any():
-        raise ValueError("all branches are flagged; nothing to mix")
+        raise ValueError("no unflagged branch to mix")
     with np.errstate(invalid="ignore"):  # NaN branches of non-finite input, reported by the state screen
         final = np.add(0, branches[:, 0] if mu is None else mu[0] * branches[:, 0], out=out)  # from 0, as sum(): -0.0 becomes 0.0
         for k in range(1, n):
             final += branches[:, k] if mu is None else mu[k] * branches[:, k]
         return final if mu is not None else np.divide(final, n, out=final)
-
-
-def _mix_ensemble(ensemble: MeasurementEnsemble, mu) -> DensityMatrix:
-    states = [[np.zeros((4, 4)) if b.state is None else b.state.matrix for b in ensemble.branches]]
-    flagged = np.array([[b.state is None for b in ensemble.branches]])
-    return DensityMatrix(_mix(np.array(states), np.array([ensemble.probabilities]), flagged, mu)[0])
 
 
 def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
@@ -182,7 +181,7 @@ def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
     Every branch enters with weight 1/n regardless of its probability, so a
     vanishing-probability branch leaves the average undefined.
     """
-    return _mix_ensemble(ensemble, None)
+    return DensityMatrix(_mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], None)[0])
 
 
 def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]) -> DensityMatrix:
@@ -191,7 +190,7 @@ def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]
     Flagged zero-probability branches must carry zero weight. Choosing
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
-    return _mix_ensemble(ensemble, weights)
+    return DensityMatrix(_mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], weights)[0])
 
 
 def _branch_bounds(branches: np.ndarray, defects: np.ndarray, projectors: np.ndarray) -> np.ndarray:

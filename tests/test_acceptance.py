@@ -200,8 +200,8 @@ def test_criterion_8_structural_identities(rng):
         expected0 = np.diag([1 + b3 + a3 + c3, 0.0, 1 + b3 - a3 - c3, 0.0]) / (2.0 * (1 + b3))
         expected1 = np.diag([0.0, 1 - b3 + a3 - c3, 0.0, 1 - b3 - a3 + c3]) / (2.0 * (1 - b3))
         assert abs(xens.probabilities[0] - (1 + b3) / 2.0) <= 1e-11
-        assert np.max(np.abs(xens.branches[0].state.matrix - expected0)) <= 1e-11
-        assert np.max(np.abs(xens.branches[1].state.matrix - expected1)) <= 1e-11
+        assert np.max(np.abs(xens.branches[0] - expected0)) <= 1e-11
+        assert np.max(np.abs(xens.branches[1] - expected1)) <= 1e-11
         branches += 1
 
         assert np.max(np.abs(xrho.spectrum - params.closed_form_eigenvalues())) <= 1e-11

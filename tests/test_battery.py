@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qbcap import (
     subsystem_a_hamiltonian,
     werner,
 )
+from qbcap.battery import MAX_SPLITTING
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -35,6 +38,11 @@ def test_energies_validation():
         with pytest.raises(ValueError, match="finite"):
             QubitPairEnergies(eps_a=eps_a, eps_b=eps_b)
     QubitPairEnergies(eps_a=0.0, eps_b=0.0)
+    # Finite splittings beyond MAX_SPLITTING would overflow the capacities; at it, the largest capacity is max/2.
+    with pytest.raises(ValueError, match="beyond which capacities overflow"):
+        QubitPairEnergies(eps_a=float(np.nextafter(MAX_SPLITTING, np.inf)), eps_b=0.0)
+    edge = QubitPairEnergies(eps_a=MAX_SPLITTING, eps_b=MAX_SPLITTING)
+    assert capacity(pure_state(0), qubit_pair_hamiltonian(edge)) == sys.float_info.max / 2
 
 
 def test_pair_hamiltonian_spectra():

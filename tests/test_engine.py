@@ -15,10 +15,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import classical_quantum, eigh_check_oracle, family_matrix, kernel_note, protocol_oracle, random_density
+from helpers import (
+    classical_quantum,
+    eigh_check_oracle,
+    family_matrix,
+    kernel_note,
+    protocol_oracle,
+    random_density,
+    random_energies,
+    random_rotated_basis,
+)
 
 import qbcap.linalg
-from qbcap import MeasurementBasis, QubitPairEnergies, SweepSpec, XStateParams, capacity_gain, is_entangled, run_sweep
+from qbcap import (
+    MeasurementBasis,
+    QubitPairEnergies,
+    SweepSpec,
+    XStateParams,
+    capacity,
+    capacity_gain,
+    final_state_uniform,
+    final_state_weighted,
+    is_entangled,
+    measure_b,
+    qubit_pair_hamiltonian,
+    run_sweep,
+    subsystem_a_hamiltonian,
+)
 from qbcap.measurement import GAIN_FIELDS, _branches, _mix, measure_and_mix
 from qbcap.states import reduce_a
 from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
@@ -75,6 +98,23 @@ def test_sweep_rows_match_oracle_and_one_state_path(count, data):
         assert row_spectrum.tolist() == rho.spectrum.tolist(), kernel_note()
         assert tuple(row_gains.tolist()) == report.gains, kernel_note()
         assert row_entangled == is_entangled(rho)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "weighted"])
+@pytest.mark.parametrize("rotated", [False, True], ids=["computational", "rotated"])
+def test_public_stages_are_the_engine_arithmetic(rng, rotated, scheme):
+    # measure_b, final_state_* and capacity, called one by one, give capacity_gain's four capacities bit for bit.
+    for _ in range(50):
+        rho, energies = random_density(rng), random_energies(rng)
+        basis = random_rotated_basis(rng) if rotated else MeasurementBasis.computational()
+        mu0 = float(rng.uniform())
+        weights = None if scheme == "uniform" else (mu0, 1.0 - mu0)
+        ensemble = measure_b(rho, basis)
+        final = final_state_uniform(ensemble) if weights is None else final_state_weighted(ensemble, weights)
+        h, h_a = qubit_pair_hamiltonian(energies), subsystem_a_hamiltonian(energies)
+        staged = (capacity(rho, h), capacity(final, h), capacity(rho.reduced_a(), h_a), capacity(final.reduced_a(), h_a))
+        report = capacity_gain(rho, energies, basis, scheme, weights)
+        assert staged == report.gains[:4], kernel_note()
 
 
 def test_sweep_memory_is_bounded_by_the_chunk():

@@ -13,7 +13,6 @@ from helpers import (
 )
 
 from qbcap import (
-    Branch,
     DensityMatrix,
     InvalidStateError,
     NumericError,
@@ -31,7 +30,9 @@ from qbcap import (
     werner,
     x_state,
 )
-from qbcap.measurement import _branch_bounds, measure_and_mix
+import qbcap.measurement
+from qbcap.measurement import _branch_bounds, _branches, measure_and_mix
+from qbcap.states import check_states
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -83,8 +84,8 @@ def test_measure_bell_diagonal_branches(rng):
         assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
         expected0 = np.diag([1.0 + c3, 0.0, 1.0 - c3, 0.0]) / 2.0
         expected1 = np.diag([0.0, 1.0 - c3, 0.0, 1.0 + c3]) / 2.0
-        np.testing.assert_allclose(ensemble.branches[0].state.matrix, expected0, atol=1e-11)
-        np.testing.assert_allclose(ensemble.branches[1].state.matrix, expected1, atol=1e-11)
+        np.testing.assert_allclose(ensemble.branches[0], expected0, atol=1e-11)
+        np.testing.assert_allclose(ensemble.branches[1], expected1, atol=1e-11)
 
 
 def test_measure_x_state_branches(rng):
@@ -100,8 +101,8 @@ def test_measure_x_state_branches(rng):
         assert abs(ensemble.probabilities[1] - (1.0 - b3) / 2.0) < 1e-11
         expected0 = np.diag([1.0 + b3 + a3 + c3, 0.0, 1.0 + b3 - a3 - c3, 0.0]) / (2.0 * (1.0 + b3))
         expected1 = np.diag([0.0, 1.0 - b3 + a3 - c3, 0.0, 1.0 - b3 - a3 + c3]) / (2.0 * (1.0 - b3))
-        np.testing.assert_allclose(ensemble.branches[0].state.matrix, expected0, atol=1e-11)
-        np.testing.assert_allclose(ensemble.branches[1].state.matrix, expected1, atol=1e-11)
+        np.testing.assert_allclose(ensemble.branches[0], expected0, atol=1e-11)
+        np.testing.assert_allclose(ensemble.branches[1], expected1, atol=1e-11)
 
 
 def test_measure_probability_closure(rng):
@@ -120,15 +121,65 @@ def test_measure_reproduces_dephasing(rng):
         for proj in basis.projectors:
             op = np.kron(np.eye(2), proj)
             dephased += op @ rho.matrix @ op
-        weighted = sum(b.probability * b.state.matrix for b in ensemble.branches)
+        weighted = sum(p * b for p, b in zip(ensemble.probabilities, ensemble.branches))
         np.testing.assert_allclose(weighted, dephased, atol=1e-11)
 
 
 def test_measure_flags_zero_probability_branch(rng):
     ensemble = measure_b(product_with_b_ground(rng), MeasurementBasis.computational())
-    assert ensemble.branches[0].state is not None
+    assert not ensemble.flagged[0]
     assert abs(ensemble.probabilities[0] - 1.0) < 1e-12
-    assert ensemble.branches[1].state is None
+    assert ensemble.flagged[1]
+
+
+def test_measure_returns_the_engine_branch_record(rng):
+    # measure_b is _branches on a stack of one: the same bits and flags, probabilities as Python floats, arrays
+    # read-only; a flagged branch holds zeros.
+    for _ in range(20):
+        rho, basis = random_density(rng), random_rotated_basis(rng)
+        ensemble = measure_b(rho, basis)
+        branches, probabilities, flagged = (a[0] for a in _branches(rho.matrix[None], basis))
+        assert ensemble.branches.tobytes() == branches.tobytes()
+        assert ensemble.probabilities == tuple(probabilities.tolist())
+        assert all(type(p) is float for p in ensemble.probabilities)
+        assert ensemble.flagged.tolist() == flagged.tolist()
+        assert not ensemble.branches.flags.writeable and not ensemble.flagged.flags.writeable
+    assert not measure_b(product_with_b_ground(rng), MeasurementBasis.computational()).branches[1].any()
+
+
+def test_measure_checks_its_branches_in_one_stacked_call(monkeypatch):
+    shapes = []
+    monkeypatch.setattr(qbcap.measurement, "check_states", lambda m: shapes.append(m.shape) or check_states(m))
+    measure_b(werner(0.4), MeasurementBasis.rotated(0.9, 2.1))
+    assert shapes == [(2, 4, 4)]
+
+
+def test_hand_built_ensemble_is_checked_as_density_matrices():
+    # The unflagged branches of a hand-built record pass the DensityMatrix check, with its messages; the
+    # arrays must fit the probabilities.
+    negative, off_trace, skew = np.diag([1.5, -0.5, 0.0, 0.0]), np.eye(4) / 2.0, np.triu(np.ones((4, 4))) / 4.0
+    for bad in (negative, off_trace, skew, np.diag([np.nan, 1.0, 0.0, 0.0])):
+        with pytest.raises(InvalidStateError) as want:
+            DensityMatrix(bad)
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(str(want.value))}$"):
+            MeasurementEnsemble(np.array([werner(0.3).matrix, bad]), (0.5, 0.5), np.array([False, False]))
+    with pytest.raises(ValueError, match=r"^branches \(2, 4, 4\) and flags \(3,\) do not fit 2 probabilities$"):
+        MeasurementEnsemble(np.zeros((2, 4, 4)), (0.5, 0.5), np.zeros(3, dtype=bool))
+
+
+def test_ensembles_without_an_unflagged_branch_do_not_mix():
+    # With no branch the mix has nothing to add; with all branches flagged the average or weight rule
+    # raises first.
+    empty = MeasurementEnsemble(np.zeros((0, 4, 4)), (), np.zeros(0, dtype=bool))
+    with pytest.raises(ValueError, match="^no unflagged branch to mix$"):
+        final_state_uniform(empty)
+    with pytest.raises(ValueError, match="^weights sum to 0, expected 1 within 1e-12$"):
+        final_state_weighted(empty, ())
+    flagged = MeasurementEnsemble(np.zeros((2, 4, 4)), (0.0, 0.0), np.ones(2, dtype=bool))
+    with pytest.raises(UndefinedAverageError, match="^branch 0 has probability 0.000e\\+00; the unweighted average"):
+        final_state_uniform(flagged)
+    with pytest.raises(ValueError, match="^weight mu_0 = 1 assigned to a branch with probability 0.000e\\+00$"):
+        final_state_weighted(flagged, (1.0, 0.0))
 
 
 def test_measure_dimension_mismatch(rng):
@@ -162,10 +213,7 @@ def test_uniform_final_state_example2():
 
 def test_uniform_average_of_identical_branches():
     state = werner(0.3)
-    ensemble = MeasurementEnsemble(
-        branches=(Branch(0.5, state), Branch(0.5, state)),
-        basis=MeasurementBasis.computational(),
-    )
+    ensemble = MeasurementEnsemble(np.array([state.matrix, state.matrix]), (0.5, 0.5), np.array([False, False]))
     np.testing.assert_allclose(final_state_uniform(ensemble).matrix, state.matrix, atol=1e-15)
 
 
@@ -240,7 +288,7 @@ def test_weighted_validation(rng):
     with pytest.raises(ValueError, match="mu_1"):
         final_state_weighted(flagged, (0.4, 0.6))
     np.testing.assert_allclose(
-        final_state_weighted(flagged, (1.0, 0.0)).matrix, flagged.branches[0].state.matrix, atol=1e-12
+        final_state_weighted(flagged, (1.0, 0.0)).matrix, flagged.branches[0], atol=1e-12
     )
 
 

@@ -25,6 +25,7 @@ from qbcap import (
     werner,
     write_csv,
 )
+from qbcap.battery import MAX_SPLITTING
 from qbcap.cli import main
 from qbcap.sweep import MAX_COUNT
 
@@ -496,6 +497,11 @@ def test_json_inputs_take_ints_and_floats():
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past Python's recursion limit
+NOT_A_PAIR = "matrix shape {} is neither a qubit (2, 2) nor a qubit pair (4, 4)"
+
+
+def _state_text(entries):
+    return json.dumps({"dim_a": 2, "dim_b": 2, "re": entries, "im": entries})
 
 
 @pytest.mark.parametrize(
@@ -506,17 +512,70 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past Python's recursion limi
         ("capacity --state", DEEP_JSON, "{path}: JSON nested too deeply to read"),
         ("capacity --x-state", DEEP_JSON, "{path}: JSON nested too deeply to read"),
         ("sweep --spec", DEEP_JSON, "{path}: JSON nested too deeply to read"),
+        ("capacity --state", _state_text([]), NOT_A_PAIR.format("(0,)")),
+        ("capacity --state", _state_text(0.5), NOT_A_PAIR.format("()")),
+        ("capacity --state", _state_text(np.eye(3).tolist()), NOT_A_PAIR.format("(3, 3)")),
+        ("capacity --state", _state_text([[[1, 0], [0, 0]]]), NOT_A_PAIR.format("(1, 2, 2)")),
+        ("capacity --state", _state_text([[1, 0], [0]]), "malformed density-matrix payload: re entry must be a number, got [1, 0]"),
     ],
-    ids=["spec-x-state-overflow", "state-deep", "x-state-deep", "spec-deep"],
+    ids=["spec-x-state-overflow", "state-deep", "x-state-deep", "spec-deep",
+         "state-empty", "state-scalar", "state-3x3", "state-3d", "state-ragged"],
 )  # fmt: skip
 def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
-    # A spec's overflowing coherence (see also test_cli_x_state_errors_name_their_cause) or a nesting past
-    # the recursion limit ends in one error line, not a traceback.
+    # A spec's overflowing coherence (see also test_cli_x_state_errors_name_their_cause), a nesting past
+    # the recursion limit or a state matrix of the wrong shape ends in one error line, not a traceback.
     path = tmp_path / "input.json"
     path.write_text(text)
     extra = PAIR_FLAGS if command.startswith("capacity") else []
     code, out, err = run_main([*command.split(), str(path), *extra], capsys)
     assert (code, out, err) == (2, "", f"qbcap: error: {message.format(path=path)}\n")
+
+
+def test_equal_splittings_run(capsys):
+    code, out, err = run_main(["capacity", "--werner", "0.5", "--eps-a", "0.5", "--eps-b", "0.5"], capsys)
+    assert (code, out, err) == (0, "c_total: 1\nc_subsystem_a: 0\nspectrum: 0.125 0.125 0.125 0.625\nentangled: true\n", "")
+
+
+HUGE_SPLITTINGS = ["--eps-a", "0.8e308", "--eps-b", "0.7e308"]
+WERNER_SWEEP = ["sweep", "--family", "werner", "--param", "a", "--start", "0", "--stop", "1", "--count", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--werner", "0.9", *HUGE_SPLITTINGS, "--format", "json"],
+        ["measure", "--werner", "0.9", *HUGE_SPLITTINGS, "--format", "json"],
+        [*WERNER_SWEEP, *HUGE_SPLITTINGS],
+        [*WERNER_SWEEP, *HUGE_SPLITTINGS, "--format", "json"],
+    ],
+    ids=["capacity", "measure", "sweep-csv", "sweep-json"],
+)
+def test_overflowing_splittings_exit_2(argv):
+    # Finite splittings whose capacities would overflow are refused up front, with no numpy warning.
+    proc = run_cli(*argv)
+    message = f"qbcap: error: eps_a=8e+307 exceeds {MAX_SPLITTING!r}, beyond which capacities overflow\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--werner", "1"],
+        ["measure", "--werner", "1", "--basis", "rotated", "0.9", "2.1", "--scheme", "weighted", "0.9", "0.1"],
+        WERNER_SWEEP,
+    ],
+    ids=["capacity", "measure", "sweep"],
+)
+def test_splittings_at_the_bound_give_finite_numbers(argv):
+    edge = repr(MAX_SPLITTING)
+    proc = run_cli(*argv, "--eps-a", edge, "--eps-b", edge, "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def refuse(constant):
+        raise AssertionError(f"non-finite {constant} in the output")
+
+    numbers = json.dumps(json.loads(proc.stdout, parse_constant=refuse))
+    assert "e+307" in numbers
 
 
 @pytest.mark.parametrize("count", [10**13, MAX_COUNT + 1])
