@@ -42,7 +42,7 @@ from .states import (
     x_state,
 )
 from .sweep import SweepResult, SweepSpec, figure_preset, rows_to_json, run_sweep, write_csv, write_json
-from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, set_validation_tol, validation_tol
+from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL
 
 __version__ = "0.1.0"
 

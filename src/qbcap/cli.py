@@ -1,8 +1,9 @@
 """Command-line interface: capacity, measure, and sweep subcommands.
 
 Exit codes: 0 success, 2 invalid state or sweep specification, 64 usage
-error, 74 I/O failure. The QBCAP_TOL environment variable overrides the
-state-validation tolerance (default 1e-10).
+error, 74 I/O failure. ``main`` reads the validation tolerance of the call
+(default 1e-10, see ``tolerances``) from the QBCAP_TOL environment variable
+and passes it down; a value that is not a number in (0, 1) exits 64.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import NumericError
 from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
 from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
 from .sweep import FAMILY_PARAMS, PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, run_sweep, write_csv, write_json
-from .tolerances import set_validation_tol, validation_tol
+from .tolerances import VALIDATION_TOL, checked_tol
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -114,16 +115,16 @@ def _read_json(path: str) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _state_from_args(args) -> DensityMatrix:
+def _state_from_args(args, tol: float) -> DensityMatrix:
     if args.werner is not None:
-        return werner(args.werner)
+        return werner(args.werner, tol)
     if args.bell_diag is not None:
-        return bell_diagonal(*args.bell_diag)
+        return bell_diagonal(*args.bell_diag, tol)
     if args.x_state is not None:
-        return x_state(XStateParams.from_json(_read_json(args.x_state)))
+        return x_state(XStateParams.from_json(_read_json(args.x_state)), tol)
     if args.example2 is not None:
-        return example2(args.example2)
-    return DensityMatrix.from_json(_read_json(args.state))
+        return example2(args.example2, tol)
+    return DensityMatrix.from_json(_read_json(args.state), tol)
 
 
 def _parse_scheme(tokens: list[str], parser: _Parser) -> tuple[str, tuple[float, ...] | None]:
@@ -168,8 +169,8 @@ def _render(fmt: str | None, data: dict, cells: dict[str, str], lines: dict[str,
     return "".join(f"{name}: {value}\n" for name, value in lines.items())
 
 
-def cmd_capacity(args, parser: _Parser) -> int:
-    rho = _state_from_args(args)
+def cmd_capacity(args, parser: _Parser, tol: float) -> int:
+    rho = _state_from_args(args, tol)
     energies = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b)
     c_total = capacity(rho, qubit_pair_hamiltonian(energies))
     c_a = capacity(rho.reduced_a(), subsystem_a_hamiltonian(energies))
@@ -188,8 +189,8 @@ def cmd_capacity(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args, parser: _Parser) -> int:
-    rho = _state_from_args(args)
+def cmd_measure(args, parser: _Parser, tol: float) -> int:
+    rho = _state_from_args(args, tol)
     energies = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b)
     scheme, weights = _parse_scheme(args.scheme, parser)
     basis = MeasurementBasis(_parse_basis(args.basis, parser))
@@ -232,9 +233,9 @@ def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
     return SweepSpec.from_mapping(data)
 
 
-def cmd_sweep(args, parser: _Parser) -> int:
+def cmd_sweep(args, parser: _Parser, tol: float) -> int:
     spec = _sweep_spec_from_args(args, parser)
-    result = run_sweep(spec)  # before the output file is opened, so that a failing sweep leaves none
+    result = run_sweep(spec, tol)  # before the output file is opened, so that a failing sweep leaves none
     write = write_json if args.format == "json" else write_csv
     _emit(lambda stream: write(result, spec, stream), args.out)
     return EXIT_OK
@@ -243,24 +244,20 @@ def cmd_sweep(args, parser: _Parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous_tol = validation_tol()
+    raw_tol = os.environ.get("QBCAP_TOL")
     try:
-        raw_tol = os.environ.get("QBCAP_TOL")
-        if raw_tol:
-            try:
-                set_validation_tol(float(raw_tol))
-            except ValueError as exc:
-                print(f"qbcap: error: invalid QBCAP_TOL: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        return args.func(args, parser)
+        tol = checked_tol(float(raw_tol)) if raw_tol else VALIDATION_TOL
+    except ValueError as exc:
+        print(f"qbcap: error: invalid QBCAP_TOL: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        return args.func(args, parser, tol)
     except (ValueError, NumericError) as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        set_validation_tol(previous_tol)
 
 
 if __name__ == "__main__":

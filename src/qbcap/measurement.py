@@ -24,7 +24,7 @@ from .battery import QubitPairEnergies, capacities
 from .errors import NumericError, UndefinedAverageError
 from .linalg import IDENTITY_2, eigh
 from .states import DensityMatrix, check_states, json_number, reduce_a, require_pair, screen_states
-from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, ZERO_PROBABILITY, validation_tol
+from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
 
 
 class MeasurementBasis:
@@ -74,30 +74,32 @@ class MeasurementEnsemble:
     ``branches`` holds the (n, 4, 4) normalized branch states and ``flagged``
     the (n,) marks of those below the 1e-12 probability floor, which
     ``_branches`` leaves as zeros; both are read-only copies. The unflagged
-    branches must pass the ``DensityMatrix`` state check, run once over all
-    of them.
+    branches must pass the ``DensityMatrix`` state check at ``tol``, run once
+    over all of them; the states mixed from them are checked at it too.
     """
 
     branches: np.ndarray
     probabilities: tuple[float, ...]
     flagged: np.ndarray
+    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
+        object.__setattr__(self, "tol", checked_tol(self.tol))
         branches, flagged = np.array(self.branches, dtype=complex), np.array(self.flagged, dtype=bool)
         n = len(self.probabilities)
         if branches.shape != (n, 4, 4) or flagged.shape != (n,):
             raise ValueError(f"branches {branches.shape} and flags {flagged.shape} do not fit {n} probabilities")
-        check_states(branches[~flagged])
+        check_states(branches[~flagged], self.tol)
         for name, a in (("branches", branches), ("flagged", flagged)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
-def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _branches(matrices: np.ndarray, basis: MeasurementBasis, tol, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome branches (N, 2, 4, 4) of a stack of pair matrices, their probabilities and zero-probability flags.
 
     Branches below the 1e-12 probability floor are flagged and set to zero instead of normalized, in ``out``
-    if given (complex, each 4x4 contiguous); probabilities must close to 1 for every matrix.
+    if given (complex, each 4x4 contiguous); probabilities must close to 1 within ``tol`` for every matrix.
     """
     n = len(matrices)
     ops = basis.operators
@@ -110,7 +112,7 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[
         branches = np.matmul(left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3), ops, out=out)
         probabilities = np.trace(branches, axis1=-2, axis2=-1).real
         total = probabilities.sum(axis=1)
-        unclosed = np.abs(total - 1.0) > validation_tol()
+        unclosed = np.abs(total - 1.0) > tol
         if unclosed.any():
             raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
         flagged = probabilities < ZERO_PROBABILITY
@@ -125,10 +127,10 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
 
     The probability-weighted branch sum equals the dephasing of the input in
     the measured basis, and the probabilities close to 1; branches below the
-    1e-12 probability floor are flagged rather than normalized.
+    1e-12 probability floor are flagged rather than normalized; all at ``rho.tol``.
     """
-    branches, probabilities, flagged = (a[0] for a in _branches(require_pair(rho).matrix[None], basis))
-    return MeasurementEnsemble(branches, tuple(probabilities.tolist()), flagged)
+    branches, probabilities, flagged = (a[0] for a in _branches(require_pair(rho).matrix[None], basis, rho.tol))
+    return MeasurementEnsemble(branches, tuple(probabilities.tolist()), flagged, rho.tol)
 
 
 def _weight_values(weights) -> tuple[float, ...] | None:
@@ -181,7 +183,8 @@ def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
     Every branch enters with weight 1/n regardless of its probability, so a
     vanishing-probability branch leaves the average undefined.
     """
-    return DensityMatrix(_mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], None)[0])
+    final = _mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], None)[0]
+    return DensityMatrix(final, ensemble.tol)
 
 
 def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]) -> DensityMatrix:
@@ -190,7 +193,8 @@ def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]
     Flagged zero-probability branches must carry zero weight. Choosing
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
-    return DensityMatrix(_mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], weights)[0])
+    final = _mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], weights)[0]
+    return DensityMatrix(final, ensemble.tol)
 
 
 def _branch_bounds(branches: np.ndarray, defects: np.ndarray, projectors: np.ndarray) -> np.ndarray:
@@ -217,11 +221,12 @@ def _branch_bounds(branches: np.ndarray, defects: np.ndarray, projectors: np.nda
     return np.minimum(lowest, 0.0) - 4.0 * residue
 
 
-def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels) -> tuple[np.ndarray, np.ndarray]:
+def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
     """The protocol on an (N, 4, 4) stack of pair matrices: their spectra (N, 4) and gains (N, 6).
 
     ``weights`` are numbers, or None for the uniform scheme; ``levels`` are the
-    ascending pair and first-qubit levels. Gains come in ``GAIN_FIELDS`` order.
+    ascending pair and first-qubit levels; ``tol`` is the validation tolerance.
+    Gains come in ``GAIN_FIELDS`` order.
     Input, branch and final matrices are written into one buffer, in that role
     order, and read point-major: one stacked ``screen_states``, then ``eigh`` of
     the input and final matrices and the product check of the branches
@@ -233,11 +238,11 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
     """
     stack = np.empty((4, len(matrices), 4, 4), dtype=complex).transpose(1, 0, 2, 3)
     stack[:, 0] = matrices
-    _, probabilities, flagged = _branches(matrices, basis, out=stack[:, 1:3])
+    _, probabilities, flagged = _branches(matrices, basis, tol, out=stack[:, 1:3])
     _mix(stack[:, 1:3], probabilities, flagged, weights, out=stack[:, 3])
     if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
         np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
-    off, defects, verdict = screen_states(stack)
+    off, defects, verdict = screen_states(stack, tol)
     if off.any():  # a matrix that failed the screen raises its own error in verdict; a valid state stands in for it
         stand_ins = np.concatenate([np.eye(4)[None] / 4.0, basis.operators / 2.0, np.eye(4)[None] / 4.0])
         np.copyto(stack, stand_ins, where=off[..., None, None])  # in place: nothing reads the failed matrices again
@@ -247,7 +252,7 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
     verdict(np.concatenate([values[:, :1, 0], bounds, values[:, 1:, 0]], axis=1))
     spectra = np.maximum(values, 0.0)
     total = capacities(spectra, levels[0])
-    first = capacities(check_states(reduce_a(stack[:, ::3]))[0], levels[1])
+    first = capacities(check_states(reduce_a(stack[:, ::3]), tol)[0], levels[1])
     return spectra[:, 0], np.column_stack([total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]])
 
 
@@ -308,7 +313,7 @@ def capacity_gain(
     Parameters
     ----------
     rho : DensityMatrix
-        Two-qubit input state.
+        Two-qubit input state; every derived state is checked at ``rho.tol``.
     energies : QubitPairEnergies
         Level splittings defining the pair and single-qubit Hamiltonians.
     basis : MeasurementBasis, optional
@@ -323,5 +328,5 @@ def capacity_gain(
     check_scheme(scheme, weights)
     mu = _weight_values(weights)
     basis = basis or MeasurementBasis.computational()
-    _, gains = measure_and_mix(rho.matrix[None], basis, mu, energies.levels())
+    _, gains = measure_and_mix(rho.matrix[None], basis, mu, energies.levels(), rho.tol)
     return CapacityGainReport(*gains[0].tolist(), scheme, mu)

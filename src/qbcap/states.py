@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NumericError
 from .linalg import IDENTITY_2, PAULIS, SIGMA_3, eigh
-from .tolerances import NEGLIGIBLE, PPT_NEG_TOL, RECONSTRUCTION_TOL, validation_tol
+from .tolerances import NEGLIGIBLE, PPT_NEG_TOL, RECONSTRUCTION_TOL, VALIDATION_TOL, checked_tol
 
 
 def json_number(value, what: str) -> float:
@@ -37,17 +37,16 @@ def _mirrored_pairs(d: int) -> np.ndarray:
     return np.concatenate([i * d + j, j * d + i])
 
 
-def screen_states(matrices: np.ndarray):
-    """The finite, Hermiticity and unit-trace pass of the state check over a stack of matrices.
+def screen_states(matrices: np.ndarray, tol: float):
+    """The finite, Hermiticity and unit-trace pass of the state check, at validation tolerance ``tol``, over a stack.
 
     Returns the mask of the matrices that fail it, their Hermiticity defects
     max |m - m^dagger| and ``verdict(lowest)``. Given the lowest eigenvalue of
     every matrix, or a lower bound on it (any value where the mask is set),
     ``verdict`` raises the error of the first failing matrix in stack order:
-    non-finite, non-Hermitian or off unit trace beyond the validation
-    tolerance, else an eigenvalue below minus the tolerance.
+    non-finite, non-Hermitian or off unit trace beyond ``tol``, else an
+    eigenvalue below minus ``tol``.
     """
-    tol = validation_tol()
     # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it; it is
     # NaN or infinite exactly when some entry of m is
     d = matrices.shape[-1]
@@ -76,16 +75,16 @@ def screen_states(matrices: np.ndarray):
     return off, defect, verdict
 
 
-def check_states(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of density matrices; return their ascending spectra and eigenvectors.
 
     Each matrix must pass ``screen_states``, meet the eigendecomposition bound
-    and have no eigenvalue below minus the validation tolerance; round-off
+    and have no eigenvalue below minus ``tol``; round-off
     negatives above it are clamped to zero. Of several failing matrices the
     first in stack order raises, save that a missed eigendecomposition bound
     raises ahead of all.
     """
-    off, _, verdict = screen_states(matrices)
+    off, _, verdict = screen_states(matrices, tol)
     if off.any():  # keep failed matrices out of eigh, so that they raise their own error below
         d = matrices.shape[-1]
         matrices = np.where(off[..., None, None], np.eye(d) / d, matrices)
@@ -103,16 +102,17 @@ def reduce_a(matrices: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace qubit (2x2) or qubit-pair (4x4) matrix.
 
-    The ascending eigenvalue list is computed once at construction and cached
-    as ``spectrum``; round-off negatives above minus the validation tolerance
-    are clamped to zero.
+    Checked at validation tolerance ``tol``, kept as ``tol`` for the states
+    derived from it. The ascending eigenvalue list is computed once and cached
+    as ``spectrum``; round-off negatives above minus ``tol`` are clamped to zero.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, tol: float = VALIDATION_TOL):
+        self.tol = checked_tol(tol)
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"matrix shape {matrix.shape} is neither a qubit (2, 2) nor a qubit pair (4, 4)")
-        values, vectors = check_states(matrix[None])
+        values, vectors = check_states(matrix[None], self.tol)
         values.setflags(write=False)
         matrix.setflags(write=False)
         self.matrix, self.spectrum, self.eigenvectors = matrix, values[0], vectors[0]
@@ -122,8 +122,8 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def reduced_a(self) -> "DensityMatrix":
-        """State of the first qubit after tracing out the second."""
-        return DensityMatrix(reduce_a(require_pair(self).matrix))
+        """State of the first qubit after tracing out the second, checked at ``self.tol``."""
+        return DensityMatrix(reduce_a(require_pair(self).matrix), self.tol)
 
     def to_json(self) -> dict:
         """Serializable form of a qubit pair: dimensions plus row-major real and imaginary parts."""
@@ -131,7 +131,7 @@ class DensityMatrix:
         return {"dim_a": 2, "dim_b": 2, "re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "DensityMatrix":
+    def from_json(cls, data: dict, tol: float = VALIDATION_TOL) -> "DensityMatrix":
         """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a ``json_number``.
 
         A payload that is not an object, lacks a key, has an unknown key or
@@ -154,7 +154,7 @@ class DensityMatrix:
                 raise InvalidStateError(f"{key} must be the integer 2, got {dim!r}")
         if re.shape != im.shape:
             raise InvalidStateError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-        return require_pair(cls(re + 1j * im))
+        return require_pair(cls(re + 1j * im, tol))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -179,13 +179,12 @@ SINGLET = np.outer(_SINGLET_VECTOR, _SINGLET_VECTOR.conj())
 PAULI_PAIRS = tuple(np.kron(p, p) for p in PAULIS)
 
 
-def bell_diagonal_matrices(triples: np.ndarray) -> np.ndarray:
+def bell_diagonal_matrices(triples: np.ndarray, tol: float) -> np.ndarray:
     """States (I + c1 s1xs1 + c2 s2xs2 + c3 s3xs3) / 4 for an (N, 3) array of triples.
 
     A triple is admissible exactly when all four closed-form eigenvalues
-    (1 -+ c1 -+ c2 -+ c3)/4, with an odd number of minus signs, lie in [0, 1].
+    (1 -+ c1 -+ c2 -+ c3)/4, with an odd number of minus signs, lie in [0, 1] within ``tol``.
     """
-    tol = validation_tol()
     c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
     lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
     lams = np.stack(lams, axis=1).reshape(-1, 4)
@@ -197,9 +196,9 @@ def bell_diagonal_matrices(triples: np.ndarray) -> np.ndarray:
     return 0.25 * (np.eye(4, dtype=complex) + c1 * PAULI_PAIRS[0] + c2 * PAULI_PAIRS[1] + c3 * PAULI_PAIRS[2])
 
 
-def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
+def bell_diagonal(c1: float, c2: float, c3: float, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Two-qubit state (I + c1 s1xs1 + c2 s2xs2 + c3 s3xs3) / 4; see ``bell_diagonal_matrices``."""
-    return DensityMatrix(bell_diagonal_matrices(np.array([[c1, c2, c3]], dtype=float))[0])
+    return DensityMatrix(bell_diagonal_matrices(np.array([[c1, c2, c3]], dtype=float), checked_tol(tol))[0], tol)
 
 
 def werner_matrices(a: np.ndarray) -> np.ndarray:
@@ -209,9 +208,9 @@ def werner_matrices(a: np.ndarray) -> np.ndarray:
     return a * SINGLET + (1.0 - a) / 4.0 * np.eye(4, dtype=complex)
 
 
-def werner(a: float) -> DensityMatrix:
+def werner(a: float, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Singlet fraction a of the singlet projector plus (1 - a)/4 of the identity."""
-    return DensityMatrix(werner_matrices(np.array([a], dtype=float))[0])
+    return DensityMatrix(werner_matrices(np.array([a], dtype=float))[0], tol)
 
 
 POPULATIONS = ("rho11", "rho22", "rho33", "rho44")
@@ -302,9 +301,9 @@ def x_state_matrices(params: XStateParams, rho14: np.ndarray, rho23: np.ndarray)
     return m
 
 
-def x_state(params: XStateParams) -> DensityMatrix:
+def x_state(params: XStateParams, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Density matrix with the X sparsity pattern described by ``params``."""
-    return DensityMatrix(x_state_matrices(params, np.array([params.rho14]), np.array([params.rho23]))[0])
+    return DensityMatrix(x_state_matrices(params, np.array([params.rho14]), np.array([params.rho23]))[0], tol)
 
 
 def example2_matrices(x: np.ndarray) -> np.ndarray:
@@ -317,14 +316,14 @@ def example2_matrices(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def example2(x: float) -> DensityMatrix:
+def example2(x: float, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Rank-3 X-shaped mixture of |00>, the symmetric Bell state, and |11>.
 
     The state is ((1-x)|00><00| + 2|psi+><psi+| + x|11><11|) / 3 with
     |psi+> = (|01> + |10>)/sqrt(2) and x in [0, 1/2]; its eigenvalues are
     0, x/3, (1-x)/3 and 2/3.
     """
-    return DensityMatrix(example2_matrices(np.array([x], dtype=float))[0])
+    return DensityMatrix(example2_matrices(np.array([x], dtype=float))[0], tol)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .errors import InvalidStateError
 from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix
 from .states import DensityMatrix, XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
 from .states import json_number, require_within, werner_matrices, x_state_matrices
+from .tolerances import VALIDATION_TOL, checked_tol
 
 # The families and the parameters each sweeps, in the order `sweep --help` lists them.
 FAMILY_PARAMS = {
@@ -152,8 +153,8 @@ class SweepSpec:
         """Evenly spaced parameter values, endpoints included."""
         return np.linspace(self.start, self.stop, self.count)
 
-    def matrices(self, values: np.ndarray) -> np.ndarray:
-        """The family's (N, 4, 4) matrices at the grid ``values``; each family checks its domain."""
+    def matrices(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """The family's (N, 4, 4) matrices at the grid ``values``; each family checks its domain, Bell triples at ``tol``."""
         if self.family == "werner":
             return werner_matrices(values)
         if self.family == "example2":
@@ -161,14 +162,14 @@ class SweepSpec:
         if self.family == "bell_diagonal":
             triples = np.tile(np.array(self.bell_diag, dtype=float), (len(values), 1))
             triples[:, FAMILY_PARAMS["bell_diagonal"].index(self.param)] = values
-            return bell_diagonal_matrices(triples)
+            return bell_diagonal_matrices(triples, tol)
         require_within(values, 0.0, 1.0, lambda v: InvalidStateError(f"coherence_scale must lie in [0, 1], got {v:.12g}"))
         base = self.x_params
         return x_state_matrices(base, base.rho14 * values, base.rho23 * values)
 
     def state_at(self, value: float) -> DensityMatrix:
         """State of the family at one grid point."""
-        return DensityMatrix(self.matrices(np.array([value], dtype=float))[0])
+        return DensityMatrix(self.matrices(np.array([value], dtype=float), VALIDATION_TOL)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,16 +214,18 @@ def figure_preset(name: str) -> SweepSpec:
     return SweepSpec.from_mapping(PRESETS[name])
 
 
-def _chunk(spec: SweepSpec, values: np.ndarray, basis: MeasurementBasis, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    matrices = spec.matrices(values)
-    return (*measure_and_mix(matrices, basis, spec.weights, levels), ppt_entangled(matrices))
+def _chunk(spec: SweepSpec, values: np.ndarray, basis: MeasurementBasis, levels, tol) -> tuple[np.ndarray, ...]:
+    matrices = spec.matrices(values, tol)
+    return (*measure_and_mix(matrices, basis, spec.weights, levels, tol), ppt_entangled(matrices))
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
+def run_sweep(spec: SweepSpec, tol: float = VALIDATION_TOL) -> SweepResult:
     """Evaluate the protocol on every grid point, in grid order, ``CHUNK`` points per stacked pass.
 
-    A failing chunk is run again point by point, to raise the first failing point's error.
+    Every state is checked at validation tolerance ``tol``. A failing chunk is run again point by point, to raise
+    the first failing point's error.
     """
+    tol = checked_tol(tol)
     basis = MeasurementBasis(spec.basis_angles)
     levels = spec.energies.levels()
     grid = spec.grid()
@@ -231,10 +234,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for start in range(0, n, CHUNK):
         block = slice(start, start + CHUNK)
         try:
-            result.spectra[block], result.gains[block], result.entangled[block] = _chunk(spec, grid[block], basis, levels)
+            result.spectra[block], result.gains[block], result.entangled[block] = _chunk(spec, grid[block], basis, levels, tol)
         except (ValueError, ArithmeticError):
             for k in range(start, min(start + CHUNK, n)):
-                _chunk(spec, grid[k : k + 1], basis, levels)
+                _chunk(spec, grid[k : k + 1], basis, levels, tol)
             raise
     return result
 

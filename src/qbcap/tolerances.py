@@ -1,13 +1,15 @@
 """Centralized numerical tolerances.
 
-VALIDATION_TOL      Hermiticity, unit trace and positivity checks.
+VALIDATION_TOL      Default validation tolerance: unit trace, positivity, probability closure, Bell triples.
 RECONSTRUCTION_TOL  Eigendecomposition round-trip bound and entrywise identities.
 NEGLIGIBLE          Weight sums, X-state checks, round-off clamps.
 ZERO_PROBABILITY    Measurement branches below it are flagged instead of normalized.
 PPT_NEG_TOL         A partial-transpose eigenvalue below minus it counts as negative.
 
-The validation tolerance can be overridden at runtime (the command-line tool
-does this from the QBCAP_TOL environment variable); the others are fixed.
+The validation tolerance is the one settable value, passed as ``tol``: a
+validated state keeps it and checks every state derived from it at it.
+Hermiticity follows it only nominally, since the eigendecomposition bound
+takes the whole matrix: a defect above RECONSTRUCTION_TOL always raises.
 """
 
 VALIDATION_TOL = 1e-10
@@ -16,17 +18,9 @@ NEGLIGIBLE = 1e-12
 ZERO_PROBABILITY = NEGLIGIBLE
 PPT_NEG_TOL = 1e-10
 
-_active_validation_tol = VALIDATION_TOL
 
-
-def validation_tol() -> float:
-    """Validation tolerance currently in effect."""
-    return _active_validation_tol
-
-
-def set_validation_tol(tol: float) -> None:
-    """Override the validation tolerance for subsequent state checks."""
-    global _active_validation_tol
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    _active_validation_tol = float(tol)
+def checked_tol(tol: float) -> float:
+    """``tol`` as a float if it is finite, above 0 and below 1, as a validation tolerance must be; else a ValueError."""
+    if not 0.0 < tol < 1.0:  # false for NaN too
+        raise ValueError(f"validation tolerance must be finite, above 0 and below 1, got {tol}")
+    return float(tol)

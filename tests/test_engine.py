@@ -28,6 +28,7 @@ from helpers import (
 
 import qbcap.linalg
 from qbcap import (
+    DensityMatrix,
     MeasurementBasis,
     QubitPairEnergies,
     SweepSpec,
@@ -45,7 +46,7 @@ from qbcap import (
 from qbcap.measurement import GAIN_FIELDS, _branches, _mix, measure_and_mix
 from qbcap.states import reduce_a
 from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
-from qbcap.tolerances import ZERO_PROBABILITY
+from qbcap.tolerances import VALIDATION_TOL, ZERO_PROBABILITY
 
 unit = st.floats(0.0, 1.0)
 FAMILIES = ["werner", "example2", "bell_diagonal", "x_state"]
@@ -104,8 +105,11 @@ def test_sweep_rows_match_oracle_and_one_state_path(count, data):
 @pytest.mark.parametrize("rotated", [False, True], ids=["computational", "rotated"])
 def test_public_stages_are_the_engine_arithmetic(rng, rotated, scheme):
     # measure_b, final_state_* and capacity, called one by one, give capacity_gain's four capacities bit for bit.
-    for _ in range(50):
-        rho, energies = random_density(rng), random_energies(rng)
+    # The last ten cases take a state accepted at tol=1e-6 with an eigenvalue of -2e-8, which every stage
+    # checks at the tolerance it inherits: measure_b's ensemble, the final state and both reduced states.
+    loose = DensityMatrix(np.diag([0.4 + 2e-8, 0.3, 0.3, -2e-8]), tol=1e-6)
+    for case in range(60):
+        rho, energies = random_density(rng) if case < 50 else loose, random_energies(rng)
         basis = random_rotated_basis(rng) if rotated else MeasurementBasis.computational()
         mu0 = float(rng.uniform())
         weights = None if scheme == "uniform" else (mu0, 1.0 - mu0)
@@ -115,6 +119,7 @@ def test_public_stages_are_the_engine_arithmetic(rng, rotated, scheme):
         staged = (capacity(rho, h), capacity(final, h), capacity(rho.reduced_a(), h_a), capacity(final.reduced_a(), h_a))
         report = capacity_gain(rho, energies, basis, scheme, weights)
         assert staged == report.gains[:4], kernel_note()
+        assert ensemble.tol == final.tol == final.reduced_a().tol == rho.tol
 
 
 def test_sweep_memory_is_bounded_by_the_chunk():
@@ -295,11 +300,11 @@ def test_branches_are_bitwise_the_stacked_products(stack):
     flagged = probabilities < ZERO_PROBABILITY
     branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
     branches[flagged] = 0.0
-    assert_same_bytes(_branches(matrices, basis), (branches, probabilities, flagged), "the stacked products")
+    assert_same_bytes(_branches(matrices, basis, VALIDATION_TOL), (branches, probabilities, flagged), "the stacked products")
     # Written into the branch slabs of measure_and_mix's role-major buffer, which are strided: a matmul
     # that left BLAS for such an output would show here.
     slabs = np.full((4, len(matrices), 4, 4), np.nan, dtype=complex)[1:3].transpose(1, 0, 2, 3)
-    got = _branches(matrices, basis, out=slabs)
+    got = _branches(matrices, basis, VALIDATION_TOL, out=slabs)
     assert got[0] is slabs
     assert_same_bytes(got, (branches, probabilities, flagged), "the stacked products, written into strided slabs")
 
@@ -309,8 +314,9 @@ def test_branches_are_bitwise_the_stacked_products(stack):
 def test_branches_of_a_stack_are_those_of_each_matrix_alone(stack):
     # A matrix's branches have the same bits whatever the size of its stack, under every BLAS kernel.
     basis, matrices = stack
-    alone = [_branches(m[None], basis) for m in matrices]
-    assert_same_bytes(_branches(matrices, basis), [np.concatenate(a) for a in zip(*alone)], "those of each matrix alone")
+    alone = [_branches(m[None], basis, VALIDATION_TOL) for m in matrices]
+    stacked = _branches(matrices, basis, VALIDATION_TOL)
+    assert_same_bytes(stacked, [np.concatenate(a) for a in zip(*alone)], "those of each matrix alone")
 
 
 @st.composite
@@ -335,7 +341,7 @@ def near_negative_points(draw, basis):
 def eigh_rule_message(matrices, basis, weights):
     """The error text of the protocol with every input, branch and final matrix checked by full eigh, or None."""
     try:
-        branches, probabilities, flagged = _branches(matrices, basis)
+        branches, probabilities, flagged = _branches(matrices, basis, VALIDATION_TOL)
         final = _mix(branches, probabilities, flagged, weights)
     except (ValueError, ArithmeticError) as exc:
         return str(exc)
@@ -354,7 +360,7 @@ def test_branch_verdicts_match_the_eigh_rule(data):
     weights = data.draw(st.one_of(st.none(), st.just((1.0, 0.0)), st.floats(0.0, 1.0).map(lambda mu: (mu, 1.0 - mu))))
     matrices = np.array(data.draw(st.lists(near_negative_points(basis), min_size=1, max_size=4)))
     try:
-        measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
+        measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
         message = None
     except (ValueError, ArithmeticError) as exc:
         message = str(exc)
@@ -373,7 +379,7 @@ def test_malformed_points_raise_as_under_the_eigh_rule(angles, weights):
     for bad in (skew, off_trace, nan):
         matrices = np.array([good, bad, good])
         with pytest.raises((ValueError, ArithmeticError)) as raised:
-            measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
+            measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
         assert str(raised.value) == eigh_rule_message(matrices, basis, weights)
 
 
@@ -392,7 +398,7 @@ def test_non_finite_and_huge_entries_raise_without_a_warning(angles, weights, ba
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises((ValueError, ArithmeticError)) as raised:
-                measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels())
+                measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
         assert str(raised.value) == eigh_rule_message(matrices, basis, weights)
         assert math.isfinite(bad) or str(raised.value) == "matrix contains non-finite entries"
 

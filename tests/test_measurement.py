@@ -33,6 +33,7 @@ from qbcap import (
 import qbcap.measurement
 from qbcap.measurement import _branch_bounds, _branches, measure_and_mix
 from qbcap.states import check_states
+from qbcap.tolerances import VALIDATION_TOL
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -138,7 +139,7 @@ def test_measure_returns_the_engine_branch_record(rng):
     for _ in range(20):
         rho, basis = random_density(rng), random_rotated_basis(rng)
         ensemble = measure_b(rho, basis)
-        branches, probabilities, flagged = (a[0] for a in _branches(rho.matrix[None], basis))
+        branches, probabilities, flagged = (a[0] for a in _branches(rho.matrix[None], basis, VALIDATION_TOL))
         assert ensemble.branches.tobytes() == branches.tobytes()
         assert ensemble.probabilities == tuple(probabilities.tolist())
         assert all(type(p) is float for p in ensemble.probabilities)
@@ -149,7 +150,7 @@ def test_measure_returns_the_engine_branch_record(rng):
 
 def test_measure_checks_its_branches_in_one_stacked_call(monkeypatch):
     shapes = []
-    monkeypatch.setattr(qbcap.measurement, "check_states", lambda m: shapes.append(m.shape) or check_states(m))
+    monkeypatch.setattr(qbcap.measurement, "check_states", lambda m, tol: shapes.append(m.shape) or check_states(m, tol))
     measure_b(werner(0.4), MeasurementBasis.rotated(0.9, 2.1))
     assert shapes == [(2, 4, 4)]
 
@@ -444,10 +445,10 @@ def test_stack_reports_the_failing_branch_of_the_first_failing_point(basis):
     # input (-6e-10 / 4 = -1.5e-10), later in stack order.
     matrices = near_negative_stack(basis, 0.5, 0.0, -3.6e-10, -6e-10)
     with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -3\.600e-10 below -1e-10$"):
-        measure_and_mix(matrices, basis, None, PAIR_053.levels())
+        measure_and_mix(matrices, basis, None, PAIR_053.levels(), VALIDATION_TOL)
     with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -1\.500e-10 below -1e-10$"):
-        measure_and_mix(matrices[3:], basis, None, PAIR_053.levels())
-    spectra, gains = measure_and_mix(matrices[:2], basis, None, PAIR_053.levels())
+        measure_and_mix(matrices[3:], basis, None, PAIR_053.levels(), VALIDATION_TOL)
+    spectra, gains = measure_and_mix(matrices[:2], basis, None, PAIR_053.levels(), VALIDATION_TOL)
     assert spectra.shape == (2, 4) and gains.shape == (2, 6)
 
 
@@ -458,7 +459,7 @@ def test_failing_branch_is_reported_ahead_of_its_final_state(basis, weights):
     # -1.8e-10, after the branch in stack order; with zero weight the branch is still checked.
     matrices = near_negative_stack(basis, -3.6e-10)
     with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -3\.600e-10 below -1e-10$"):
-        measure_and_mix(matrices, basis, weights, PAIR_053.levels())
+        measure_and_mix(matrices, basis, weights, PAIR_053.levels(), VALIDATION_TOL)
     if weights != (1.0, 0.0):
         final = classical_quantum((np.diag([1.0 / 3.0, 2.0 / 3.0]), np.diag([-3.6e-10, 1.0 + 3.6e-10])), (0.5, 0.5), basis)
         with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -1\.800e-10 below -1e-10$"):

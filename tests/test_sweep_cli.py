@@ -10,20 +10,22 @@ import pytest
 from helpers import classical_quantum, random_density, subprocess_env
 
 from qbcap import (
-    VALIDATION_TOL,
     DensityMatrix,
+    InvalidStateError,
     MeasurementBasis,
+    MeasurementEnsemble,
     QubitPairEnergies,
     SweepSpec,
     XStateParams,
     bell_diagonal,
     capacity_gain,
+    example2,
     figure_preset,
     rows_to_json,
     run_sweep,
-    validation_tol,
     werner,
     write_csv,
+    x_state,
 )
 from qbcap.battery import MAX_SPLITTING
 from qbcap.cli import main
@@ -593,16 +595,96 @@ def test_huge_grid_exits_2_without_allocating_it(capsys, count):
         SweepSpec("werner", "a", 0.0, 1.0, count, PAIR_053)
 
 
-def test_cli_restores_validation_tolerance(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QBCAP_TOL", "1e-3")
-    argv = ["capacity", "--werner", "0.6", "--eps-a", "0.5", "--eps-b", "0.3"]
+def write_state(tmp_path, matrix, name="state"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "re": np.real(matrix).tolist(), "im": np.imag(matrix).tolist()}))
+    return str(path)
+
+
+# Inputs off by about 1e-8: a trace of 1 + 1e-8, an eigenvalue of -2e-8, a Bell eigenvalue of -2.5e-8. Each
+# exits 2 at the default tolerance and 0 under QBCAP_TOL=1e-6.
+LOOSE_TRACE = np.diag([0.5 + 1e-8, 0.5, 0.0, 0.0])
+LOOSE_STATES = {"trace": LOOSE_TRACE, "negative": np.diag([0.4 + 2e-8, 0.3, 0.3, -2e-8]), "bell": None}
+REACH_COMMANDS = {
+    "capacity": ["capacity"],
+    "capacity-json": ["capacity", "--format", "json"],
+    "measure": ["measure"],
+    "measure-rotated-weighted": ["measure", "--basis", "rotated", "0.9", "2.1", "--scheme", "weighted", "0.3", "0.7"],
+    "measure-json": ["measure", "--format", "json"],
+}
+LOOSE_SWEEP = ["sweep", "--family", "bell_diagonal", "--param", "c1", "--start", "1", "--stop", "1.0000001",
+               "--count", "3", "--bell-diag", "1", "1", "-1", "--eps-a", "0.5", "--eps-b", "0.3",
+               "--basis", "rotated", "0.9", "2.1", "--scheme", "weighted", "0.6", "0.4"]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "command, state",
+    [*((command, state) for state in LOOSE_STATES for command in REACH_COMMANDS), ("sweep", None)],
+    ids=[*(f"{command}-{state}" for state in LOOSE_STATES for command in REACH_COMMANDS), "sweep-bell"],
+)
+def test_qbcap_tol_reaches_every_path(tmp_path, capsys, monkeypatch, command, state):
+    if command == "sweep":
+        argv = LOOSE_SWEEP
+    else:
+        source = ["--bell-diag", "1.0000001", "1", "-1"] if state == "bell" else ["--state", write_state(tmp_path, LOOSE_STATES[state])]
+        argv = [*REACH_COMMANDS[command], *source, *PAIR_FLAGS]
+    monkeypatch.delenv("QBCAP_TOL", raising=False)
+    assert run_main(argv, capsys)[0] == 2
+    monkeypatch.setenv("QBCAP_TOL", "1e-6")
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "") and out
+
+
+def test_a_state_accepted_at_a_loose_tolerance_is_kept_as_given(tmp_path, capsys, monkeypatch):
+    # Not renormalized: the trace of 1 + 1e-8 shows in the capacities and the spectrum.
+    monkeypatch.setenv("QBCAP_TOL", "1e-6")
+    argv = ["capacity", "--state", write_state(tmp_path, LOOSE_TRACE), *PAIR_FLAGS]
+    expected = "c_total: 1.000000016\nc_subsystem_a: 1.00000001\nspectrum: 0 0 0.5 0.50000001\nentangled: false\n"
+    assert run_main(argv, capsys) == (0, expected, "")
+
+
+def test_cli_tolerance_does_not_outlive_the_call(tmp_path, capsys, monkeypatch):
+    # QBCAP_TOL holds for one main call only: library code after it, and a later call without it, check at 1e-10.
+    argv = ["capacity", "--state", write_state(tmp_path, LOOSE_TRACE), *PAIR_FLAGS]
+    monkeypatch.setenv("QBCAP_TOL", "1e-6")
     assert run_main(argv, capsys)[0] == 0
-    assert validation_tol() == VALIDATION_TOL
-    assert run_main(["capacity", "--werner", "1.5", *argv[3:]], capsys)[0] == 2
-    assert validation_tol() == VALIDATION_TOL
-    with pytest.raises(SystemExit):
-        main(["measure", "--werner", "0.5", "--scheme", "median", *argv[3:]])
-    assert validation_tol() == VALIDATION_TOL
+    with pytest.raises(InvalidStateError, match="^trace = 1.00000001, expected 1 within 1e-10$"):
+        DensityMatrix(LOOSE_TRACE)
+    monkeypatch.delenv("QBCAP_TOL")
+    assert run_main(argv, capsys) == (2, "", "qbcap: error: trace = 1.00000001, expected 1 within 1e-10\n")
+
+
+@pytest.mark.parametrize("command", ["capacity", "measure"])
+@pytest.mark.parametrize("raw", ["nan", "0", "-1", "1", "inf", "1e300", "bogus"])
+def test_cli_refuses_a_tolerance_outside_0_1(tmp_path, capsys, monkeypatch, command, raw):
+    # A tolerance of 1 or more would accept diag(3, 2, 1, -1), one of NaN every matrix.
+    monkeypatch.setenv("QBCAP_TOL", raw)
+    argv = [command, "--state", write_state(tmp_path, np.diag([3.0, 2.0, 1.0, -1.0])), *PAIR_FLAGS]
+    reason = f"could not convert string to float: {raw!r}" if raw == "bogus" else f"{TOL_RANGE}{float(raw)}"
+    assert run_main(argv, capsys) == (64, "", f"qbcap: error: invalid QBCAP_TOL: {reason}\n")
+
+
+TOL_RANGE = "validation tolerance must be finite, above 0 and below 1, got "
+
+
+SPEC_053 = SweepSpec("bell_diagonal", "c1", 0.0, 0.5, 3, PAIR_053, bell_diag=(0.0, 0.1, 0.1))
+TOL_TAKERS = {
+    "DensityMatrix": lambda tol: DensityMatrix(np.diag([3.0, 2.0, 1.0, -1.0]), tol),
+    "from_json": lambda tol: DensityMatrix.from_json(werner(0.5).to_json(), tol),
+    "werner": lambda tol: werner(0.5, tol),
+    "bell_diagonal": lambda tol: bell_diagonal(0.1, 0.2, 0.3, tol),
+    "x_state": lambda tol: x_state(XStateParams(0.4, 0.2, 0.2, 0.2, 0.1j, 0.1), tol),
+    "example2": lambda tol: example2(0.2, tol),
+    "MeasurementEnsemble": lambda tol: MeasurementEnsemble(np.zeros((0, 4, 4)), (), np.zeros(0, dtype=bool), tol),
+    "run_sweep": lambda tol: run_sweep(SPEC_053, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, 1.0])
+@pytest.mark.parametrize("taker", sorted(TOL_TAKERS))
+def test_library_refuses_a_tolerance_outside_0_1(taker, tol):
+    with pytest.raises(ValueError, match=f"^{TOL_RANGE}{tol}$"):
+        TOL_TAKERS[taker](tol)
 
 
 def test_cli_reads_negative_exponent_numbers(capsys):
