@@ -9,11 +9,13 @@ and passes it down; a value that is not a number in (0, 1) exits 64.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
+import shutil
 import sys
-from typing import IO, Callable
+from typing import IO, Callable, Sequence
 
 from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsystem_a_hamiltonian
 from .errors import NumericError
@@ -62,8 +64,10 @@ def _add_energy_flags(sub: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scheme", nargs="+", default=["uniform"], metavar="S", help="'uniform' or 'weighted MU0 MU1 ...'")
-    sub.add_argument("--basis", nargs="+", default=["computational"], metavar="B", help="'computational' or 'rotated THETA PHI'")
+    # No default: a sweep refuses them beside a preset or spec file, so it must see whether they were given.
+    # _parse_scheme and _parse_basis read None as uniform and computational.
+    sub.add_argument("--scheme", nargs="+", metavar="S", help="'uniform' or 'weighted MU0 MU1 ...'")
+    sub.add_argument("--basis", nargs="+", metavar="B", help="'computational' or 'rotated THETA PHI'")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -72,38 +76,63 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, metavar="N", help="seed for randomized extensions; accepted for reproducibility")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qbcap", description="Battery capacity of two-qubit states under local projective measurements.")
+def _add_capacity_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_state_flags(sub, required=True)
+    _add_energy_flags(sub, required=True)
+    _add_common_flags(sub)
+    sub.set_defaults(func=cmd_capacity)
+
+
+def _add_measure_arguments(sub: argparse.ArgumentParser) -> None:
+    _add_state_flags(sub, required=True)
+    _add_energy_flags(sub, required=True)
+    _add_protocol_flags(sub)
+    _add_common_flags(sub)
+    sub.set_defaults(func=cmd_measure)
+
+
+def _add_sweep_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--figure", choices=tuple(PRESETS), help="bundled preset study")
+    sub.add_argument("--spec", metavar="FILE", help="JSON sweep specification")
+    sub.add_argument("--family", choices=tuple(FAMILY_PARAMS))
+    sub.add_argument("--param", metavar="NAME", help="swept parameter name")
+    sub.add_argument("--start", type=float)
+    sub.add_argument("--stop", type=float)
+    sub.add_argument("--count", type=int)
+    _add_energy_flags(sub, required=False)
+    _add_protocol_flags(sub)
+    sub.add_argument("--bell-diag", type=float, nargs=3, metavar=("C1", "C2", "C3"), help="base triple for bell_diagonal sweeps")
+    sub.add_argument("--x-state", metavar="FILE", help="base state for x_state sweeps")
+    _add_common_flags(sub)
+    sub.set_defaults(func=cmd_sweep)
+
+
+SUBCOMMANDS = {
+    "capacity": ("capacities and spectrum of a state", _add_capacity_arguments),
+    "measure": ("measure the second qubit, mix branches, compare capacities", _add_measure_arguments),
+    "sweep": ("run the protocol over a parameter grid", _add_sweep_arguments),
+}
+
+
+def build_parser(argv: Sequence[str]) -> _Parser:
+    """The qbcap parser for ``argv``: only the subcommands named in it get their arguments.
+
+    argparse hands the command line to a subparser only at a token equal to
+    its name, so the others are never consulted beyond the name and help line
+    that the top-level help and the invalid-choice message list. Every parser
+    wraps help to the terminal width read once here, not once per argument.
+    """
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(
+        prog="qbcap",
+        description="Battery capacity of two-qubit states under local projective measurements.",
+        formatter_class=formatter,
+    )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    cap = subs.add_parser("capacity", help="capacities and spectrum of a state")
-    _add_state_flags(cap, required=True)
-    _add_energy_flags(cap, required=True)
-    _add_common_flags(cap)
-    cap.set_defaults(func=cmd_capacity)
-
-    mea = subs.add_parser("measure", help="measure the second qubit, mix branches, compare capacities")
-    _add_state_flags(mea, required=True)
-    _add_energy_flags(mea, required=True)
-    _add_protocol_flags(mea)
-    _add_common_flags(mea)
-    mea.set_defaults(func=cmd_measure)
-
-    swe = subs.add_parser("sweep", help="run the protocol over a parameter grid")
-    swe.add_argument("--figure", choices=tuple(PRESETS), help="bundled preset study")
-    swe.add_argument("--spec", metavar="FILE", help="JSON sweep specification")
-    swe.add_argument("--family", choices=tuple(FAMILY_PARAMS))
-    swe.add_argument("--param", metavar="NAME", help="swept parameter name")
-    swe.add_argument("--start", type=float)
-    swe.add_argument("--stop", type=float)
-    swe.add_argument("--count", type=int)
-    _add_energy_flags(swe, required=False)
-    _add_protocol_flags(swe)
-    swe.add_argument("--bell-diag", type=float, nargs=3, metavar=("C1", "C2", "C3"), help="base triple for bell_diagonal sweeps")
-    swe.add_argument("--x-state", metavar="FILE", help="base state for x_state sweeps")
-    _add_common_flags(swe)
-    swe.set_defaults(func=cmd_sweep)
-
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
+        if name in argv:
+            add_arguments(sub)
     return parser
 
 
@@ -127,7 +156,8 @@ def _state_from_args(args, tol: float) -> DensityMatrix:
     return DensityMatrix.from_json(_read_json(args.state), tol)
 
 
-def _parse_scheme(tokens: list[str], parser: _Parser) -> tuple[str, tuple[float, ...] | None]:
+def _parse_scheme(tokens: list[str] | None, parser: _Parser) -> tuple[str, tuple[float, ...] | None]:
+    tokens = tokens or ["uniform"]
     try:
         weights = tuple(float(t) for t in tokens[1:]) or None
     except ValueError:
@@ -139,8 +169,8 @@ def _parse_scheme(tokens: list[str], parser: _Parser) -> tuple[str, tuple[float,
     return tokens[0], weights
 
 
-def _parse_basis(tokens: list[str], parser: _Parser) -> tuple[float, float] | None:
-    kind, angles = tokens[0], tokens[1:]
+def _parse_basis(tokens: list[str] | None, parser: _Parser) -> tuple[float, float] | None:
+    kind, *angles = tokens or ["computational"]
     if kind == "computational" and not angles:
         return None
     if kind == "rotated" and len(angles) == 2:
@@ -208,16 +238,22 @@ def cmd_measure(args, parser: _Parser, tol: float) -> int:
 
 
 def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
-    """Preset, spec file or grid flags, all read by ``SweepSpec.from_mapping``."""
+    """Preset, spec file or grid flags, all read by ``SweepSpec.from_mapping``.
+
+    A preset or spec file defines the whole sweep, so it takes no grid,
+    energy, protocol or base-state flag beside it.
+    """
     grid = {"family": args.family, "param": args.param, "start": args.start, "stop": args.stop, "count": args.count}
-    given = any(v is not None for v in grid.values())
+    defining = {**grid, "eps_a": args.eps_a, "eps_b": args.eps_b, "scheme": args.scheme, "basis": args.basis,
+                "bell_diag": args.bell_diag, "x_state": args.x_state}  # fmt: skip
+    given = [f"--{name.replace('_', '-')}" for name, value in defining.items() if value is not None]
     if args.figure is not None:
         if args.spec is not None or given:
-            parser.error("--figure cannot be combined with --spec or grid flags")
+            parser.error(f"--figure cannot be combined with {'--spec' if args.spec is not None else given[0]}")
         data = PRESETS[args.figure]
     elif args.spec is not None:
         if given:
-            parser.error("--spec cannot be combined with grid flags")
+            parser.error(f"--spec cannot be combined with {given[0]}")
         data = _read_json(args.spec)
     else:
         if any(v is None for v in grid.values()):
@@ -241,8 +277,9 @@ def cmd_sweep(args, parser: _Parser, tol: float) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     raw_tol = os.environ.get("QBCAP_TOL")
     try:

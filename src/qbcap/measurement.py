@@ -47,9 +47,10 @@ class MeasurementBasis:
             v = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
             self.description = f"rotated(theta={theta:.12g}, phi={phi:.12g})"
         self.angles = angles
-        # P_k = v_k v_k^dagger, stacked (2, 2, 2), and I x P_k, the measurement operators on the pair
+        # P_k = v_k v_k^dagger, stacked (2, 2, 2), and I x P_k, the measurement operators on the pair: the
+        # products np.kron forms, [i, a, j, b] = I[i, j] P_k[a, b], so the bits are np.kron's
         self.projectors = v.T[:, :, None] * v.T[:, None, :].conj()
-        self.operators = np.stack([np.kron(IDENTITY_2, p) for p in self.projectors])
+        self.operators = (IDENTITY_2[None, :, None, :, None] * self.projectors[:, None, :, None, :]).reshape(2, 4, 4)
         for p in (self.projectors, self.operators):
             p.setflags(write=False)
 

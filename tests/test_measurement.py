@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     classical_quantum,
@@ -13,6 +16,7 @@ from helpers import (
 )
 
 from qbcap import (
+    IDENTITY_2,
     DensityMatrix,
     InvalidStateError,
     NumericError,
@@ -65,6 +69,26 @@ def test_rotated_basis_is_complete_and_orthogonal(rng):
         np.testing.assert_allclose(p0 + p1, np.eye(2), atol=1e-11)
         np.testing.assert_allclose(p0 @ p1, np.zeros((2, 2)), atol=1e-11)
         assert abs(np.trace(p0) - 1.0) < 1e-11
+
+
+def assert_operators_are_kron(basis):
+    # Bitwise, signs of zeros included: a -0.0 reaches the JSON output through repr.
+    expected = np.stack([np.kron(IDENTITY_2, p) for p in basis.projectors])
+    got = basis.operators
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+
+@pytest.mark.parametrize("angles", [None, (math.pi, 0.3), (2.5, -1.0), (0.9, 2.1), (-0.0, -0.0)])
+def test_operators_are_bitwise_kron(angles):
+    assert_operators_are_kron(MeasurementBasis(angles))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(theta=st.floats(allow_nan=False, allow_infinity=False), phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_operators_are_bitwise_kron_for_any_angles(theta, phi):
+    assert_operators_are_kron(MeasurementBasis((theta, phi)))
 
 
 def test_basis_rejects_incomplete_or_non_projector_sets():

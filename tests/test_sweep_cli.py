@@ -701,6 +701,31 @@ def test_cli_reads_negative_exponent_numbers(capsys):
     assert json.loads(out)["rows"][0]["c1"] == -1e-3
 
 
+SWEEP_DEFINING_FLAGS = [
+    ["--eps-a", "0.9"],
+    ["--eps-b", "0.1"],
+    ["--scheme", "weighted", "0.5", "0.5"],
+    ["--basis", "rotated", "1", "1"],
+    ["--bell-diag", "1", "1", "1"],
+    ["--x-state", "x.json"],
+]
+
+
+@pytest.mark.parametrize("source", ["--figure", "--spec"])
+@pytest.mark.parametrize("flag", SWEEP_DEFINING_FLAGS, ids=lambda flag: flag[0])
+def test_preset_and_spec_sweeps_refuse_protocol_flags(tmp_path, capsys, source, flag):
+    # A preset or spec file defines the energies, protocol and base state; a flag beside it is a usage error.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "werner", "param": "a", "start": 0, "stop": 1, "count": 3, "eps_a": 0.5, "eps_b": 0.3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", source, "fig2" if source == "--figure" else str(spec), *flag])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (64, "")
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"qbcap: error: {source} cannot be combined with {flag[0]}"
+    ]
+
+
 X_ZERO_B1 = {"rho11": 0.6, "rho22": 0.0, "rho33": 0.4, "rho44": 0.0, "rho14": 0.0, "rho23": 0.0}
 X_BASE = {"rho11": 0.4, "rho22": 0.2, "rho33": 0.2, "rho44": 0.2, "rho14": [0.1, 0.05], "rho23": 0.1}
 PAIR_FLAGS = ["--eps-a", "0.5", "--eps-b", "0.3"]
