@@ -62,8 +62,15 @@ class QubitPairEnergies:
             raise ValueError(f"eps_a={self.eps_a} exceeds {MAX_SPLITTING!r}, beyond which capacities overflow")
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending levels of the pair Hamiltonian and of the first qubit's, the protocol's ``levels``."""
-        return qubit_pair_hamiltonian(self).energies, subsystem_a_hamiltonian(self).energies
+        """Ascending levels of the pair Hamiltonian and of the first qubit's, the protocol's ``levels``.
+
+        They are the ``energies`` of ``qubit_pair_hamiltonian(self)`` and
+        ``subsystem_a_hamiltonian(self)``, sorted stably as those are, so that
+        equal levels keep their order and their signs of zero; a call builds
+        no Hamiltonian.
+        """
+        a, b = self.eps_a, self.eps_b
+        return np.sort([a + b, a - b, -a + b, -a - b], kind="stable"), np.sort([a, -a], kind="stable")
 
 
 def qubit_pair_hamiltonian(energies: QubitPairEnergies) -> Hamiltonian:

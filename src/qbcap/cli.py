@@ -17,7 +17,7 @@ import shutil
 import sys
 from typing import IO, Callable, Sequence
 
-from .battery import QubitPairEnergies, capacity, qubit_pair_hamiltonian, subsystem_a_hamiltonian
+from .battery import QubitPairEnergies, capacities
 from .errors import NumericError
 from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
 from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
@@ -136,12 +136,20 @@ def build_parser(argv: Sequence[str]) -> _Parser:
     return parser
 
 
+# The most characters read from an input file (state, x-state or sweep spec); such files hold well under 1 KiB.
+MAX_INPUT_CHARS = 2**20
+
+
 def _read_json(path: str) -> dict:
+    """The JSON value of the UTF-8 file at ``path``; a file beyond ``MAX_INPUT_CHARS`` is read no further."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        text = fh.read(MAX_INPUT_CHARS + 1)  # a text read grows with what it reads; a binary one allocates the cap
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"{path}: input file exceeds {MAX_INPUT_CHARS} characters")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _state_from_args(args, tol: float) -> DensityMatrix:
@@ -201,9 +209,9 @@ def _render(fmt: str | None, data: dict, cells: dict[str, str], lines: dict[str,
 
 def cmd_capacity(args, parser: _Parser, tol: float) -> int:
     rho = _state_from_args(args, tol)
-    energies = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b)
-    c_total = capacity(rho, qubit_pair_hamiltonian(energies))
-    c_a = capacity(rho.reduced_a(), subsystem_a_hamiltonian(energies))
+    pair_levels, qubit_levels = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b).levels()
+    c_total = float(capacities(rho.spectrum, pair_levels))
+    c_a = float(capacities(rho.reduced_a().spectrum, qubit_levels))
     spectrum = [float(v) for v in rho.spectrum]
     entangled = is_entangled(rho)
     numbers = {"c_total": format_number(c_total), "c_subsystem_a": format_number(c_a)}

@@ -23,7 +23,7 @@ import numpy as np
 from .battery import QubitPairEnergies, capacities
 from .errors import NumericError, UndefinedAverageError
 from .linalg import IDENTITY_2, eigh
-from .states import DensityMatrix, check_states, json_number, reduce_a, require_pair, screen_states
+from .states import DensityMatrix, _mirrored_pairs, check_states, json_number, reduce_a, require_pair, screen_states
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
 
 
@@ -198,28 +198,57 @@ def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]
     return DensityMatrix(final, ensemble.tol)
 
 
-def _branch_bounds(branches: np.ndarray, defects: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _qubit_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) in closed form, (a + d)/2 -+ hypot((a - d)/2, |b|), of 2x2 matrices.
+
+    They are those of the Hermitian matrix that ``np.linalg.eigvalsh`` reads
+    from each: the real diagonal (a, d) and the lower entry b.
+    """
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    half = np.hypot((a - d) / 2.0, np.abs(m[..., 1, 0]))
+    return ((a + d) / 2.0)[..., None] + half[..., None] * _SIGNS  # mid + (-half) is mid - half, bit for bit
+
+
+def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.ndarray, projectors: np.ndarray):
     """Lower bounds on the lowest eigenvalue of (N, n, 4, 4) branches, each checked as a product rho_{A|k} x P_k.
 
-    rho_{A|k} is the Hermitian part of the first-qubit state of branch k. The
-    residue of a branch, the larger of max|branch - rho_{A|k} x P_k| and its
-    Hermiticity defect ``defects``, must stay within 1e-11, the bound ``eigh``
-    puts on its reconstruction; the first branch in stack order that misses
-    it raises. The spectrum of rho_{A|k} x P_k is that of rho_{A|k} (2x2, in
-    closed form) plus two zeros, and a 4x4 residue R has ||R||_2 <= 4 max|R|,
-    so by Weyl's inequality the branch has no eigenvalue below
-    min(lambda_min(rho_{A|k}), 0) - 4 * residue.
+    ``conditional`` holds the Hermitian first-qubit states rho_{A|k} of the
+    branches and ``spectra`` their ``_qubit_spectra``. The residue of a branch,
+    max|H_k - rho_{A|k} x P_k| for its Hermitian part H_k = (B_k + B_k^dagger)/2,
+    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction; the
+    first branch in stack order that misses it raises. Hermiticity itself is
+    the screen's to judge, at the validation tolerance. The spectrum of
+    rho_{A|k} x P_k is that of rho_{A|k} plus two zeros, and a 4x4 residue R
+    has ||R||_2 <= 4 max|R|, so by Weyl's inequality H_k has no eigenvalue
+    below min(lambda_min(rho_{A|k}), 0) - 4 * residue. Returns these bounds
+    and the (N, n) residues.
     """
-    conditional = reduce_a(branches)
-    conditional = (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0
     product = (conditional[..., :, None, :, None] * projectors[:, None, :, None, :]).reshape(branches.shape)
-    residue = np.maximum(np.abs(branches - product).reshape(*branches.shape[:-2], 16).max(axis=-1), defects)
+    diff = np.subtract(branches, product, out=product).reshape(*branches.shape[:-2], 16)
+    # |diff + diff^dagger| / 2 over the upper triangle, which holds every distinct entry of the Hermitian part
+    entries = diff[..., _mirrored_pairs(4)]
+    upper, lower = entries[..., :10], entries[..., 10:]
+    residue = np.abs(np.add(upper, np.conjugate(lower, out=lower), out=upper)).max(axis=-1) / 2.0
     if residue.max() > RECONSTRUCTION_TOL:
         i, k = np.unravel_index(np.argmax(residue > RECONSTRUCTION_TOL), residue.shape)
         raise NumericError(f"branch {k} residue {residue[i, k]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}")
-    a, d = conditional[..., 0, 0].real, conditional[..., 1, 1].real
-    lowest = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(conditional[..., 1, 0]))
-    return np.minimum(lowest, 0.0) - 4.0 * residue
+    return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue
+
+
+def _certify(values: np.ndarray, closed: np.ndarray, bound, what: str) -> None:
+    """Raise if an eigenvalue in ``values`` lies farther than ``bound``, broadcast against it, from its ``closed`` form.
+
+    The first such eigenvalue in stack order raises.
+    """
+    gap = np.abs(values - closed)
+    missed = gap > bound
+    if missed.any():
+        i = int(np.argmax(missed.ravel()))
+        limit = np.broadcast_to(bound, gap.shape).flat[i]
+        raise NumericError(f"{what} eigenvalue {gap.flat[i]:.3e} from its closed form exceeds the bound {limit:.3e}")
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -229,31 +258,68 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
     ascending pair and first-qubit levels; ``tol`` is the validation tolerance.
     Gains come in ``GAIN_FIELDS`` order.
     Input, branch and final matrices are written into one buffer, in that role
-    order, and read point-major: one stacked ``screen_states``, then ``eigh`` of
-    the input and final matrices and the product check of the branches
-    (``_branch_bounds``). A branch residue beyond 1e-11 raises first, then a
-    missed eigendecomposition bound, then the first failing matrix in the order
-    input, branch 0, branch 1, final of each point in turn. The two reduced
-    states go through ``check_states``. On a stack of several points the error
-    raised may belong to a later point than the first failing one.
+    order, and read point-major. The checks run in this order, each raising at
+    the first point in stack order that fails it:
+
+    1. one stacked ``screen_states`` of all four roles;
+    2. the product check of the branches (``_branch_bounds``);
+    3. one stacked ``eigh`` of the input and final matrices, whose
+       reconstruction is checked for the inputs only;
+    4. the classical-quantum certificate of the final spectra. The Hermitian
+       part of a final state sum_k mu_k B_k lies within sum_k |mu_k| residue_k
+       of sum_k mu_k rho_{A|k} x P_k in every entry, and the matrix LAPACK
+       decomposes within half the final's Hermiticity defect of that part.
+       The spectrum of the classical-quantum state is the union of
+       mu_k lambda_j(rho_{A|k}), so by Weyl's inequality, with ||R||_2 <=
+       4 max|R|, each eigenvalue lies within 4 sum_k |mu_k| residue_k +
+       2 defect of the sorted union, plus 1e-11 for round-off. A flagged
+       branch enters with weight zero, as it does the mix; points holding a
+       stand-in for a branch or final matrix that failed the screen are
+       skipped;
+    5. the screen's verdict: the first failing matrix in the order input,
+       branch 0, branch 1, final of each point;
+    6. the reduced first-qubit states of input and final: a ``screen_states``,
+       one stacked ``np.linalg.eigvalsh``, whose spectra must lie within 1e-11
+       of their closed form (``_qubit_spectra``), then that screen's verdict.
+
+    On a stack of several points the error raised may belong to a later point
+    than the first failing one.
     """
-    stack = np.empty((4, len(matrices), 4, 4), dtype=complex).transpose(1, 0, 2, 3)
+    n = len(matrices)
+    stack = np.empty((4, n, 4, 4), dtype=complex).transpose(1, 0, 2, 3)
     stack[:, 0] = matrices
     _, probabilities, flagged = _branches(matrices, basis, tol, out=stack[:, 1:3])
     _mix(stack[:, 1:3], probabilities, flagged, weights, out=stack[:, 3])
+    mu = np.array((0.5, 0.5) if weights is None else weights, dtype=float)  # the mixing weights
     if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
         np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
+        mu = np.where(flagged, 0.0, mu)  # and it adds nothing to the final state
     off, defects, verdict = screen_states(stack, tol)
     if off.any():  # a matrix that failed the screen raises its own error in verdict; a valid state stands in for it
         stand_ins = np.concatenate([np.eye(4)[None] / 4.0, basis.operators / 2.0, np.eye(4)[None] / 4.0])
         np.copyto(stack, stand_ins, where=off[..., None, None])  # in place: nothing reads the failed matrices again
-        defects = np.where(off, 0.0, defects)
-    bounds = _branch_bounds(stack[:, 1:3], defects[:, 1:3], basis.projectors)
-    values, _ = eigh(stack[:, ::3])
+    # The first-qubit states of every role, one closed form for all: those of the branches, taken Hermitian,
+    # are the conditional states rho_{A|k}.
+    reduced = reduce_a(stack)
+    conditional = reduced[:, 1:3]
+    np.add(conditional, conditional.conj().swapaxes(-1, -2), out=conditional)
+    conditional *= 0.5
+    closed = _qubit_spectra(reduced)
+    bounds, residue = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
+    values, _ = eigh(stack[:, ::3], checked=np.s_[:, 0])
+    cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
+    bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
+    if off.any():  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
+        bound[off[:, 1:].any(axis=1)] = np.inf
+    _certify(values[:, 1], cq, bound[:, None], "final state")
     verdict(np.concatenate([values[:, :1, 0], bounds, values[:, 1:, 0]], axis=1))
     spectra = np.maximum(values, 0.0)
     total = capacities(spectra, levels[0])
-    first = capacities(check_states(reduce_a(stack[:, ::3]), tol)[0], levels[1])
+    _, _, reduced_verdict = screen_states(reduced[:, ::3], tol)
+    reduced_values = np.linalg.eigvalsh(reduced[:, ::3])
+    _certify(reduced_values, closed[:, ::3], RECONSTRUCTION_TOL, "reduced state")
+    reduced_verdict(reduced_values[..., 0])
+    first = capacities(np.maximum(reduced_values, 0.0), levels[1])
     return spectra[:, 0], np.column_stack([total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]])
 
 

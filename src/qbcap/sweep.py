@@ -21,7 +21,7 @@ import numpy as np
 from .battery import QubitPairEnergies
 from .errors import InvalidStateError
 from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix
-from .states import DensityMatrix, XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
+from .states import XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
 from .states import json_number, require_within, werner_matrices, x_state_matrices
 from .tolerances import VALIDATION_TOL, checked_tol
 
@@ -166,10 +166,6 @@ class SweepSpec:
         require_within(values, 0.0, 1.0, lambda v: InvalidStateError(f"coherence_scale must lie in [0, 1], got {v:.12g}"))
         base = self.x_params
         return x_state_matrices(base, base.rho14 * values, base.rho23 * values)
-
-    def state_at(self, value: float) -> DensityMatrix:
-        """State of the family at one grid point."""
-        return DensityMatrix(self.matrices(np.array([value], dtype=float), VALIDATION_TOL)[0])
 
 
 @dataclass(frozen=True, eq=False)

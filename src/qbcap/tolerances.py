@@ -1,15 +1,17 @@
 """Centralized numerical tolerances.
 
 VALIDATION_TOL      Default validation tolerance: unit trace, positivity, probability closure, Bell triples.
-RECONSTRUCTION_TOL  Eigendecomposition round-trip bound and entrywise identities.
+RECONSTRUCTION_TOL  Round-off allowance: eigendecomposition round trip, branch residue, closed forms, identities.
 NEGLIGIBLE          Weight sums, X-state checks, round-off clamps.
 ZERO_PROBABILITY    Measurement branches below it are flagged instead of normalized.
 PPT_NEG_TOL         A partial-transpose eigenvalue below minus it counts as negative.
 
 The validation tolerance is the one settable value, passed as ``tol``: a
 validated state keeps it and checks every state derived from it at it.
-Hermiticity follows it only nominally, since the eigendecomposition bound
-takes the whole matrix: a defect above RECONSTRUCTION_TOL always raises.
+Hermiticity follows it too: the state screen bounds max |m - m^dagger| by
+it, and no later check counts the defect again, since an eigendecomposition
+is checked against the lower triangle that LAPACK reads and a measurement
+branch by its Hermitian part.
 """
 
 VALIDATION_TOL = 1e-10

@@ -61,6 +61,16 @@ def test_subsystem_hamiltonian():
     np.testing.assert_allclose(h.matrix, np.diag([0.5, -0.5]), atol=1e-15)
 
 
+def test_levels_are_the_hamiltonians_energies(rng):
+    # Bit for bit, signs of zero and their order among equal levels included.
+    cases = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.5, 0.3), (MAX_SPLITTING, MAX_SPLITTING), (5e-324, 5e-324)]
+    for eps_a, eps_b in cases + [tuple(sorted(rng.uniform(0.0, 2.0, 2), reverse=True)) for _ in range(50)]:
+        e = QubitPairEnergies(float(eps_a), float(eps_b))
+        pair, qubit = e.levels()
+        assert pair.tobytes() == qubit_pair_hamiltonian(e).energies.tobytes()
+        assert qubit.tobytes() == subsystem_a_hamiltonian(e).energies.tobytes()
+
+
 def test_hamiltonian_rejects_non_hermitian():
     # A Hamiltonian is given by its diagonal levels, so a matrix, Hermitian or
     # not, is no valid input; neither are non-finite levels.

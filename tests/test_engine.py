@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -26,7 +25,6 @@ from helpers import (
     random_rotated_basis,
 )
 
-import qbcap.linalg
 from qbcap import (
     DensityMatrix,
     MeasurementBasis,
@@ -94,7 +92,7 @@ def test_sweep_rows_match_oracle_and_one_state_path(count, data):
         np.testing.assert_allclose(row_gains, gains, rtol=0.0, atol=1e-12)
         assert row_entangled == entangled
         # Bit for bit the same as the one-state path, on either side of every chunk boundary.
-        rho = spec.state_at(value)
+        rho = DensityMatrix(spec.matrices(np.array([value]), VALIDATION_TOL)[0])
         report = capacity_gain(rho, e, basis=basis, scheme=spec.scheme, weights=spec.weights)
         assert row_spectrum.tolist() == rho.spectrum.tolist(), kernel_note()
         assert tuple(row_gains.tolist()) == report.gains, kernel_note()
@@ -404,20 +402,20 @@ def test_non_finite_and_huge_entries_raise_without_a_warning(angles, weights, ba
 
 
 def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):
-    # Only the input and final matrices of a point reach eigh, with its two reduced states; the
-    # branches are checked as product states. That is two eigh calls per chunk.
-    original, received = qbcap.linalg.eigh, []
-
-    def counting(m):
-        received.append(m.shape)
-        return original(m)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "qbcap" or name.startswith("qbcap.")) and getattr(module, "eigh", None) is original:
-            monkeypatch.setattr(module, "eigh", counting)
+    # Only the input and final matrices of a point reach eigh, in one call per chunk; the branches are checked
+    # as product states, and the two reduced states of a point take eigvalsh, in one call per chunk beside
+    # the one of the PPT test.
+    received = {"eigh": [], "eigvalsh": []}
+    for name, calls in received.items():
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, original=original, calls=calls: calls.append(m.shape) or original(m))
     count = 600
     spec = SweepSpec("werner", "a", 0.0, 1.0, count, QubitPairEnergies(0.7, 0.2), "weighted", (0.8, 0.2), (0.7, 1.3))
     run_sweep(spec)
-    matrices = {d: sum(math.prod(shape[:-2]) for shape in received if shape[-1] == d) for d in (2, 4)}
-    assert matrices == {4: 2 * count, 2: 2 * count}
-    assert len(received) == 2 * math.ceil(count / CHUNK)
+    matrices = {
+        name: {d: sum(math.prod(shape[:-2]) for shape in shapes if shape[-1] == d) for d in (2, 4)}
+        for name, shapes in received.items()
+    }
+    assert matrices == {"eigh": {4: 2 * count, 2: 0}, "eigvalsh": {4: count, 2: 2 * count}}
+    chunks = math.ceil(count / CHUNK)
+    assert (len(received["eigh"]), len(received["eigvalsh"])) == (chunks, 2 * chunks)

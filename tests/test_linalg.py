@@ -86,23 +86,46 @@ def test_eigh_diagonal_case():
 
 
 def test_eigh_rejects_non_hermitian():
-    # DensityMatrix holds the one Hermiticity check; eigh's reconstruction
-    # bound still catches a non-Hermitian matrix that reaches it.
+    # DensityMatrix holds the one Hermiticity check; eigh decomposes the Hermitian matrix in the lower triangle,
+    # as LAPACK reads it, and measures its reconstruction against that matrix, not against the entries above.
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix(np.ones((2, 3)) / 2.0)
-    with pytest.raises(NumericError, match="reconstruction"):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    values, _ = eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    assert values.tolist() == [0.0, 0.0]
 
 
-def test_eigh_reports_the_first_failing_matrix_of_a_stack():
-    # eigh reads one triangle, so an entry missing from its mirror image breaks the reconstruction.
+def test_eigh_measures_the_lower_triangle_with_a_real_diagonal(rng):
+    # Entries above the diagonal and imaginary parts on it are not read: the values are those of the Hermitian
+    # completion of the lower triangle, bit for bit, and the reconstruction bound holds.
+    for _ in range(20):
+        h = random_density(rng).matrix
+        skewed = h + np.triu(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1) + 1j * np.diag(rng.standard_normal(4))
+        values, vectors = eigh(skewed)
+        assert values.tobytes() == np.linalg.eigh(h)[0].tobytes()
+        assert np.abs((vectors * values) @ vectors.conj().T - h).max() <= 1e-11
+
+
+def test_eigh_reports_the_first_failing_matrix_of_a_stack(monkeypatch):
+    # A decomposition off by 2e-6 in one eigenvalue misses the reconstruction bound by that much; of two such
+    # matrices the first in stack order is named, and ``checked`` limits the bound to a part of the stack.
     stack = np.tile(np.eye(4, dtype=complex) / 4.0, (2, 3, 1, 1))
-    stack[0, 2, 0, 3] = 2e-6
-    stack[1, 0, 0, 2] = 0.5
+    original = np.linalg.eigh
+
+    def perturbed(m):
+        values, vectors = original(m)
+        values[0, 2, 0] += 2e-6
+        values[1, 0, 3] += 0.5
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(NumericError, match=r"^eigendecomposition reconstruction error 2\.000e-06 exceeds 1e-11$"):
         eigh(stack)
+    with pytest.raises(NumericError, match=r"^eigendecomposition reconstruction error 5\.000e-01 exceeds 1e-11$"):
+        eigh(stack, checked=np.s_[1])
+    values, _ = eigh(stack, checked=np.s_[:, 1])
+    assert values[0, 2, 0] == 0.25 + 2e-6
 
 
 def test_eigh_contracts_random_hermitian(rng):

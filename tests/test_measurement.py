@@ -35,8 +35,8 @@ from qbcap import (
     x_state,
 )
 import qbcap.measurement
-from qbcap.measurement import _branch_bounds, _branches, measure_and_mix
-from qbcap.states import check_states
+from qbcap.measurement import _branch_bounds, _branches, _qubit_spectra, measure_and_mix
+from qbcap.states import check_states, reduce_a
 from qbcap.tolerances import VALIDATION_TOL
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
@@ -490,10 +490,18 @@ def test_failing_branch_is_reported_ahead_of_its_final_state(basis, weights):
             DensityMatrix(final)
 
 
+def hermitian_conditionals(branches):
+    """The Hermitian parts of the first-qubit states of (..., 4, 4) branches and their closed-form spectra, as
+    measure_and_mix hands them to _branch_bounds."""
+    conditionals = reduce_a(branches)
+    conditionals = (conditionals + conditionals.conj().swapaxes(-1, -2)) / 2.0
+    return conditionals, _qubit_spectra(conditionals)
+
+
 def test_branch_bounds_carry_the_weyl_term(rng):
     # A branch within 1e-11 of a product rho_A x P_k is bounded below by min(lambda_min(rho_A), 0) - 4 * residue,
-    # which the lowest eigenvalue eigh finds never undercuts; rho_A is the Hermitian part of the branch's
-    # first-qubit state, and the residue the larger of the distance from the product and the Hermiticity defect.
+    # which the lowest eigenvalue of its Hermitian part never undercuts; rho_A is the Hermitian part of the
+    # branch's first-qubit state, and the residue the distance of the branch's Hermitian part from the product.
     for _ in range(200):
         basis = random_rotated_basis(rng)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -502,23 +510,29 @@ def test_branch_bounds_carry_the_weyl_term(rng):
         noise = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
         noise *= rng.uniform(0.0, 2e-12) / np.abs(noise).max(axis=(-2, -1), keepdims=True)  # residue at most 6e-12
         branches = np.stack([np.kron(rho_a, p) for p in basis.projectors]) + noise
-        defects = np.abs(branches - branches.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        bounds = _branch_bounds(branches[None], defects[None], basis.projectors)[0]
+        bounds, residue = (a[0] for a in _branch_bounds(branches[None], *hermitian_conditionals(branches[None]), basis.projectors))
         conditionals = np.einsum("kibjb->kij", branches.reshape(2, 2, 2, 2, 2))
         hermitian = (conditionals + conditionals.conj().swapaxes(-1, -2)) / 2.0
         products = np.stack([np.kron(c, p) for c, p in zip(hermitian, basis.projectors)])
-        residue = np.maximum(np.abs(branches - products).max(axis=(-2, -1)), defects)
-        want = np.minimum(np.linalg.eigvalsh(hermitian)[:, 0], 0.0) - 4.0 * residue
+        hermitian_branches = (branches + branches.conj().swapaxes(-1, -2)) / 2.0
+        want_residue = np.abs(hermitian_branches - products).max(axis=(-2, -1))
+        want = np.minimum(np.linalg.eigvalsh(hermitian)[:, 0], 0.0) - 4.0 * want_residue
+        np.testing.assert_allclose(residue, want_residue, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(bounds, want, rtol=0.0, atol=1e-15)
-        assert (np.linalg.eigvalsh(branches)[:, 0] >= bounds - 1e-15).all()
-    # A residue beyond 1e-11 raises naming the branch, be it off the product or off Hermitian.
+        assert (np.linalg.eigvalsh(hermitian_branches)[:, 0] >= bounds - 1e-15).all()
+    # A residue beyond 1e-11 raises naming the branch, be it a Hermitian entry off the product or a lone entry
+    # whose mirror image is missing; a skew-Hermitian one inside the block leaves the Hermitian part a product,
+    # and Hermiticity is the screen's to judge.
     projectors = MeasurementBasis.computational().projectors
     point = np.stack([np.kron(np.diag([0.4, 0.6]), p) for p in projectors])
-    off_block, skew = point.copy(), point.copy()
+    off_block, lone, skew = point.copy(), point.copy(), point.copy()
     off_block[1, 0, 3] = off_block[1, 3, 0] = 2e-11  # Hermitian, outside the b = 1 block
+    lone[1, 0, 3] = 4e-11  # outside the block, its mirror image missing: 2e-11 in the Hermitian part
     skew[1, 1, 3] = skew[1, 3, 1] = 1e-11j  # inside the block, skew-Hermitian: defect 2e-11
-    for shifted in (off_block, skew):
+    for shifted in (off_block, lone):
         stack = np.stack([point, shifted])
-        defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         with pytest.raises(NumericError, match=r"^branch 1 residue 2\.000e-11 from a product state exceeds 1e-11$"):
-            _branch_bounds(stack, defects, projectors)
+            _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
+    stack = np.stack([point, skew])
+    _, residue = _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
+    assert residue.max() == 0.0

@@ -7,7 +7,6 @@ from qbcap import (
     DensityMatrix,
     InvalidStateError,
     MeasurementBasis,
-    NumericError,
     QubitPairEnergies,
     XStateParams,
     bell_diagonal,
@@ -282,19 +281,21 @@ def test_check_states_names_the_first_non_hermitian_matrix_of_a_stack():
         check_states(stack, VALIDATION_TOL)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=NumericError, reason="the eigh reconstruction bound counts the Hermiticity defect against 1e-11"
-)
 @pytest.mark.parametrize("path", ["DensityMatrix", "measure_and_mix"])
 @pytest.mark.parametrize("tol, defect", [(VALIDATION_TOL, 2e-11), (1e-6, 1e-8)])
 def test_hermiticity_follows_the_validation_tolerance(path, tol, defect):
-    # The screen allows max |m - m^dagger| up to tol, but eigh measures its reconstruction against the whole
-    # matrix, upper triangle included, and the product check of the branches folds the defect into their
-    # residue: in effect Hermiticity is bounded by 1e-11 whatever the tolerance. The two rules must be
-    # mended together.
+    # The screen allows max |m - m^dagger| up to tol, and no later check counts the defect again: eigh measures
+    # its reconstruction against the lower triangle it decomposes, and the product check of the branches takes
+    # their Hermitian part.
+    def run(m):
+        if path == "DensityMatrix":
+            DensityMatrix(m, tol)
+        else:
+            measure_and_mix(m[None], MeasurementBasis.rotated(0.9, 2.1), None, QubitPairEnergies(0.5, 0.3).levels(), tol)
+
     m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     m[0, 1] = defect
-    if path == "DensityMatrix":
-        DensityMatrix(m, tol)
-    else:
-        measure_and_mix(m[None], MeasurementBasis.rotated(0.9, 2.1), None, QubitPairEnergies(0.5, 0.3).levels(), tol)
+    run(m)
+    m[0, 1] = 2.0 * tol
+    with pytest.raises(InvalidStateError, match=r"^matrix is not Hermitian"):
+        run(m)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +29,8 @@ from qbcap import (
     x_state,
 )
 from qbcap.battery import MAX_SPLITTING
-from qbcap.cli import main
+import qbcap.cli
+from qbcap.cli import MAX_INPUT_CHARS, main
 from qbcap.sweep import MAX_COUNT
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
@@ -531,6 +533,52 @@ def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
     extra = PAIR_FLAGS if command.startswith("capacity") else []
     code, out, err = run_main([*command.split(), str(path), *extra], capsys)
     assert (code, out, err) == (2, "", f"qbcap: error: {message.format(path=path)}\n")
+
+
+INPUT_FILES = {
+    "capacity --state": json.dumps(werner(0.4).to_json()),
+    "capacity --x-state": json.dumps(X_QUARTERS),
+    "sweep --spec": json.dumps({**EXAMPLE2_SPEC, "count": 3}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_FILES))
+def test_input_files_are_read_up_to_the_cap(tmp_path, capsys, command):
+    # A valid input padded to exactly MAX_INPUT_CHARS characters runs; one more exits 2 with one line.
+    path = tmp_path / "input.json"
+    extra = PAIR_FLAGS if command.startswith("capacity") else []
+    text = INPUT_FILES[command]
+    path.write_text(text + " " * (MAX_INPUT_CHARS - len(text)))
+    assert run_main([*command.split(), str(path), *extra], capsys)[0] == 0
+    path.write_text(text + " " * (MAX_INPUT_CHARS + 1 - len(text)))
+    message = f"qbcap: error: {path}: input file exceeds {MAX_INPUT_CHARS} characters\n"
+    assert run_main([*command.split(), str(path), *extra], capsys) == (2, "", message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_input_is_read_only_through_the_cap(monkeypatch, capsys):
+    # Every read of the input must name a size within the cap, so this test never reads /dev/zero unbounded.
+    sizes = []
+
+    class Bounded:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            assert 0 <= size <= MAX_INPUT_CHARS + 1, f"read of size {size}"
+            sizes.append(size)
+            return self.fh.read(size)
+
+    monkeypatch.setattr(qbcap.cli, "open", lambda *args, **kwargs: Bounded(open(*args, **kwargs)), raising=False)
+    got = run_main(["capacity", "--state", "/dev/zero", *PAIR_FLAGS], capsys)
+    assert got == (2, "", f"qbcap: error: /dev/zero: input file exceeds {MAX_INPUT_CHARS} characters\n")
+    assert sizes == [MAX_INPUT_CHARS + 1]
 
 
 def test_equal_splittings_run(capsys):
