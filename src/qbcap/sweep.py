@@ -252,13 +252,18 @@ def _write_rows(result: SweepResult, stream: IO[str], row: str, sep: str, zero: 
     """Every grid point as ``row % (value, *spectrum, *gains, "true" or "false")``, rows joined by ``sep``.
 
     The numbers enter plus ``zero``: 0.0 turns a negative zero into 0, -0.0
-    leaves every value as it is. The rows go out ``CHUNK`` per write.
+    leaves every value as it is. The rows go out ``CHUNK`` per write, each
+    chunk formatted by one bytes ``%``, whose ``%r`` of a float is its ``repr``.
     """
+    row, sep = row.encode(), sep.encode()
     for start in range(0, len(result.values), CHUNK):
         block = slice(start, start + CHUNK)
-        table = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + zero
-        flags = np.where(result.entangled[block], "true", "false").tolist()
-        stream.write((sep if start else "") + sep.join([row % cells for cells in zip(*table.T.tolist(), flags)]))
+        numbers = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + zero
+        cells = np.empty((len(numbers), numbers.shape[1] + 1), dtype=object)  # Python floats, then a flag
+        cells[:, :-1] = numbers
+        cells[:, -1] = np.where(result.entangled[block], b"true", b"false")
+        text = sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
+        stream.write(((sep if start else b"") + text).decode())
 
 
 def write_csv(result: SweepResult, spec: SweepSpec, stream: IO[str]) -> None:

@@ -1,5 +1,5 @@
-"""The engine's spectral checks: the premise that lets the reduced states skip their eigenvectors, and one
-mutation per check, each a fault that the check must report."""
+"""The engine's spectral checks: the premises that let the reduced states skip their eigenvectors and the
+traces skip np.trace, and one mutation per check, each a fault that the check must report."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from helpers import classical_quantum, kernel_note, random_density
 import qbcap.measurement
 from qbcap import InvalidStateError, MeasurementBasis, NumericError, QubitPairEnergies, SweepSpec, XStateParams
 from qbcap.measurement import _branches, _mix, measure_and_mix
-from qbcap.states import reduce_a
+from qbcap.states import diagonal_sum, reduce_a
 from qbcap.tolerances import VALIDATION_TOL
 
 ENERGIES = QubitPairEnergies(0.7, 0.2)
@@ -40,6 +40,34 @@ def test_qubit_eigvalsh_has_the_bits_of_eigh(family, rotated, weighted):
     got, want = np.linalg.eigvalsh(reduced), np.linalg.eigh(reduced)[0]
     differ = (got != want).any(axis=-1)
     assert not differ.any(), f"{differ.sum()} of {differ.size} reduced spectra differ from eigh; {kernel_note()}"
+
+
+def assert_same_bits(got, want, what):
+    """Equal values and sign bits in both parts, NaN exactly where ``want`` has NaN."""
+    note = f"{what} differ under numpy {np.__version__}; {kernel_note()}"
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan), note
+        assert np.array_equal(g[~nan], w[~nan]) and np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan])), note
+
+
+@pytest.mark.parametrize("n", [1, 2, 201, 256])
+@pytest.mark.parametrize("shape", [(2, 4, 4), (4, 4, 4), (2, 2, 2)], ids=["branches", "roles", "reduced"])
+def test_paired_sums_have_the_bits_of_trace_and_sum(n, shape):
+    # The engine takes the branch probabilities and the screen's traces as paired adds of the diagonal, in place
+    # of np.trace and sum; the printed numbers and the tolerance edges then stay those of numpy's sums.
+    rng = np.random.default_rng(n * len(shape) + shape[-1])
+    d = shape[-1]
+    stack = rng.standard_normal((n, *shape)) + 1j * rng.standard_normal((n, *shape))
+    stack *= 10.0 ** rng.integers(-20, 20, size=stack.shape)
+    diagonal = stack.reshape(n, shape[0], d * d)[..., :: d + 1]  # a view: the specials below land in the stack
+    for part in (diagonal.real, diagonal.imag):
+        special = rng.random(part.shape) < 0.1
+        part[special] = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    diagonal[0, 0] = -0.0 - 0.0j  # an all -0.0 diagonal, which numpy sums to 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert_same_bits(diagonal_sum(diagonal.real), np.trace(stack, axis1=-2, axis2=-1).real, "real traces")
+        assert_same_bits(diagonal_sum(diagonal), diagonal.sum(axis=-1), "complex diagonal sums")
 
 
 BASIS = MeasurementBasis.rotated(0.9, 2.1)

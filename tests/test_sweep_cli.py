@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,66 @@ def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
     extra = PAIR_FLAGS if command.startswith("capacity") else []
     code, out, err = run_main([*command.split(), str(path), *extra], capsys)
     assert (code, out, err) == (2, "", f"qbcap: error: {message.format(path=path)}\n")
+
+
+# One valid file of each JSON input, every optional key set; the spec nests the fourth input, an x-state.
+X_FULL = {**X_QUARTERS, "rho14": [0.1, 0.05], "rho23": [0.1, -0.05]}
+CORPUS_BASES = {
+    "measure --state": werner(0.4).to_json(),
+    "measure --x-state": X_FULL,
+    "sweep --spec": {
+        "family": "bell_diagonal", "param": "c3", "start": -0.5, "stop": 0.5, "count": 2, "eps_a": 0.5, "eps_b": 0.3,
+        "scheme": "weighted", "weights": [0.4, 0.6], "basis": {"theta": 0.9, "phi": 2.1}, "bell_diag": [0.1, -0.1, 0.0],
+        "x_state": X_FULL,
+    },
+}  # fmt: skip
+X_ENTRIES = [(name,) for name in X_QUARTERS] + [(name, part) for name in ("rho14", "rho23") for part in (0, 1)]
+CORPUS_ENTRIES = {
+    "measure --state": [("dim_a",), ("dim_b",)] + [(key, i, j) for key in ("re", "im") for i in range(4) for j in range(4)],
+    "measure --x-state": X_ENTRIES,
+    "sweep --spec": [(key,) for key in CORPUS_BASES["sweep --spec"]]
+    + [("weights", k) for k in range(2)] + [("bell_diag", k) for k in range(3)] + [("basis", "theta"), ("basis", "phi")]
+    + [("x_state", *entry) for entry in X_ENTRIES],
+}
+HOSTILE_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "true": True, "string": "0.5",
+                  "null": None, "list": [], "object": {}}  # fmt: skip
+
+
+def _run_input(tmp_path, capsys, command, payload):
+    """In-process call on ``payload`` as the command's input file: exit code, stdout, stderr and the warnings raised."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    extra = PAIR_FLAGS if command.startswith("measure") else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main([*command.split(), str(path), *extra], capsys)
+    return code, out, err, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_BASES))
+def test_hostile_corpus_bases_run(tmp_path, capsys, command):
+    # Each case of the corpus below breaks one entry of a file that runs.
+    code, out, err, caught = _run_input(tmp_path, capsys, command, CORPUS_BASES[command])
+    assert (code, err, caught) == (0, "", []) and out
+
+
+CORPUS_CASES = [(command, entry) for command, entries in CORPUS_ENTRIES.items() for entry in entries]
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES.keys())
+@pytest.mark.parametrize("command, entry", CORPUS_CASES, ids=[f"{c.split()[1][2:]}-{'.'.join(map(str, e))}" for c, e in CORPUS_CASES])
+def test_hostile_json_corpus_exits_2(tmp_path, capsys, command, entry, value):
+    # Every entry of every JSON input, set to a non-finite number, a bool, a numeric string, null, a list or an
+    # object, ends in exit 2 with one error line: no output, no traceback and no numpy warning.
+    payload = json.loads(json.dumps(CORPUS_BASES[command]))
+    *path, last = entry
+    target = payload
+    for key in path:
+        target = target[key]
+    target[last] = value
+    code, out, err, caught = _run_input(tmp_path, capsys, command, payload)
+    assert (code, out, len(err.splitlines()), caught) == (2, "", 1, []), err
+    assert err.startswith("qbcap: error: ")
 
 
 INPUT_FILES = {
