@@ -115,12 +115,14 @@ SUBCOMMANDS = {
 
 
 def build_parser(argv: Sequence[str]) -> _Parser:
-    """The qbcap parser for ``argv``: only the subcommands named in it get their arguments.
+    """The qbcap parser for ``argv``: only the subcommands named in it get a parser.
 
     argparse hands the command line to a subparser only at a token equal to
     its name, so the others are never consulted beyond the name and help line
-    that the top-level help and the invalid-choice message list. Every parser
-    wraps help to the terminal width read once here, not once per argument.
+    that the top-level usage, the help listing and the invalid-choice message
+    read. Each of those is registered as that help line and a ``choices`` entry
+    that holds no parser. Every parser wraps help to the terminal width read
+    once here, not once per argument.
     """
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
@@ -130,9 +132,11 @@ def build_parser(argv: Sequence[str]) -> _Parser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
         if name in argv:
-            add_arguments(sub)
+            add_arguments(subs.add_parser(name, help=help_text, formatter_class=formatter))
+        else:
+            subs._choices_actions.append(subs._ChoicesPseudoAction(name, (), help_text))
+            subs.choices[name] = None
     return parser
 
 
@@ -289,6 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv)
     args = parser.parse_args(argv)
+    (subs,) = parser._subparsers._group_actions
     raw_tol = os.environ.get("QBCAP_TOL")
     try:
         tol = checked_tol(float(raw_tol)) if raw_tol else VALIDATION_TOL
@@ -296,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"qbcap: error: invalid QBCAP_TOL: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, parser, tol)
+        return args.func(args, subs.choices[args.command], tol)  # its usage errors name the subcommand
     except (ValueError, NumericError) as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

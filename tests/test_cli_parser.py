@@ -1,14 +1,17 @@
-"""The per-call parser: ``build_parser(argv)`` gives only the subcommands named in ``argv``
-their arguments, and parses every command line as the parser with all three does."""
+"""The per-call parser: ``build_parser(argv)`` builds a parser only for the subcommands named in
+``argv``, registers the others by name and help line, and parses every command line as the parser
+with all three does."""
 
 import argparse
 import contextlib
+import hashlib
 import io
+import json
 import sys
 
 import pytest
 
-from test_cli_golden import ENERGIES, invocations
+from test_cli_golden import ENERGIES, FIXTURE, invocations
 
 from qbcap import cli
 from qbcap.cli import build_parser, main
@@ -22,6 +25,11 @@ EDGE_CASES = [
     ["measure", "--werner", "0.6", *ENERGIES, "--out", "sweep"],
     ["sweep", "--help"],
     ["measure", "--werner", "0.6", "--eps", "0.5", "--eps-b", "0.3"],
+    ["meas"],
+    ["capacity", "measure"],
+    ["--bogus", "sweep"],
+    ["-h", "measure"],
+    ["sweep", "--figure", "fig9"],
 ]
 
 
@@ -37,10 +45,22 @@ def parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
     return code, out.getvalue(), err.getvalue(), namespace
 
 
-def arguments(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
-    """The destinations of each subcommand's arguments."""
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's ``choices`` entry: its parser, or None where none was built."""
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: [a.dest for a in sub._actions] for name, sub in subparsers.choices.items()}
+    return subparsers.choices
+
+
+def destinations(parser: argparse.ArgumentParser) -> list[str]:
+    return [a.dest for a in parser._actions]
+
+
+def full_destinations(name: str) -> list[str]:
+    """The destinations of subcommand ``name`` built on its own, with all of its arguments."""
+    reference = cli._Parser(prog=f"qbcap {name}")
+    _, add_arguments = cli.SUBCOMMANDS[name]
+    add_arguments(reference)
+    return destinations(reference)
 
 
 @pytest.mark.parametrize("argv", invocations() + EDGE_CASES, ids=" ".join)
@@ -49,12 +69,47 @@ def test_parser_of_the_call_parses_as_the_full_parser(argv, monkeypatch):
     assert parse(build_parser(argv), argv) == parse(build_parser(ALL_COMMANDS), argv)
 
 
-def test_only_the_named_subcommand_gets_arguments():
-    built = arguments(build_parser(["capacity", "--werner", "0.6", *ENERGIES]))
+def test_only_the_named_subcommand_gets_a_parser():
+    built = subcommands(build_parser(["capacity", "--werner", "0.6", *ENERGIES]))
     assert list(built) == ALL_COMMANDS
-    assert "werner" in built["capacity"]
-    assert built["measure"] == built["sweep"] == ["help"]
-    assert all(len(dests) > 1 for dests in arguments(build_parser(ALL_COMMANDS)).values())
+    assert built["measure"] is None and built["sweep"] is None
+    assert destinations(built["capacity"]) == full_destinations("capacity")
+    full = subcommands(build_parser(ALL_COMMANDS))
+    assert {name: destinations(sub) for name, sub in full.items()} == {name: full_destinations(name) for name in ALL_COMMANDS}
+
+
+def test_a_call_builds_two_parsers_and_makes_half_the_lookups(monkeypatch, capsys):
+    # The work the per-call parser saves, counted rather than timed: parsers built and argparse's gettext lookups.
+    counts = {"parsers": 0, "lookups": 0}
+
+    def counting_init(self, *args, real=cli._Parser.__init__, **kwargs):
+        counts["parsers"] += 1
+        real(self, *args, **kwargs)
+
+    def counting_lookup(message, real=argparse._):
+        counts["lookups"] += 1
+        return real(message)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse, "_", counting_lookup)
+
+    def count(built: list[str], argv: list[str]) -> dict[str, int]:
+        counts.update(parsers=0, lookups=0)
+        build_parser(built).parse_args(argv)
+        return dict(counts)
+
+    argv = ["measure", "--werner", "0.6", *ENERGIES]
+    call, full = count(argv, argv), count(ALL_COMMANDS, argv)
+    assert (call["parsers"], full["parsers"]) == (2, 4)
+    assert 2 * call["lookups"] == full["lookups"] > 0
+
+    monkeypatch.setenv("COLUMNS", "80")
+    counts.update(parsers=0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    (pin,) = [e for e in json.loads(FIXTURE.read_text()) if e["argv"] == ["--help"]]
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (counts["parsers"], exc.value.code, digest) == (1, pin["exit"], pin["stdout_sha256"])
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):

@@ -831,8 +831,19 @@ def test_preset_and_spec_sweeps_refuse_protocol_flags(tmp_path, capsys, source, 
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (64, "")
     assert [line for line in captured.err.splitlines() if "error" in line] == [
-        f"qbcap: error: {source} cannot be combined with {flag[0]}"
+        f"qbcap sweep: error: {source} cannot be combined with {flag[0]}"
     ]
+
+
+@pytest.mark.parametrize("protocol", [["--scheme", "weighted"], ["--basis", "sideways"], ["--scheme", "weighted", "x"]])
+def test_measure_usage_errors_print_the_measure_usage(capsys, protocol):
+    # Errors found after parsing print the usage and prog of the subcommand, as argparse's own errors there do.
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--werner", "0.6", *PAIR_FLAGS, *protocol])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (64, "")
+    assert captured.err.startswith("usage: qbcap measure")
+    assert captured.err.splitlines()[-1].startswith("qbcap measure: error: ")
 
 
 X_ZERO_B1 = {"rho11": 0.6, "rho22": 0.0, "rho33": 0.4, "rho44": 0.0, "rho14": 0.0, "rho23": 0.0}
