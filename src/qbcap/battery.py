@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, raise_first
 from .states import DensityMatrix
 from .tolerances import NEGLIGIBLE
 
@@ -97,9 +97,7 @@ def _checked_pair(rho: DensityMatrix, h: Hamiltonian) -> tuple[np.ndarray, np.nd
 def _clamp_nonnegative(values, what: str) -> np.ndarray:
     """``values`` with round-off negatives set to 0; the first value below -1e-12 raises."""
     values = np.asarray(values)
-    below = values < -NEGLIGIBLE
-    if below.any():
-        raise NumericError(f"{what} = {values[below].flat[0]:.3e} is negative beyond round-off")
+    raise_first(values < -NEGLIGIBLE, lambda *i: NumericError(f"{what} = {values[i]:.3e} is negative beyond round-off"))
     return np.where(values < 0.0, 0.0, values)
 
 

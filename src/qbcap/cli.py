@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
+# --bell-diag: a correlation triple, the state of capacity and measure or the base of a bell_diagonal sweep.
+_TRIPLE = {"type": float, "nargs": 3, "metavar": ("C1", "C2", "C3")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,13 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_state_flags(sub: argparse.ArgumentParser, required: bool) -> None:
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--werner", type=float, metavar="A", help="werner state with singlet fraction A in [0, 1]")
-    group.add_argument(
-        "--bell-diag",
-        type=float,
-        nargs=3,
-        metavar=("C1", "C2", "C3"),
-        help="correlation-diagonal state with the given triple",
-    )
+    group.add_argument("--bell-diag", **_TRIPLE, help="correlation-diagonal state with the given triple")
     group.add_argument("--x-state", metavar="FILE", help="JSON file with X-state populations and coherences")
     group.add_argument("--example2", type=float, metavar="X", help="three-level mixture with parameter X in [0, 1/2]")
     group.add_argument("--state", metavar="FILE", help="JSON file with an explicit density matrix")
@@ -101,7 +97,7 @@ def _add_sweep_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--count", type=int)
     _add_energy_flags(sub, required=False)
     _add_protocol_flags(sub)
-    sub.add_argument("--bell-diag", type=float, nargs=3, metavar=("C1", "C2", "C3"), help="base triple for bell_diagonal sweeps")
+    sub.add_argument("--bell-diag", **_TRIPLE, help="base triple for bell_diagonal sweeps")
     sub.add_argument("--x-state", metavar="FILE", help="base state for x_state sweeps")
     _add_common_flags(sub)
     sub.set_defaults(func=cmd_sweep)
@@ -145,15 +141,17 @@ MAX_INPUT_CHARS = 2**20
 
 
 def _read_json(path: str) -> dict:
-    """The JSON value of the UTF-8 file at ``path``; a file beyond ``MAX_INPUT_CHARS`` is read no further."""
+    """The JSON value of the UTF-8 file at ``path``, read no further than ``MAX_INPUT_CHARS``; its errors name ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read(MAX_INPUT_CHARS + 1)  # a text read grows with what it reads; a binary one allocates the cap
-    if len(text) > MAX_INPUT_CHARS:
-        raise ValueError(f"{path}: input file exceeds {MAX_INPUT_CHARS} characters")
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        try:
+            text = fh.read(MAX_INPUT_CHARS + 1)  # a text read grows with what it reads; a binary one allocates the cap
+            if len(text) > MAX_INPUT_CHARS:
+                raise ValueError(f"{path}: input file exceeds {MAX_INPUT_CHARS} characters")
+            return json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _state_from_args(args, tol: float) -> DensityMatrix:

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, raise_first
 from .tolerances import RECONSTRUCTION_TOL
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,17 +36,18 @@ def eigh(m: np.ndarray, checked=...) -> tuple[np.ndarray, np.ndarray]:
         reconstruction bound ``max|h - V diag(w) V^dagger| <= 1e-11``, where
         h is the Hermitian matrix LAPACK decomposes: the lower triangle of the
         matrix, mirrored, with the real part of its diagonal. The first matrix
-        in stack order that misses it raises; a caller that leaves matrices
-        unchecked certifies their spectra by other means.
+        in stack order that misses it raises (``raise_first``); a caller that
+        leaves matrices unchecked certifies their spectra by other means.
     """
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
     err = _reconstruction_error(m[checked], values[checked], vectors[checked])
-    if (err > RECONSTRUCTION_TOL).any():
-        first = err[err > RECONSTRUCTION_TOL][0]
-        raise NumericError(f"eigendecomposition reconstruction error {first:.3e} exceeds {RECONSTRUCTION_TOL:g}")
+    raise_first(
+        err > RECONSTRUCTION_TOL,
+        lambda *i: NumericError(f"eigendecomposition reconstruction error {err[i]:.3e} exceeds {RECONSTRUCTION_TOL:g}"),
+    )
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .battery import QubitPairEnergies, capacities
-from .errors import NumericError, UndefinedAverageError
+from .errors import NumericError, UndefinedAverageError, raise_first
 from .linalg import IDENTITY_2, eigh
 from .states import DensityMatrix, _mirrored_pairs, check_states, diagonal_sum, json_number, reduce_a, require_pair, screen_states
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
@@ -113,9 +113,7 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, tol, out=None) -> t
         branches = np.matmul(left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3), ops, out=out)
         probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # not np.trace, which stalls here
         total = probabilities.sum(axis=1)
-        unclosed = np.abs(total - 1.0) > tol
-        if unclosed.any():
-            raise NumericError(f"outcome probabilities sum to {total[unclosed][0]:.12g}, expected 1")
+        raise_first(np.abs(total - 1.0) > tol, lambda i: NumericError(f"outcome probabilities sum to {total[i]:.12g}, expected 1"))
         flagged = probabilities < ZERO_PROBABILITY
         np.divide(branches, np.where(flagged, 1.0, probabilities)[..., None, None], out=branches)
     if flagged.any():
@@ -161,16 +159,14 @@ def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, m
             raise ValueError(f"weights sum to {sum(mu):.12g}, expected 1 within {NEGLIGIBLE:g}")
         if len(mu) != n:
             raise ValueError(f"{len(mu)} weights for {n} branches")
-    broken = flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE)
-    if broken.any():
-        i, k = np.unravel_index(np.argmax(broken), broken.shape)
-        if mu is None:
-            raise UndefinedAverageError(
-                f"branch {k} has probability {probabilities[i, k]:.3e}; the unweighted average is undefined"
-            )
-        raise ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
-    if flagged.all(axis=1).any():
-        raise ValueError("no unflagged branch to mix")
+
+    def error(i, k) -> ValueError:
+        if mu is not None:
+            return ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
+        return UndefinedAverageError(f"branch {k} has probability {probabilities[i, k]:.3e}; the unweighted average is undefined")
+
+    raise_first(flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE), error)
+    raise_first(flagged.all(axis=1), lambda i: ValueError("no unflagged branch to mix"))
     with np.errstate(invalid="ignore"):  # NaN branches of non-finite input, reported by the state screen
         final = np.add(0, branches[:, 0] if mu is None else mu[0] * branches[:, 0], out=out)  # from 0, as sum(): -0.0 becomes 0.0
         for k in range(1, n):
@@ -232,23 +228,22 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     entries = diff[..., _mirrored_pairs(4)]
     upper, lower = entries[..., :10], entries[..., 10:]
     residue = np.abs(np.add(upper, np.conjugate(lower, out=lower), out=upper)).max(axis=-1) / 2.0
-    if residue.max() > RECONSTRUCTION_TOL:
-        i, k = np.unravel_index(np.argmax(residue > RECONSTRUCTION_TOL), residue.shape)
-        raise NumericError(f"branch {k} residue {residue[i, k]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}")
+    raise_first(
+        residue > RECONSTRUCTION_TOL,
+        lambda i, k: NumericError(f"branch {k} residue {residue[i, k]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}"),
+    )
     return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue
 
 
 def _certify(values: np.ndarray, closed: np.ndarray, bound, what: str) -> None:
-    """Raise if an eigenvalue in ``values`` lies farther than ``bound``, broadcast against it, from its ``closed`` form.
-
-    The first such eigenvalue in stack order raises.
-    """
+    """``raise_first`` for eigenvalues in ``values`` farther than ``bound`` (broadcast) from their ``closed`` form."""
     gap = np.abs(values - closed)
-    missed = gap > bound
-    if missed.any():
-        i = int(np.argmax(missed.ravel()))
-        limit = np.broadcast_to(bound, gap.shape).flat[i]
-        raise NumericError(f"{what} eigenvalue {gap.flat[i]:.3e} from its closed form exceeds the bound {limit:.3e}")
+
+    def error(*i) -> NumericError:
+        limit = np.broadcast_to(bound, gap.shape)[i]
+        return NumericError(f"{what} eigenvalue {gap[i]:.3e} from its closed form exceeds the bound {limit:.3e}")
+
+    raise_first(gap > bound, error)
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +254,7 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
     Gains come in ``GAIN_FIELDS`` order.
     Input, branch and final matrices are written into one buffer, in that role
     order, and read point-major. The checks run in this order, each raising at
-    the first point in stack order that fails it:
+    the first point in stack order that fails it (``raise_first``):
 
     1. one stacked ``screen_states`` of all four roles;
     2. the product check of the branches (``_branch_bounds``);
@@ -358,14 +353,10 @@ class CapacityGainReport:
 
 def check_scheme(scheme: str, weights) -> None:
     """Enforce the recombination rule: "uniform" takes no weights, "weighted" requires them."""
-    if scheme == "uniform":
-        if weights is not None:
-            raise ValueError("the uniform scheme takes no weights")
-    elif scheme == "weighted":
-        if weights is None:
-            raise ValueError("the weighted scheme requires weights")
-    else:
+    if scheme not in ("uniform", "weighted"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'uniform' or 'weighted'")
+    if (weights is None) != (scheme == "uniform"):
+        raise ValueError(f"the {scheme} scheme {'takes no' if weights is not None else 'requires'} weights")
 
 
 def capacity_gain(

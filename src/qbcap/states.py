@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericError
+from .errors import InvalidStateError, NumericError, raise_first
 from .linalg import IDENTITY_2, PAULIS, SIGMA_3, eigh
 from .tolerances import NEGLIGIBLE, PPT_NEG_TOL, RECONSTRUCTION_TOL, VALIDATION_TOL, checked_tol
 
@@ -60,9 +60,9 @@ def screen_states(matrices: np.ndarray, tol: float):
     Returns the mask of the matrices that fail it, their Hermiticity defects
     max |m - m^dagger| and ``verdict(lowest)``. Given the lowest eigenvalue of
     every matrix, or a lower bound on it (any value where the mask is set),
-    ``verdict`` raises the error of the first failing matrix in stack order:
-    non-finite, non-Hermitian or off unit trace beyond ``tol``, else an
-    eigenvalue below minus ``tol``.
+    ``verdict`` raises the error of the first failing matrix in stack order
+    (``raise_first``): non-finite, non-Hermitian or off unit trace beyond
+    ``tol``, else an eigenvalue below minus ``tol``.
     """
     # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it; it is
     # NaN or infinite exactly when some entry of m is
@@ -78,16 +78,16 @@ def screen_states(matrices: np.ndarray, tol: float):
     off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
 
     def verdict(lowest: np.ndarray) -> None:
-        bad = (off | (lowest < -tol)).ravel()
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not finite.flat[i]:
-                raise InvalidStateError("matrix contains non-finite entries")
-            if defect.flat[i] > tol:
-                raise InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect.flat[i]:.3e}")
-            if off.flat[i]:
-                raise InvalidStateError(f"trace = {trace.flat[i].real:.12g}, expected 1 within {tol:g}")
-            raise InvalidStateError(f"negative eigenvalue {lowest.flat[i]:.3e} below -{tol:g}")
+        def error(*i) -> InvalidStateError:
+            if not finite[i]:
+                return InvalidStateError("matrix contains non-finite entries")
+            if defect[i] > tol:
+                return InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect[i]:.3e}")
+            if off[i]:
+                return InvalidStateError(f"trace = {trace[i].real:.12g}, expected 1 within {tol:g}")
+            return InvalidStateError(f"negative eigenvalue {lowest[i]:.3e} below -{tol:g}")
+
+        raise_first(off | (lowest < -tol), error)
 
     return off, defect, verdict
 
@@ -98,8 +98,8 @@ def check_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     Each matrix must pass ``screen_states``, meet the eigendecomposition bound
     and have no eigenvalue below minus ``tol``; round-off
     negatives above it are clamped to zero. Of several failing matrices the
-    first in stack order raises, save that a missed eigendecomposition bound
-    raises ahead of all.
+    first in stack order raises (``raise_first``), save that a missed
+    eigendecomposition bound raises ahead of all.
     """
     off, _, verdict = screen_states(matrices, tol)
     if off.any():  # keep failed matrices out of eigh, so that they raise their own error below
@@ -188,9 +188,7 @@ def require_pair(rho: DensityMatrix) -> DensityMatrix:
 
 def require_within(values: np.ndarray, low: float, high: float, error) -> None:
     """Raise ``error(v)`` for the first of ``values`` outside [low, high]; NaN counts as outside."""
-    outside = ~((values >= low) & (values <= high))
-    if outside.any():
-        raise error(float(values[np.argmax(outside)]))
+    raise_first(~((values >= low) & (values <= high)), lambda *i: error(float(values[i])))
 
 
 _SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
@@ -205,13 +203,15 @@ def bell_diagonal_matrices(triples: np.ndarray, tol: float) -> np.ndarray:
     (1 -+ c1 -+ c2 -+ c3)/4, with an odd number of minus signs, lie in [0, 1] within ``tol``.
     """
     c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
-    lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite triples give infinities and NaNs, refused below
+        lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
     lams = np.stack(lams, axis=1).reshape(-1, 4)
-    bad = ~((lams >= -tol) & (lams <= 1.0 + tol))  # NaN counts as outside
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+
+    def error(i, j) -> InvalidStateError:
         c = ", ".join(str(float(v)) for v in triples[i])
-        raise InvalidStateError(f"correlation triple ({c}) gives eigenvalue lambda_{j} = {lams[i, j]:.12g} outside [0, 1]")
+        return InvalidStateError(f"correlation triple ({c}) gives eigenvalue lambda_{j} = {lams[i, j]:.12g} outside [0, 1]")
+
+    raise_first(~((lams >= -tol) & (lams <= 1.0 + tol)), error)  # NaN counts as outside
     return 0.25 * (np.eye(4, dtype=complex) + c1 * PAULI_PAIRS[0] + c2 * PAULI_PAIRS[1] + c3 * PAULI_PAIRS[2])
 
 

@@ -91,6 +91,8 @@ class SweepSpec:
             )
         if not 2 <= self.count <= MAX_COUNT:
             raise ValueError(f"grid needs at least 2 and at most {MAX_COUNT} points, got {self.count}")
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ValueError(f"grid span stop - start is not finite for start={self.start}, stop={self.stop}")
         if self.family == "bell_diagonal" and self.bell_diag is None:
             raise ValueError("bell_diagonal sweeps need a base (c1, c2, c3) triple")
         if self.family == "x_state" and self.x_params is None:
@@ -151,7 +153,8 @@ class SweepSpec:
 
     def grid(self) -> np.ndarray:
         """Evenly spaced parameter values, endpoints included."""
-        return np.linspace(self.start, self.stop, self.count)
+        with np.errstate(over="ignore"):  # near the float limit only the last step can overflow; linspace sets it to stop
+            return np.linspace(self.start, self.stop, self.count)
 
     def matrices(self, values: np.ndarray, tol: float) -> np.ndarray:
         """The family's (N, 4, 4) matrices at the grid ``values``; each family checks its domain, Bell triples at ``tol``."""

@@ -502,6 +502,8 @@ def test_json_inputs_take_ints_and_floats():
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past Python's recursion limit
+TRUNCATED_JSON = '{"rho11": 0.25,'
+TRUNCATED = "{path}: Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"
 NOT_A_PAIR = "matrix shape {} is neither a qubit (2, 2) nor a qubit pair (4, 4)"
 
 
@@ -522,9 +524,13 @@ def _state_text(entries):
         ("capacity --state", _state_text(np.eye(3).tolist()), NOT_A_PAIR.format("(3, 3)")),
         ("capacity --state", _state_text([[[1, 0], [0, 0]]]), NOT_A_PAIR.format("(1, 2, 2)")),
         ("capacity --state", _state_text([[1, 0], [0]]), "malformed density-matrix payload: re entry must be a number, got [1, 0]"),
+        ("capacity --state", TRUNCATED_JSON, TRUNCATED),
+        ("capacity --x-state", TRUNCATED_JSON, TRUNCATED),
+        ("sweep --spec", TRUNCATED_JSON, TRUNCATED),
     ],
     ids=["spec-x-state-overflow", "state-deep", "x-state-deep", "spec-deep",
-         "state-empty", "state-scalar", "state-3x3", "state-3d", "state-ragged"],
+         "state-empty", "state-scalar", "state-3x3", "state-3d", "state-ragged",
+         "state-truncated", "x-state-truncated", "spec-truncated"],
 )  # fmt: skip
 def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
     # A spec's overflowing coherence (see also test_cli_x_state_errors_name_their_cause), a nesting past
@@ -534,6 +540,14 @@ def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
     extra = PAIR_FLAGS if command.startswith("capacity") else []
     code, out, err = run_main([*command.split(), str(path), *extra], capsys)
     assert (code, out, err) == (2, "", f"qbcap: error: {message.format(path=path)}\n")
+
+
+def test_invalid_utf8_input_names_its_file(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = run_main(["capacity", "--state", str(path), *PAIR_FLAGS], capsys)
+    message = f"qbcap: error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert (code, out, err) == (2, "", message)
 
 
 # One valid file of each JSON input, every optional key set; the spec nests the fourth input, an x-state.
@@ -666,6 +680,59 @@ def test_overflowing_splittings_exit_2(argv):
     proc = run_cli(*argv)
     message = f"qbcap: error: eps_a=8e+307 exceeds {MAX_SPLITTING!r}, beyond which capacities overflow\n"
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
+BELL_C3_SWEEP = ["sweep", "--family", "bell_diagonal", "--param", "c3", "--start", "0", "--stop", "0.1", "--count", "3"]
+
+
+@pytest.mark.parametrize("c", [1.7e308, float("inf")], ids=["huge", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["capacity"], ["measure"], BELL_C3_SWEEP, ["sweep", "--spec"]],
+    ids=["capacity", "measure", "sweep", "sweep-spec"],
+)
+def test_overflowing_bell_triples_exit_2(tmp_path, command, c):
+    # A triple whose closed-form eigenvalues overflow is refused by the admissibility check, with no numpy warning.
+    if command[-1] == "--spec":
+        spec = {**WERNER_SPEC, "family": "bell_diagonal", "param": "c3", "bell_diag": [c, c, 0.0], "stop": 0.1}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = [*command, str(tmp_path / "spec.json")]
+    else:
+        argv = [*command, "--bell-diag", str(c), str(c), "0", *PAIR_FLAGS]
+    proc = run_cli(*argv)
+    message = f"qbcap: error: correlation triple ({c}, {c}, 0.0) gives eigenvalue lambda_0 = -inf outside [0, 1]\n"
+    if command[0] == "sweep" and c == float("inf"):  # a sweep refuses a non-finite base triple as it reads it
+        message = "qbcap: error: sweep specification: bell_diag must be a finite number, got inf\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
+SPAN_ERROR = "grid span stop - start is not finite for start=1e+308, stop=-1e+308"
+
+
+@pytest.mark.parametrize("source", ["flags", "spec"])
+def test_overflowing_grid_span_exits_2(tmp_path, source):
+    if source == "spec":
+        (tmp_path / "spec.json").write_text(json.dumps({**WERNER_SPEC, "start": 1e308, "stop": -1e308}))
+        argv = ["sweep", "--spec", str(tmp_path / "spec.json")]
+    else:
+        argv = ["sweep", "--family", "werner", "--param", "a", "--start", "1e308", "--stop", "-1e308", "--count", "5"]
+        argv += PAIR_FLAGS
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", f"qbcap: error: {SPAN_ERROR}\n")
+
+
+def test_grids_near_the_float_limit_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            SweepSpec("werner", "a", 1e308, -1e308, 5, PAIR_053)
+        # A finite span whose last step overflows: linspace puts stop there, so the grid is finite.
+        edge = SweepSpec("werner", "a", 0.0, sys.float_info.max, 4, PAIR_053)
+        grid = edge.grid()
+        with pytest.raises(ValueError, match="werner parameter must lie in"):
+            run_sweep(edge)
+    assert str(refused.value) == SPAN_ERROR
+    assert np.isfinite(grid).all() and grid[-1] == sys.float_info.max
 
 
 @pytest.mark.parametrize(
