@@ -146,11 +146,11 @@ def _read_json(path: str) -> dict:
         try:
             text = fh.read(MAX_INPUT_CHARS + 1)  # a text read grows with what it reads; a binary one allocates the cap
             if len(text) > MAX_INPUT_CHARS:
-                raise ValueError(f"{path}: input file exceeds {MAX_INPUT_CHARS} characters")
+                raise ValueError(f"input file exceeds {MAX_INPUT_CHARS} characters")
             return json.loads(text)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # the size cap, invalid UTF-8, a JSON syntax error or an integer past int's digit limit
             raise ValueError(f"{path}: {exc}") from None
 
 

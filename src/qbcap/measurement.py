@@ -9,7 +9,7 @@ side.
 ``measure_and_mix`` runs the whole protocol on a stack of N pair matrices;
 ``measure_b``, the two mixing rules and ``capacity_gain`` are its stages on
 a stack of one. Both get their branches from ``_branches``, which takes the
-left products of a whole stack in one GEMM.
+left products of a whole stack in GEMMs of up to ``GEMM_SLAB`` matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .battery import QubitPairEnergies, capacities
 from .errors import NumericError, UndefinedAverageError, raise_first
 from .linalg import IDENTITY_2, eigh
-from .states import DensityMatrix, _mirrored_pairs, check_states, diagonal_sum, json_number, reduce_a, require_pair, screen_states
+from .states import DensityMatrix, _mirrored_pairs, _qubit_spectra, check_states, diagonal_sum, json_number, reduce_a, require_pair, screen_states
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
 
 
@@ -96,6 +96,12 @@ class MeasurementEnsemble:
             object.__setattr__(self, name, a)
 
 
+# The most matrices one left-product GEMM of ``_branches`` takes. Up to 256, each matrix got the bits it gets
+# alone under the OpenBLAS SkylakeX, Haswell and Prescott kernels with 1 and 2 threads; with 2 threads,
+# Haswell splits a 512-matrix GEMM across them and changes those bits.
+GEMM_SLAB = 256
+
+
 def _branches(matrices: np.ndarray, basis: MeasurementBasis, tol, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome branches (N, 2, 4, 4) of a stack of pair matrices, their probabilities and zero-probability flags.
 
@@ -104,12 +110,17 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, tol, out=None) -> t
     """
     n = len(matrices)
     ops = basis.operators
+    columns = matrices.transpose(1, 0, 2).reshape(4, 4 * n)
+    left = np.empty((8, 4 * n), dtype=complex)
     # Non-finite or huge entries make NaNs and infinities here, which the state screen reports as non-finite.
     with np.errstate(invalid="ignore", over="ignore"):
-        # (I x P_k) rho_n (I x P_k): one GEMM for the left products, rows (k, i) and columns (n, j), then a 4x4
-        # right product per branch. Rows of a (4N x 4)(4 x 4) product can take another kernel path with N
-        # (OpenBLAS Haswell), which would make a branch's bits depend on the size of its stack.
-        left = ops.reshape(8, 4) @ matrices.transpose(1, 0, 2).reshape(4, 4 * n)
+        # (I x P_k) rho_n (I x P_k): the left products as GEMMs of rows (k, i) and columns (n, j), each over at
+        # most GEMM_SLAB matrices, then a 4x4 right product per branch. Rows of a (4N x 4)(4 x 4) product can
+        # take another kernel path with N (OpenBLAS Haswell), and so can the columns of a GEMM split across
+        # threads; either would make a branch's bits depend on the size of its stack.
+        for start in range(0, 4 * n, 4 * GEMM_SLAB):
+            slab = np.s_[:, start : start + 4 * GEMM_SLAB]
+            np.matmul(ops.reshape(8, 4), columns[slab], out=left[slab])
         branches = np.matmul(left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3), ops, out=out)
         probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # not np.trace, which stalls here
         total = probabilities.sum(axis=1)
@@ -192,20 +203,6 @@ def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]
     """
     final = _mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], weights)[0]
     return DensityMatrix(final, ensemble.tol)
-
-
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _qubit_spectra(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (..., 2) in closed form, (a + d)/2 -+ hypot((a - d)/2, |b|), of 2x2 matrices.
-
-    They are those of the Hermitian matrix that ``np.linalg.eigvalsh`` reads
-    from each: the real diagonal (a, d) and the lower entry b.
-    """
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    half = np.hypot((a - d) / 2.0, np.abs(m[..., 1, 0]))
-    return ((a + d) / 2.0)[..., None] + half[..., None] * _SIGNS  # mid + (-half) is mid - half, bit for bit
 
 
 def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.ndarray, projectors: np.ndarray):

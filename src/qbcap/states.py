@@ -378,14 +378,63 @@ def bloch_coefficients(rho: DensityMatrix) -> BlochCoefficients:
     return BlochCoefficients(a3=a3, b3=b3, t=t)
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _qubit_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) in closed form, (a + d)/2 -+ hypot((a - d)/2, |b|), of 2x2 matrices.
+
+    They are those of the Hermitian matrix that ``np.linalg.eigvalsh`` reads
+    from each: the real diagonal (a, d) and the lower entry b.
+    """
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    half = np.hypot((a - d) / 2.0, np.abs(m[..., 1, 0]))
+    return ((a + d) / 2.0)[..., None] + half[..., None] * _SIGNS  # mid + (-half) is mid - half, bit for bit
+
+
+# Flat indices into a pair matrix m of the lower triangle of its partial transpose h, which
+# pt[(a, b), (a', b')] = m[(a, b'), (a', b)] gives: the principal blocks {0, 3} and {1, 2} as the 2x2
+# matrices [[h00, h30], [h30, h33]] and [[h11, h21], [h21, h22]], whose upper entry ``_qubit_spectra``
+# does not read, then the four entries h10, h20, h31, h32 outside the blocks.
+_PT_ENTRIES = np.array([0, 9, 9, 15, 5, 12, 12, 10, 1, 8, 13, 11])
+# The PPT certificate's margin per unit of the largest |h_ij|: it covers the rounding of the two bounds
+# (at most 15 eps) plus LAPACK's error on the lowest eigenvalue (16 eps ||h||_2 <= 64 eps), with room to spare.
+_PPT_MARGIN = 128 * np.finfo(float).eps
+# The largest |h_ij| of a point the certificate settles: below it no step of the bounds overflows (8 |h_ij|^2 < 2^1024).
+_PPT_MAX_ENTRY = 2.0**510
+
+
 def ppt_entangled(matrices: np.ndarray) -> np.ndarray:
     """Partial-transpose verdict for each pair matrix of a stack, exact for a qubit pair.
 
-    True exactly when the partial transpose over the second qubit has an
-    eigenvalue below -1e-10.
+    True exactly when ``np.linalg.eigvalsh`` finds an eigenvalue below -1e-10
+    in the partial transpose over the second qubit, that is in h, the
+    Hermitian matrix it reads: the lower triangle, mirrored, with the real
+    diagonal. Most points are decided without it. The lowest eigenvalues of
+    the 2x2 principal blocks {0, 3} and {1, 2} of h have a closed form
+    (``_qubit_spectra``), and their minimum ``upper`` bounds lambda_min(h)
+    from above (Cauchy interlacing). With E the part of h outside the blocks,
+    ``lower = upper - ||E||_F`` bounds it from below (Weyl's inequality). A
+    point is entangled if upper < -1e-10 - margin and separable if lower >
+    -1e-10 + margin, where margin, 128 eps times the largest |h_ij|, exceeds
+    the rounding of both bounds plus LAPACK's eigenvalue error. Only the
+    points left open take ``eigvalsh``, among them every point with an entry
+    that is not finite or above 2^510, where the bounds could overflow.
     """
-    transposed = matrices.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(matrices.shape)
-    return np.linalg.eigvalsh(transposed)[..., 0] < -PPT_NEG_TOL
+    entries = matrices.reshape(-1, 16)[:, _PT_ENTRIES]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite entries leave their point open
+        upper = _qubit_spectra(entries[:, :8].reshape(-1, 2, 2, 2))[..., 0].min(axis=1)
+        size = np.abs(entries)
+        off = np.sqrt(2.0 * np.square(size[:, 8:]).sum(axis=1))  # ||E||_F: each entry below the diagonal and its mirror
+        largest = size.max(axis=1)
+        margin = _PPT_MARGIN * largest
+        entangled = upper < -PPT_NEG_TOL - margin
+        unsettled = ~((entangled | (upper - off > -PPT_NEG_TOL + margin)) & (largest <= _PPT_MAX_ENTRY))
+    if unsettled.any():
+        pending = matrices.reshape(-1, 4, 4)[unsettled]
+        transposed = pending.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(pending.shape)
+        entangled[unsettled] = np.linalg.eigvalsh(transposed)[:, 0] < -PPT_NEG_TOL
+    return entangled.reshape(matrices.shape[:-2])
 
 
 def is_entangled(rho: DensityMatrix) -> bool:

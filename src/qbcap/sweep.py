@@ -38,9 +38,10 @@ OPTIONAL_KEYS = ("scheme", "weights", "basis", "bell_diag", "x_state")
 ECHO_KEYS = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
 SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
 
-# Grid points per stacked pass: enough to amortize numpy's per-call overhead,
-# few enough that a pass holds a few megabytes at most.
-CHUNK = 256
+# Grid points per stacked pass: enough to amortize numpy's per-call overhead (about 230 us a pass),
+# few enough that a pass holds a few megabytes at most. The left products of a pass still run as GEMMs
+# over at most ``measurement.GEMM_SLAB`` (256) matrices, which keeps the bits of every kernel tried.
+CHUNK = 512
 # The largest grid: the result columns take about 96 bytes per point, so about 1 GB.
 MAX_COUNT = 10**7
 
@@ -252,20 +253,18 @@ def format_number(x: float) -> str:
 
 
 def _write_rows(result: SweepResult, stream: IO[str], row: str, sep: str, zero: float) -> None:
-    """Every grid point as ``row % (value, *spectrum, *gains, "true" or "false")``, rows joined by ``sep``.
+    """Every grid point as ``row % (value, *spectrum, *gains)``, its one ``%s`` set to "true" or "false", joined by ``sep``.
 
     The numbers enter plus ``zero``: 0.0 turns a negative zero into 0, -0.0
     leaves every value as it is. The rows go out ``CHUNK`` per write, each
     chunk formatted by one bytes ``%``, whose ``%r`` of a float is its ``repr``.
     """
-    row, sep = row.encode(), sep.encode()
+    templates = tuple(row.replace("%s", flag).encode() for flag in ("false", "true"))  # indexed by the flag
+    sep = sep.encode()
     for start in range(0, len(result.values), CHUNK):
         block = slice(start, start + CHUNK)
         numbers = np.column_stack([result.values[block], result.spectra[block], result.gains[block]]) + zero
-        cells = np.empty((len(numbers), numbers.shape[1] + 1), dtype=object)  # Python floats, then a flag
-        cells[:, :-1] = numbers
-        cells[:, -1] = np.where(result.entangled[block], b"true", b"false")
-        text = sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
+        text = sep.join([templates[flag] for flag in result.entangled[block].tolist()]) % tuple(numbers.ravel().tolist())
         stream.write(((sep if start else b"") + text).decode())
 
 

@@ -1,5 +1,8 @@
 """The engine's spectral checks: the premises that let the reduced states skip their eigenvectors and the
-traces skip np.trace, and one mutation per check, each a fault that the check must report."""
+traces skip np.trace, one mutation per check, each a fault that the check must report, and the closed-form
+certificate of the PPT verdict against a full eigvalsh."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from helpers import classical_quantum, kernel_note, random_density
 import qbcap.measurement
 from qbcap import InvalidStateError, MeasurementBasis, NumericError, QubitPairEnergies, SweepSpec, XStateParams
 from qbcap.measurement import _branches, _mix, measure_and_mix
-from qbcap.states import diagonal_sum, reduce_a
-from qbcap.tolerances import VALIDATION_TOL
+from qbcap.states import diagonal_sum, ppt_entangled, reduce_a, werner_matrices
+from qbcap.tolerances import PPT_NEG_TOL, VALIDATION_TOL
 
 ENERGIES = QubitPairEnergies(0.7, 0.2)
 FAMILY_SPECS = {
@@ -161,3 +164,107 @@ def test_a_tolerated_defect_passes_the_final_certificate(rng):
     m[0, 2] += 1e-8
     for weights in (None, (0.6, 0.4)):
         measure_and_mix(m[None], BASIS, weights, ENERGIES.levels(), 1e-6)
+
+
+def eigvalsh_verdict(matrices):
+    """The PPT verdict of every pair matrix by a full eigvalsh of its partial transpose."""
+    transposed = matrices.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(matrices.shape)
+    return np.linalg.eigvalsh(transposed)[..., 0] < -PPT_NEG_TOL
+
+
+def certified(monkeypatch, matrices):
+    """``ppt_entangled``'s verdicts and the number of matrices it left open to eigvalsh."""
+    opened = []
+    original = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda m: opened.append(len(m)) or original(m))
+        verdict = ppt_entangled(matrices)
+    return verdict, sum(opened)
+
+
+def random_states(rng, n):
+    """``n`` random pair states from the normalized Ginibre square, the first third of them rank-deficient."""
+    g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    g[: n // 3, :, rng.integers(1, 3) :] = 0.0
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_ppt_verdicts_at_the_threshold_are_lapacks(monkeypatch):
+    # Werner states across a = (1 + 4e-10)/3, where the partial transpose's lowest eigenvalue (1 - 3a)/4 crosses
+    # -1e-10, in 1e-16 steps: no bound settles them, and every verdict is eigvalsh's, on both sides.
+    matrices = werner_matrices((1.0 + 4e-10) / 3.0 + np.arange(-100, 101) * 1e-16)
+    verdict, opened = certified(monkeypatch, matrices)
+    want = eigvalsh_verdict(matrices)
+    assert verdict.tolist() == want.tolist()
+    assert opened == len(matrices) and want.any() and not want.all()
+
+
+def test_ppt_margin_covers_the_rounding_at_the_threshold(monkeypatch):
+    # X-shaped states, whose partial transpose is block diagonal (E = 0), with their lowest block eigenvalue
+    # within 2e-16 of -1e-10: the closed form and LAPACK round differently there, and the margin leaves
+    # such points to LAPACK.
+    rng = np.random.default_rng(11)
+    n = 2000
+    p = rng.dirichlet(np.ones(4), n)
+    p = np.where((p[:, 0] * p[:, 3] > p[:, 1] * p[:, 2])[:, None], p[:, [1, 0, 3, 2]], p)  # room for the coherence
+    lowest = -PPT_NEG_TOL + rng.uniform(-2e-16, 2e-16, n)
+    mid, half = (p[:, 0] + p[:, 3]) / 2.0, (p[:, 0] - p[:, 3]) / 2.0
+    coherence = np.sqrt((mid - lowest) ** 2 - half**2) * np.exp(2j * np.pi * rng.random(n))
+    matrices = np.zeros((n, 4, 4), dtype=complex)
+    matrices[:, range(4), range(4)] = p
+    matrices[:, 2, 1], matrices[:, 1, 2] = coherence, coherence.conj()  # h30 of the partial transpose
+    verdict, opened = certified(monkeypatch, matrices)
+    want = eigvalsh_verdict(matrices)
+    assert verdict.tolist() == want.tolist()
+    assert opened == n and want.any() and not want.all()
+
+
+@pytest.mark.parametrize("defect", [0.0, 9e-11], ids=["hermitian", "defect"])
+def test_ppt_certificate_agrees_with_eigvalsh_on_random_states(monkeypatch, defect):
+    # 20,000 random states, entangled and separable, full rank and not; the second time with a non-Hermitian
+    # part up to the validation tolerance, which eigvalsh and the certificate alike read from the lower triangle.
+    rng = np.random.default_rng(12)
+    matrices = random_states(rng, 20_000)
+    mixed = rng.random((10_000, 1, 1))
+    matrices[::2] = mixed * matrices[::2] + (1.0 - mixed) * np.eye(4) / 4.0  # half of them nearer separable
+    skew = rng.standard_normal(matrices.shape) + 1j * rng.standard_normal(matrices.shape)
+    skew -= skew.conj().swapaxes(-1, -2)
+    matrices += defect / 2.0 * skew / np.abs(skew).max(axis=(1, 2), keepdims=True)  # max |m - m^dagger| = defect
+    verdict, opened = certified(monkeypatch, matrices)
+    want = eigvalsh_verdict(matrices)
+    assert verdict.tolist() == want.tolist()
+    assert 0 < opened < len(matrices) and want.any() and not want.all()
+
+
+def test_ppt_points_whose_bounds_could_overflow_are_lapacks(monkeypatch):
+    # Entries above 2^510 or not finite leave their point open. Here both blocks' diagonals are 1.5e308, so
+    # (a + d)/2 overflows in block {0, 3}, whose lowest eigenvalue is -2e307, and block {1, 2} alone would
+    # certify the point separable.
+    huge = np.diag([1.5e308] * 4).astype(complex)
+    huge[2, 1] = 1.7e308  # h30 of the partial transpose
+    matrices = np.array([huge, np.eye(4) * 2.0**511, np.eye(4) / 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict, opened = certified(monkeypatch, matrices)
+    assert verdict.tolist() == eigvalsh_verdict(matrices).tolist() == [True, False, False]
+    assert opened == 2
+    for bad in (np.nan, np.inf):
+        point = np.eye(4, dtype=complex) / 4.0
+        point[2, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):  # as eigvalsh raises on the whole stack
+            eigvalsh_verdict(point[None])
+        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
+            warnings.simplefilter("error")
+            ppt_entangled(np.array([np.eye(4) / 4.0, point]))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_ppt_certificate_settles_the_family_grids(monkeypatch, family):
+    # The certificate decides every point of the four families' 10,001-point grids, as eigvalsh would.
+    param, start, stop, extra = FAMILY_SPECS[family]
+    spec = SweepSpec(family, param, start, stop, 10_001, ENERGIES, **extra)
+    matrices = spec.matrices(spec.grid(), VALIDATION_TOL)
+    verdict, opened = certified(monkeypatch, matrices)
+    assert verdict.tolist() == eigvalsh_verdict(matrices).tolist()
+    assert opened == 0

@@ -25,6 +25,7 @@ from helpers import (
     random_rotated_basis,
 )
 
+import qbcap.sweep
 from qbcap import (
     DensityMatrix,
     MeasurementBasis,
@@ -168,12 +169,13 @@ def test_write_csv_matches_per_cell_reference():
 
 
 def test_sweep_result_columns_and_json_bytes():
+    # 258 points, the grid the digest below was recorded on, whatever the chunk size.
     x = XStateParams(0.4, 0.25, 0.2, 0.15, 0.1 + 0.05j, 0.1)
-    spec = SweepSpec("x_state", "coherence_scale", 0.0, 1.0, CHUNK + 2, QubitPairEnergies(0.6, 0.2),
+    spec = SweepSpec("x_state", "coherence_scale", 0.0, 1.0, 258, QubitPairEnergies(0.6, 0.2),
                      "weighted", (0.3, 0.7), (0.7, 1.3), x_params=x)  # fmt: skip
     result = run_sweep(spec)
     n = len(result.values)
-    assert n == CHUNK + 2
+    assert n == 258
     assert (result.spectra.shape, result.gains.shape, result.entangled.shape) == ((n, 4), (n, len(GAIN_FIELDS)), (n,))
     assert result.values[-1] == 1.0
     for k, name in enumerate(GAIN_FIELDS):
@@ -181,6 +183,28 @@ def test_sweep_result_columns_and_json_bytes():
     # The JSON form is byte for byte the one of the list-of-rows engine the columns replaced.
     digest = hashlib.sha256(json.dumps(rows_to_json(result, spec)).encode()).hexdigest()
     assert digest == "dfd6ddc4a030d6a6ecdc00aee844f0ad8b0f278a1a5dad3038006bd11786f227", kernel_note()
+
+
+def test_the_chunk_size_does_not_change_bits(monkeypatch):
+    # A point's spectrum, gains and verdict have the same bits in a chunk of 1, 256 or 512 points, on either
+    # side of every chunk boundary: the left products of a chunk run in GEMMs of at most 256 matrices, which
+    # keep each matrix's bits under the OpenBLAS kernels tried, with 1 and 2 threads (Haswell with 2 threads
+    # changes them in a 512-matrix GEMM).
+    x = XStateParams(0.4, 0.25, 0.2, 0.15, 0.1 + 0.05j, 0.1)
+    count = 2 * 512 + 3
+    specs = {
+        "rotated uniform x_state": SweepSpec(
+            "x_state", "coherence_scale", 0.0, 1.0, count, QubitPairEnergies(0.6, 0.2), basis_angles=(0.7, 1.3), x_params=x
+        ),
+        "rotated weighted werner": SweepSpec("werner", "a", 0.0, 1.0, count, QubitPairEnergies(0.7, 0.2), "weighted", (0.8, 0.2), (0.7, 1.3)),
+    }
+    for name, spec in specs.items():
+        columns = {}
+        for size in (1, 256, 512):
+            monkeypatch.setattr(qbcap.sweep, "CHUNK", size)
+            result = run_sweep(spec)
+            columns[size] = [column.tobytes() for column in (result.spectra, result.gains, result.entangled)]
+        assert columns[1] == columns[256] == columns[512], f"{name}: the bits depend on the chunk size; {kernel_note()}"
 
 
 def assert_writes_json_reference(result, spec):
@@ -403,8 +427,8 @@ def test_non_finite_and_huge_entries_raise_without_a_warning(angles, weights, ba
 
 def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):
     # Only the input and final matrices of a point reach eigh, in one call per chunk; the branches are checked
-    # as product states, and the two reduced states of a point take eigvalsh, in one call per chunk beside
-    # the one of the PPT test.
+    # as product states, and the two reduced states of a point take eigvalsh, in one call per chunk. The PPT
+    # test settles every point of this Werner grid in closed form, so no partial transpose reaches eigvalsh.
     received = {"eigh": [], "eigvalsh": []}
     for name, calls in received.items():
         original = getattr(np.linalg, name)
@@ -416,6 +440,6 @@ def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):
         name: {d: sum(math.prod(shape[:-2]) for shape in shapes if shape[-1] == d) for d in (2, 4)}
         for name, shapes in received.items()
     }
-    assert matrices == {"eigh": {4: 2 * count, 2: 0}, "eigvalsh": {4: count, 2: 2 * count}}
+    assert matrices == {"eigh": {4: 2 * count, 2: 0}, "eigvalsh": {4: 0, 2: 2 * count}}
     chunks = math.ceil(count / CHUNK)
-    assert (len(received["eigh"]), len(received["eigvalsh"])) == (chunks, 2 * chunks)
+    assert (len(received["eigh"]), len(received["eigvalsh"])) == (chunks, chunks)

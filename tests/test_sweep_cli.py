@@ -550,6 +550,19 @@ def test_invalid_utf8_input_names_its_file(tmp_path, capsys):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "command, key", [("capacity --state", "dim_a"), ("capacity --x-state", "rho11"), ("sweep --spec", "count")]
+)
+def test_an_integer_past_the_digit_limit_names_its_file(tmp_path, capsys, command, key):
+    # json reads a 5,000-digit integer with int(), which refuses strings of more than 4,300 digits.
+    path = tmp_path / "input.json"
+    path.write_text(f'{{"{key}": {"1" * 5000}}}')
+    extra = PAIR_FLAGS if command.startswith("capacity") else []
+    code, out, err = run_main([*command.split(), str(path), *extra], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qbcap: error: {path}: Exceeds the limit (4300 digits)") and err.count("\n") == 1, err
+
+
 # One valid file of each JSON input, every optional key set; the spec nests the fourth input, an x-state.
 X_FULL = {**X_QUARTERS, "rho14": [0.1, 0.05], "rho23": [0.1, -0.05]}
 CORPUS_BASES = {
