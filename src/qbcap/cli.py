@@ -9,6 +9,7 @@ and passes it down; a value that is not a number in (0, 1) exits 64.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -17,10 +18,13 @@ import shutil
 import sys
 from typing import IO, Callable, Sequence
 
-from .battery import QubitPairEnergies, capacities
+import numpy as np
+
+from .battery import QubitPairEnergies
 from .errors import NumericError
-from .measurement import GAIN_FIELDS, MeasurementBasis, capacity_gain, check_scheme
-from .states import DensityMatrix, XStateParams, bell_diagonal, example2, is_entangled, werner, x_state
+from .measurement import GAIN_FIELDS, CapacityGainReport, MeasurementBasis, check_scheme, measure_and_mix, weight_values
+from .states import XStateParams, bell_diagonal_matrices, check_states, example2_matrices, pair_from_json, ppt_entangled
+from .states import werner_matrices, x_state_matrices
 from .sweep import FAMILY_PARAMS, PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, run_sweep, write_csv, write_json
 from .tolerances import VALIDATION_TOL, checked_tol
 
@@ -28,112 +32,70 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
-# --bell-diag: a correlation triple, the state of capacity and measure or the base of a bell_diagonal sweep.
-_TRIPLE = {"type": float, "nargs": 3, "metavar": ("C1", "C2", "C3")}
+# argparse's default pattern misses exponent notation, so "-1e-3" would read as an option.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with code 64."""
+    """ArgumentParser whose usage failures exit with code 64.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's default pattern misses exponent notation, so "-1e-3" would read as an option.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    Its help flag is added as an action with its help text, as ``add_help``
+    would add it but for that text's translation.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self._add_action(argparse._HelpAction(["-h", "--help"], dest="help", help="show this help message and exit"))
+        self._negative_number_matcher = NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_state_flags(sub: argparse.ArgumentParser, required: bool) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--werner", type=float, metavar="A", help="werner state with singlet fraction A in [0, 1]")
-    group.add_argument("--bell-diag", **_TRIPLE, help="correlation-diagonal state with the given triple")
-    group.add_argument("--x-state", metavar="FILE", help="JSON file with X-state populations and coherences")
-    group.add_argument("--example2", type=float, metavar="X", help="three-level mixture with parameter X in [0, 1/2]")
-    group.add_argument("--state", metavar="FILE", help="JSON file with an explicit density matrix")
+class _UsageError(Exception):
+    """A usage error found after parsing; ``main`` reports it with the usage of the call's subcommand."""
 
 
-def _add_energy_flags(sub: argparse.ArgumentParser, required: bool) -> None:
-    sub.add_argument("--eps-a", type=float, metavar="E", required=required, help="level splitting of the first qubit")
-    sub.add_argument("--eps-b", type=float, metavar="E", required=required, help="level splitting of the second qubit")
-
-
-def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
-    # No default: a sweep refuses them beside a preset or spec file, so it must see whether they were given.
-    # _parse_scheme and _parse_basis read None as uniform and computational.
-    sub.add_argument("--scheme", nargs="+", metavar="S", help="'uniform' or 'weighted MU0 MU1 ...'")
-    sub.add_argument("--basis", nargs="+", metavar="B", help="'computational' or 'rotated THETA PHI'")
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), help="machine-readable output format")
-    sub.add_argument("--seed", type=int, default=0, metavar="N", help="seed for randomized extensions; accepted for reproducibility")
-
-
-def _add_capacity_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_state_flags(sub, required=True)
-    _add_energy_flags(sub, required=True)
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_capacity)
-
-
-def _add_measure_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_state_flags(sub, required=True)
-    _add_energy_flags(sub, required=True)
-    _add_protocol_flags(sub)
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_measure)
-
-
-def _add_sweep_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--figure", choices=tuple(PRESETS), help="bundled preset study")
-    sub.add_argument("--spec", metavar="FILE", help="JSON sweep specification")
-    sub.add_argument("--family", choices=tuple(FAMILY_PARAMS))
-    sub.add_argument("--param", metavar="NAME", help="swept parameter name")
-    sub.add_argument("--start", type=float)
-    sub.add_argument("--stop", type=float)
-    sub.add_argument("--count", type=int)
-    _add_energy_flags(sub, required=False)
-    _add_protocol_flags(sub)
-    sub.add_argument("--bell-diag", **_TRIPLE, help="base triple for bell_diagonal sweeps")
-    sub.add_argument("--x-state", metavar="FILE", help="base state for x_state sweeps")
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_sweep)
-
-
-SUBCOMMANDS = {
-    "capacity": ("capacities and spectrum of a state", _add_capacity_arguments),
-    "measure": ("measure the second qubit, mix branches, compare capacities", _add_measure_arguments),
-    "sweep": ("run the protocol over a parameter grid", _add_sweep_arguments),
+# Each subcommand's flags, described once: option -> the keywords of its argparse store action, which
+# ``add_argument(option, **keywords)`` would make too. STATE_SOURCES form a required mutually exclusive group.
+STATE_SOURCES = {
+    "--werner": {"type": float, "metavar": "A", "help": "werner state with singlet fraction A in [0, 1]"},
+    "--bell-diag": {"type": float, "nargs": 3, "metavar": ("C1", "C2", "C3"), "help": "correlation-diagonal state with the given triple"},
+    "--x-state": {"metavar": "FILE", "help": "JSON file with X-state populations and coherences"},
+    "--example2": {"type": float, "metavar": "X", "help": "three-level mixture with parameter X in [0, 1/2]"},
+    "--state": {"metavar": "FILE", "help": "JSON file with an explicit density matrix"},
+}  # fmt: skip
+ENERGY_FLAGS = {
+    "--eps-a": {"type": float, "metavar": "E", "help": "level splitting of the first qubit"},
+    "--eps-b": {"type": float, "metavar": "E", "help": "level splitting of the second qubit"},
 }
-
-
-def build_parser(argv: Sequence[str]) -> _Parser:
-    """The qbcap parser for ``argv``: only the subcommands named in it get a parser.
-
-    argparse hands the command line to a subparser only at a token equal to
-    its name, so the others are never consulted beyond the name and help line
-    that the top-level usage, the help listing and the invalid-choice message
-    read. Each of those is registered as that help line and a ``choices`` entry
-    that holds no parser. Every parser wraps help to the terminal width read
-    once here, not once per argument.
-    """
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = _Parser(
-        prog="qbcap",
-        description="Battery capacity of two-qubit states under local projective measurements.",
-        formatter_class=formatter,
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        if name in argv:
-            add_arguments(subs.add_parser(name, help=help_text, formatter_class=formatter))
-        else:
-            subs._choices_actions.append(subs._ChoicesPseudoAction(name, (), help_text))
-            subs.choices[name] = None
-    return parser
+# No default: a sweep refuses them beside a preset or spec file, so it must see whether they were given.
+# _parse_scheme and _parse_basis read None as uniform and computational.
+PROTOCOL_FLAGS = {
+    "--scheme": {"nargs": "+", "metavar": "S", "help": "'uniform' or 'weighted MU0 MU1 ...'"},
+    "--basis": {"nargs": "+", "metavar": "B", "help": "'computational' or 'rotated THETA PHI'"},
+}
+COMMON_FLAGS = {
+    "--out": {"metavar": "PATH", "help": "write output to PATH instead of stdout"},
+    "--format": {"choices": ("csv", "json"), "help": "machine-readable output format"},
+    "--seed": {"type": int, "default": 0, "metavar": "N", "help": "seed for randomized extensions; accepted for reproducibility"},
+}
+REQUIRED_ENERGY_FLAGS = {option: {**keywords, "required": True} for option, keywords in ENERGY_FLAGS.items()}
+SWEEP_FLAGS = {
+    "--figure": {"choices": tuple(PRESETS), "help": "bundled preset study"},
+    "--spec": {"metavar": "FILE", "help": "JSON sweep specification"},
+    "--family": {"choices": tuple(FAMILY_PARAMS)},
+    "--param": {"metavar": "NAME", "help": "swept parameter name"},
+    "--start": {"type": float},
+    "--stop": {"type": float},
+    "--count": {"type": int},
+    **ENERGY_FLAGS,
+    **PROTOCOL_FLAGS,
+    "--bell-diag": {**STATE_SOURCES["--bell-diag"], "help": "base triple for bell_diagonal sweeps"},
+    "--x-state": {"metavar": "FILE", "help": "base state for x_state sweeps"},
+    **COMMON_FLAGS,
+}
 
 
 # The most characters read from an input file (state, x-state or sweep spec); such files hold well under 1 KiB.
@@ -154,32 +116,50 @@ def _read_json(path: str) -> dict:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _state_from_args(args, tol: float) -> DensityMatrix:
+def _state_from_args(args, tol: float) -> np.ndarray:
+    """The (1, 4, 4) stack of the call's state, built by its family; the engine checks it as a state."""
     if args.werner is not None:
-        return werner(args.werner, tol)
+        return werner_matrices(np.array([args.werner]))
     if args.bell_diag is not None:
-        return bell_diagonal(*args.bell_diag, tol)
+        return bell_diagonal_matrices(np.array([args.bell_diag]), tol)
     if args.x_state is not None:
-        return x_state(XStateParams.from_json(_read_json(args.x_state)), tol)
+        params = XStateParams.from_json(_read_json(args.x_state))
+        return x_state_matrices(params, np.array([params.rho14]), np.array([params.rho23]))
     if args.example2 is not None:
-        return example2(args.example2, tol)
-    return DensityMatrix.from_json(_read_json(args.state), tol)
+        return example2_matrices(np.array([args.example2]))
+    return pair_from_json(_read_json(args.state), tol)[None]
 
 
-def _parse_scheme(tokens: list[str] | None, parser: _Parser) -> tuple[str, tuple[float, ...] | None]:
+@contextlib.contextmanager
+def _input_first(matrices: np.ndarray, tol: float):
+    """Report a failure of the state before one of the arguments read in the block.
+
+    The engine checks the state only when it runs, after the splittings,
+    scheme, weights and basis; should one of those fail, ``check_states``
+    raises the state's own error first, as it would have been raised had the
+    state been checked when it was built.
+    """
+    try:
+        yield
+    except (ValueError, _UsageError):
+        check_states(matrices, tol)
+        raise
+
+
+def _parse_scheme(tokens: list[str] | None) -> tuple[str, tuple[float, ...] | None]:
     tokens = tokens or ["uniform"]
     try:
         weights = tuple(float(t) for t in tokens[1:]) or None
     except ValueError:
-        parser.error(f"weights must be numbers, got {tokens[1:]}")
+        raise _UsageError(f"weights must be numbers, got {tokens[1:]}") from None
     try:
         check_scheme(tokens[0], weights)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
     return tokens[0], weights
 
 
-def _parse_basis(tokens: list[str] | None, parser: _Parser) -> tuple[float, float] | None:
+def _parse_basis(tokens: list[str] | None) -> tuple[float, float] | None:
     kind, *angles = tokens or ["computational"]
     if kind == "computational" and not angles:
         return None
@@ -187,8 +167,8 @@ def _parse_basis(tokens: list[str] | None, parser: _Parser) -> tuple[float, floa
         try:
             return float(angles[0]), float(angles[1])
         except ValueError:
-            parser.error(f"basis angles must be numbers, got {angles}")
-    parser.error(f"expected 'computational' or 'rotated THETA PHI', got {' '.join(tokens)!r}")
+            raise _UsageError(f"basis angles must be numbers, got {angles}") from None
+    raise _UsageError(f"expected 'computational' or 'rotated THETA PHI', got {' '.join(tokens)!r}")
 
 
 def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
@@ -209,13 +189,15 @@ def _render(fmt: str | None, data: dict, cells: dict[str, str], lines: dict[str,
     return "".join(f"{name}: {value}\n" for name, value in lines.items())
 
 
-def cmd_capacity(args, parser: _Parser, tol: float) -> int:
-    rho = _state_from_args(args, tol)
-    pair_levels, qubit_levels = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b).levels()
-    c_total = float(capacities(rho.spectrum, pair_levels))
-    c_a = float(capacities(rho.reduced_a().spectrum, qubit_levels))
-    spectrum = [float(v) for v in rho.spectrum]
-    entangled = is_entangled(rho)
+def cmd_capacity(args, tol: float) -> int:
+    """The engine's input half on the call's state: its spectrum, both capacities and the PPT verdict."""
+    matrices = _state_from_args(args, tol)
+    with _input_first(matrices, tol):
+        levels = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b).levels()
+    spectra, before = measure_and_mix(matrices, None, None, levels, tol)  # no basis: the input half alone
+    c_total, c_a = before[0].tolist()
+    spectrum = spectra[0].tolist()
+    entangled = bool(ppt_entangled(matrices)[0])
     numbers = {"c_total": format_number(c_total), "c_subsystem_a": format_number(c_a)}
     lams = [format_number(v) for v in spectrum]
     flag = "true" if entangled else "false"
@@ -229,12 +211,16 @@ def cmd_capacity(args, parser: _Parser, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args, parser: _Parser, tol: float) -> int:
-    rho = _state_from_args(args, tol)
-    energies = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b)
-    scheme, weights = _parse_scheme(args.scheme, parser)
-    basis = MeasurementBasis(_parse_basis(args.basis, parser))
-    report = capacity_gain(rho, energies, basis=basis, scheme=scheme, weights=weights)
+def cmd_measure(args, tol: float) -> int:
+    """The protocol on the call's state, one stacked pass of the engine."""
+    matrices = _state_from_args(args, tol)
+    with _input_first(matrices, tol):
+        levels = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b).levels()
+        scheme, weights = _parse_scheme(args.scheme)
+        basis = MeasurementBasis(_parse_basis(args.basis))
+        weights = weight_values(weights)
+    _, values = measure_and_mix(matrices, basis, weights, levels, tol)
+    report = CapacityGainReport(*values[0].tolist(), scheme, weights)
     gains = dict(zip(GAIN_FIELDS, map(format_number, report.gains)))
     mu = [format_number(w) for w in report.weights or ()]
     text = _render(
@@ -247,7 +233,7 @@ def cmd_measure(args, parser: _Parser, tol: float) -> int:
     return EXIT_OK
 
 
-def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
+def _sweep_spec_from_args(args) -> SweepSpec:
     """Preset, spec file or grid flags, all read by ``SweepSpec.from_mapping``.
 
     A preset or spec file defines the whole sweep, so it takes no grid,
@@ -259,19 +245,19 @@ def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
     given = [f"--{name.replace('_', '-')}" for name, value in defining.items() if value is not None]
     if args.figure is not None:
         if args.spec is not None or given:
-            parser.error(f"--figure cannot be combined with {'--spec' if args.spec is not None else given[0]}")
+            raise _UsageError(f"--figure cannot be combined with {'--spec' if args.spec is not None else given[0]}")
         data = PRESETS[args.figure]
     elif args.spec is not None:
         if given:
-            parser.error(f"--spec cannot be combined with {given[0]}")
+            raise _UsageError(f"--spec cannot be combined with {given[0]}")
         data = _read_json(args.spec)
     else:
         if any(v is None for v in grid.values()):
-            parser.error("a sweep needs --figure, --spec, or all of --family/--param/--start/--stop/--count")
+            raise _UsageError("a sweep needs --figure, --spec, or all of --family/--param/--start/--stop/--count")
         if args.eps_a is None or args.eps_b is None:
-            parser.error("custom sweeps need --eps-a and --eps-b")
-        scheme, weights = _parse_scheme(args.scheme, parser)
-        angles = _parse_basis(args.basis, parser)
+            raise _UsageError("custom sweeps need --eps-a and --eps-b")
+        scheme, weights = _parse_scheme(args.scheme)
+        angles = _parse_basis(args.basis)
         data = {**grid, "eps_a": args.eps_a, "eps_b": args.eps_b, "scheme": scheme, "weights": weights,
                 "basis": None if angles is None else dict(zip(("theta", "phi"), angles)), "bell_diag": args.bell_diag,
                 "x_state": None if args.x_state is None else _read_json(args.x_state)}  # fmt: skip
@@ -279,12 +265,53 @@ def _sweep_spec_from_args(args, parser: _Parser) -> SweepSpec:
     return SweepSpec.from_mapping(data)
 
 
-def cmd_sweep(args, parser: _Parser, tol: float) -> int:
-    spec = _sweep_spec_from_args(args, parser)
+def cmd_sweep(args, tol: float) -> int:
+    spec = _sweep_spec_from_args(args)
     result = run_sweep(spec, tol)  # before the output file is opened, so that a failing sweep leaves none
     write = write_json if args.format == "json" else write_csv
     _emit(lambda stream: write(result, spec, stream), args.out)
     return EXIT_OK
+
+
+# Each subcommand: its help line, its command, the flags of its required state group and its other flags.
+SUBCOMMANDS = {
+    "capacity": ("capacities and spectrum of a state", cmd_capacity, STATE_SOURCES, {**REQUIRED_ENERGY_FLAGS, **COMMON_FLAGS}),
+    "measure": ("measure the second qubit, mix branches, compare capacities", cmd_measure, STATE_SOURCES,
+                {**REQUIRED_ENERGY_FLAGS, **PROTOCOL_FLAGS, **COMMON_FLAGS}),
+    "sweep": ("run the protocol over a parameter grid", cmd_sweep, {}, SWEEP_FLAGS),
+}  # fmt: skip
+
+
+def build_parser(argv: Sequence[str]) -> _Parser:
+    """The qbcap parser for ``argv``: only the subcommands named in it get a parser.
+
+    argparse hands the command line to a subparser only at a token equal to
+    its name, so the others are never consulted beyond the name and help line
+    that the top-level usage, the help listing and the invalid-choice message
+    read. Each of those is registered as that help line and a ``choices`` entry
+    that holds no parser. The flags of a built subcommand are added from its
+    ``SUBCOMMANDS`` entry as the store actions ``add_argument`` would make of
+    them, without the help formatter it builds per flag to check the metavar.
+    Every parser wraps help to the terminal width read once here, not once per argument.
+    """
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(
+        prog="qbcap",
+        description="Battery capacity of two-qubit states under local projective measurements.",
+        formatter_class=formatter,
+    )
+    subs = parser.add_subparsers(dest="command", required=True, prog="qbcap")
+    for name, (help_text, _, sources, flags) in SUBCOMMANDS.items():
+        if name not in argv:
+            subs._choices_actions.append(subs._ChoicesPseudoAction(name, (), help_text))
+            subs.choices[name] = None
+            continue
+        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
+        group = sub.add_mutually_exclusive_group(required=True) if sources else sub
+        for container, table in ((group, sources), (sub, flags)):
+            for option, keywords in table.items():
+                container._add_action(argparse._StoreAction([option], option[2:].replace("-", "_"), **keywords))
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -299,7 +326,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"qbcap: error: invalid QBCAP_TOL: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, subs.choices[args.command], tol)  # its usage errors name the subcommand
+        return SUBCOMMANDS[args.command][1](args, tol)
+    except _UsageError as exc:
+        subs.choices[args.command].error(str(exc))  # its usage errors name the subcommand
     except (ValueError, NumericError) as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

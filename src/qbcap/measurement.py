@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .battery import QubitPairEnergies, capacities
-from .errors import NumericError, UndefinedAverageError, raise_first
+from .errors import NumericError, UndefinedAverageError, raise_first, raise_first_point
 from .linalg import IDENTITY_2, eigh
 from .states import DensityMatrix, _mirrored_pairs, _qubit_spectra, check_states, diagonal_sum, json_number, reduce_a, require_pair, screen_states
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
@@ -102,11 +102,11 @@ class MeasurementEnsemble:
 GEMM_SLAB = 256
 
 
-def _branches(matrices: np.ndarray, basis: MeasurementBasis, tol, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome branches (N, 2, 4, 4) of a stack of pair matrices, their probabilities and zero-probability flags.
 
     Branches below the 1e-12 probability floor are flagged and set to zero instead of normalized, in ``out``
-    if given (complex, each 4x4 contiguous); probabilities must close to 1 within ``tol`` for every matrix.
+    if given (complex, each 4x4 contiguous); ``_closure`` checks the probabilities.
     """
     n = len(matrices)
     ops = basis.operators
@@ -123,13 +123,18 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, tol, out=None) -> t
             np.matmul(ops.reshape(8, 4), columns[slab], out=left[slab])
         branches = np.matmul(left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3), ops, out=out)
         probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # not np.trace, which stalls here
-        total = probabilities.sum(axis=1)
-        raise_first(np.abs(total - 1.0) > tol, lambda i: NumericError(f"outcome probabilities sum to {total[i]:.12g}, expected 1"))
         flagged = probabilities < ZERO_PROBABILITY
         np.divide(branches, np.where(flagged, 1.0, probabilities)[..., None, None], out=branches)
     if flagged.any():
         branches[flagged] = 0.0
     return branches, probabilities, flagged
+
+
+def _closure(probabilities: np.ndarray, tol: float) -> tuple:
+    """The check, as ``raise_first``'s (bad, error), that the (N, n) outcome probabilities of each matrix sum to 1 within ``tol``."""
+    with np.errstate(invalid="ignore"):  # inf + -inf of non-finite input, which the state screen reports
+        total = probabilities.sum(axis=1)
+    return np.abs(total - 1.0) > tol, lambda i: NumericError(f"outcome probabilities sum to {total[i]:.12g}, expected 1")
 
 
 def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsemble:
@@ -139,45 +144,55 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
     the measured basis, and the probabilities close to 1; branches below the
     1e-12 probability floor are flagged rather than normalized; all at ``rho.tol``.
     """
-    branches, probabilities, flagged = (a[0] for a in _branches(require_pair(rho).matrix[None], basis, rho.tol))
-    return MeasurementEnsemble(branches, tuple(probabilities.tolist()), flagged, rho.tol)
+    branches, probabilities, flagged = _branches(require_pair(rho).matrix[None], basis)
+    raise_first(*_closure(probabilities, rho.tol))
+    return MeasurementEnsemble(branches[0], tuple(probabilities[0].tolist()), flagged[0], rho.tol)
 
 
-def _weight_values(weights) -> tuple[float, ...] | None:
-    """``weights`` as a tuple of floats, or None; each weight is a number by ``json_number``, numpy scalars included."""
+def weight_values(weights, n: int = 2) -> tuple[float, ...] | None:
+    """``weights`` for ``n`` branches as a tuple of floats, or None.
+
+    Weights are numbers by ``json_number`` (not bools or strings; numpy
+    scalars included), finite, nonnegative, sum to 1 within 1e-12 and number
+    one per branch.
+    """
     if weights is None:
         return None
-    return tuple(json_number(w.item() if isinstance(w, np.generic) else w, f"weight mu_{k}") for k, w in enumerate(weights))
+    mu = tuple(json_number(w.item() if isinstance(w, np.generic) else w, f"weight mu_{k}") for k, w in enumerate(weights))
+    for k, w in enumerate(mu):
+        if not math.isfinite(w):
+            raise ValueError(f"weight mu_{k} = {w} is not a finite number")
+        if w < -NEGLIGIBLE:
+            raise ValueError(f"weight mu_{k} = {w:.12g} is negative")
+    if abs(sum(mu) - 1.0) > NEGLIGIBLE:
+        raise ValueError(f"weights sum to {sum(mu):.12g}, expected 1 within {NEGLIGIBLE:g}")
+    if len(mu) != n:
+        raise ValueError(f"{len(mu)} weights for {n} branches")
+    return mu
 
 
-def _mix(branches: np.ndarray, probabilities: np.ndarray, flagged: np.ndarray, mu, out=None) -> np.ndarray:
-    """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
+def _flag_checks(probabilities: np.ndarray, flagged: np.ndarray, mu) -> tuple[tuple, tuple]:
+    """Two checks, as ``raise_first``'s (bad, error), on the flagged branches of (N, n) ``probabilities``.
 
-    Weights are numbers (not bools or strings), finite, nonnegative, sum to 1
-    within 1e-12 and number one per branch. A flagged branch leaves the average
-    undefined and must carry zero weight in a weighted sum, which must have
-    some unflagged branch. The final states are written into ``out`` if given.
+    A flagged branch leaves the average (``mu`` None) undefined and must carry
+    zero weight in a weighted sum, which must have some unflagged branch.
     """
-    n = branches.shape[1]
-    mu = _weight_values(mu)
-    if mu is not None:
-        for k, w in enumerate(mu):
-            if not math.isfinite(w):
-                raise ValueError(f"weight mu_{k} = {w} is not a finite number")
-            if w < -NEGLIGIBLE:
-                raise ValueError(f"weight mu_{k} = {w:.12g} is negative")
-        if abs(sum(mu) - 1.0) > NEGLIGIBLE:
-            raise ValueError(f"weights sum to {sum(mu):.12g}, expected 1 within {NEGLIGIBLE:g}")
-        if len(mu) != n:
-            raise ValueError(f"{len(mu)} weights for {n} branches")
 
     def error(i, k) -> ValueError:
         if mu is not None:
             return ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
         return UndefinedAverageError(f"branch {k} has probability {probabilities[i, k]:.3e}; the unweighted average is undefined")
 
-    raise_first(flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE), error)
-    raise_first(flagged.all(axis=1), lambda i: ValueError("no unflagged branch to mix"))
+    return (flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE), error), (
+        flagged.all(axis=1), lambda i: ValueError("no unflagged branch to mix"))
+
+
+def _mix(branches: np.ndarray, mu, out=None) -> np.ndarray:
+    """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
+
+    ``mu`` holds ``weight_values``; the final states are written into ``out`` if given.
+    """
+    n = branches.shape[1]
     with np.errstate(invalid="ignore"):  # NaN branches of non-finite input, reported by the state screen
         final = np.add(0, branches[:, 0] if mu is None else mu[0] * branches[:, 0], out=out)  # from 0, as sum(): -0.0 becomes 0.0
         for k in range(1, n):
@@ -189,20 +204,21 @@ def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
     """Unweighted average of the normalized outcome branches.
 
     Every branch enters with weight 1/n regardless of its probability, so a
-    vanishing-probability branch leaves the average undefined.
+    vanishing-probability branch leaves the average undefined. This is
+    ``final_state_weighted`` without weights.
     """
-    final = _mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], None)[0]
-    return DensityMatrix(final, ensemble.tol)
+    return final_state_weighted(ensemble, None)
 
 
-def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]) -> DensityMatrix:
+def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float] | None) -> DensityMatrix:
     """Convex combination sum_k mu_k rho_k of the normalized branches.
 
     Flagged zero-probability branches must carry zero weight. Choosing
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
-    final = _mix(ensemble.branches[None], np.array([ensemble.probabilities]), ensemble.flagged[None], weights)[0]
-    return DensityMatrix(final, ensemble.tol)
+    mu = weight_values(weights, len(ensemble.probabilities))
+    raise_first_point(*_flag_checks(np.array([ensemble.probabilities]), ensemble.flagged[None], mu))
+    return DensityMatrix(_mix(ensemble.branches[None], mu)[0], ensemble.tol)
 
 
 def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.ndarray, projectors: np.ndarray):
@@ -211,13 +227,12 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     ``conditional`` holds the Hermitian first-qubit states rho_{A|k} of the
     branches and ``spectra`` their ``_qubit_spectra``. The residue of a branch,
     max|H_k - rho_{A|k} x P_k| for its Hermitian part H_k = (B_k + B_k^dagger)/2,
-    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction; the
-    first branch in stack order that misses it raises. Hermiticity itself is
-    the screen's to judge, at the validation tolerance. The spectrum of
-    rho_{A|k} x P_k is that of rho_{A|k} plus two zeros, and a 4x4 residue R
-    has ||R||_2 <= 4 max|R|, so by Weyl's inequality H_k has no eigenvalue
-    below min(lambda_min(rho_{A|k}), 0) - 4 * residue. Returns these bounds
-    and the (N, n) residues.
+    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction.
+    Hermiticity itself is the screen's to judge, at the validation tolerance.
+    The spectrum of rho_{A|k} x P_k is that of rho_{A|k} plus two zeros, and a
+    4x4 residue R has ||R||_2 <= 4 max|R|, so by Weyl's inequality H_k has no eigenvalue
+    below min(lambda_min(rho_{A|k}), 0) - 4 * residue. Returns these bounds,
+    the (N, n) residues and their check as ``raise_first``'s (bad, error).
     """
     product = (conditional[..., :, None, :, None] * projectors[:, None, :, None, :]).reshape(branches.shape)
     diff = np.subtract(branches, product, out=product).reshape(*branches.shape[:-2], 16)
@@ -225,38 +240,47 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     entries = diff[..., _mirrored_pairs(4)]
     upper, lower = entries[..., :10], entries[..., 10:]
     residue = np.abs(np.add(upper, np.conjugate(lower, out=lower), out=upper)).max(axis=-1) / 2.0
-    raise_first(
+    check = (
         residue > RECONSTRUCTION_TOL,
         lambda i, k: NumericError(f"branch {k} residue {residue[i, k]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}"),
     )
-    return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue
+    return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue, check
 
 
-def _certify(values: np.ndarray, closed: np.ndarray, bound, what: str) -> None:
-    """``raise_first`` for eigenvalues in ``values`` farther than ``bound`` (broadcast) from their ``closed`` form."""
+def _certificate(values: np.ndarray, closed: np.ndarray, bound, what: str) -> tuple:
+    """The check, as ``raise_first``'s (bad, error), that ``values`` lie within ``bound`` (broadcast) of their ``closed`` form."""
     gap = np.abs(values - closed)
 
     def error(*i) -> NumericError:
         limit = np.broadcast_to(bound, gap.shape)[i]
         return NumericError(f"{what} eigenvalue {gap[i]:.3e} from its closed form exceeds the bound {limit:.3e}")
 
-    raise_first(gap > bound, error)
+    return gap > bound, error
 
 
-def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
+def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
     """The protocol on an (N, 4, 4) stack of pair matrices: their spectra (N, 4) and gains (N, 6).
 
     ``weights`` are numbers, or None for the uniform scheme; ``levels`` are the
     ascending pair and first-qubit levels; ``tol`` is the validation tolerance.
-    Gains come in ``GAIN_FIELDS`` order.
+    Gains come in ``GAIN_FIELDS`` order. With ``basis`` None nothing is
+    measured: the call is the input half alone, the ``capacity`` command on a
+    stack, and the gains are the capacities before, (N, 2), with the bits the
+    protocol gives them.
     Input, branch and final matrices are written into one buffer, in that role
-    order, and read point-major. The checks run in this order, each raising at
-    the first point in stack order that fails it (``raise_first``):
+    order, and read point-major. The weights are checked first
+    (``weight_values``). Then come one stacked ``screen_states`` of all roles
+    and one stacked ``eigh`` of the input and final matrices, whose
+    reconstruction is checked for the inputs only, raising at the first input
+    in stack order that misses it. The point checks follow, raised for the
+    first point in stack order that fails any of them, with the error of the
+    first it fails in this order (``raise_first_point``):
 
-    1. one stacked ``screen_states`` of all four roles;
-    2. the product check of the branches (``_branch_bounds``);
-    3. one stacked ``eigh`` of the input and final matrices, whose
-       reconstruction is checked for the inputs only;
+    1. the screen's verdict on the input, so that an input's own failure
+       comes before anything measured of it;
+    2. the closure of the outcome probabilities (``_closure``), then the
+       zero-probability branches (``_flag_checks``);
+    3. the product check of the branches (``_branch_bounds``);
     4. the classical-quantum certificate of the final spectra. The Hermitian
        part of a final state sum_k mu_k B_k lies within sum_k |mu_k| residue_k
        of sum_k mu_k rho_{A|k} x P_k in every entry, and the matrix LAPACK
@@ -268,27 +292,32 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
        branch enters with weight zero, as it does the mix; points holding a
        stand-in for a branch or final matrix that failed the screen are
        skipped;
-    5. the screen's verdict: the first failing matrix in the order input,
-       branch 0, branch 1, final of each point;
-    6. the reduced first-qubit states of input and final: a ``screen_states``,
-       one stacked ``np.linalg.eigvalsh``, whose spectra must lie within 1e-11
-       of their closed form (``_qubit_spectra``), then that screen's verdict.
+    5. the screen's verdict on branches and final state, in the order
+       branch 0, branch 1, final.
 
-    On a stack of several points the error raised may belong to a later point
-    than the first failing one.
+    Last, the reduced first-qubit states of input and final take a
+    ``screen_states``, one stacked ``np.linalg.eigvalsh``, whose spectra must
+    lie within 1e-11 of their closed form (``_qubit_spectra``), then that
+    screen's verdict, each raising at the first failing point. So on a stack
+    of several points, a failed input reconstruction or reduced state may be
+    raised ahead of an earlier point's failure.
     """
     n = len(matrices)
-    stack = np.empty((4, n, 4, 4), dtype=complex).transpose(1, 0, 2, 3)
+    measured = basis is not None
+    stack = np.empty((4 if measured else 1, n, 4, 4), dtype=complex).transpose(1, 0, 2, 3)
     stack[:, 0] = matrices
-    _, probabilities, flagged = _branches(matrices, basis, tol, out=stack[:, 1:3])
-    _mix(stack[:, 1:3], probabilities, flagged, weights, out=stack[:, 3])
-    mu = np.array((0.5, 0.5) if weights is None else weights, dtype=float)  # the mixing weights
-    if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
-        np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
-        mu = np.where(flagged, 0.0, mu)  # and it adds nothing to the final state
+    if measured:
+        weights = weight_values(weights)
+        _, probabilities, flagged = _branches(matrices, basis, out=stack[:, 1:3])
+        _mix(stack[:, 1:3], weights, out=stack[:, 3])
+        mu = np.array((0.5, 0.5) if weights is None else weights, dtype=float)  # the mixing weights
+        if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
+            np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
+            mu = np.where(flagged, 0.0, mu)  # and it adds nothing to the final state
     off, defects, verdict = screen_states(stack, tol)
     if off.any():  # a matrix that failed the screen raises its own error in verdict; a valid state stands in for it
-        stand_ins = np.concatenate([np.eye(4)[None] / 4.0, basis.operators / 2.0, np.eye(4)[None] / 4.0])
+        identity = np.eye(4)[None] / 4.0
+        stand_ins = np.concatenate([identity, basis.operators / 2.0, identity]) if measured else identity
         np.copyto(stack, stand_ins, where=off[..., None, None])  # in place: nothing reads the failed matrices again
     # The first-qubit states of every role, one closed form for all: those of the branches, taken Hermitian,
     # are the conditional states rho_{A|k}.
@@ -297,22 +326,28 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis, weights, leve
     np.add(conditional, conditional.conj().swapaxes(-1, -2), out=conditional)
     conditional *= 0.5
     closed = _qubit_spectra(reduced)
-    bounds, residue = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
     values, _ = eigh(stack[:, ::3], checked=np.s_[:, 0])
-    cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
-    bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
-    if off.any():  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
-        bound[off[:, 1:].any(axis=1)] = np.inf
-    _certify(values[:, 1], cq, bound[:, None], "final state")
-    verdict(np.concatenate([values[:, :1, 0], bounds, values[:, 1:, 0]], axis=1))
+    lowest, checks = values[:, :1, 0], []
+    if measured:
+        bounds, residue, residue_check = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
+        cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
+        bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
+        if off.any():  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
+            bound[off[:, 1:].any(axis=1)] = np.inf
+        final_check = _certificate(values[:, 1], cq, bound[:, None], "final state")
+        checks = [_closure(probabilities, tol), *_flag_checks(probabilities, flagged, weights), residue_check, final_check]
+        lowest = np.concatenate([lowest, bounds, values[:, 1:, 0]], axis=1)
+    bad, error = verdict(lowest)
+    raise_first_point((bad[:, :1], error), *checks, (bad, error))  # the input's verdict, then the measured checks
     spectra = np.maximum(values, 0.0)
     total = capacities(spectra, levels[0])
     _, _, reduced_verdict = screen_states(reduced[:, ::3], tol)
     reduced_values = np.linalg.eigvalsh(reduced[:, ::3])
-    _certify(reduced_values, closed[:, ::3], RECONSTRUCTION_TOL, "reduced state")
-    reduced_verdict(reduced_values[..., 0])
+    raise_first(*_certificate(reduced_values, closed[:, ::3], RECONSTRUCTION_TOL, "reduced state"))
+    raise_first(*reduced_verdict(reduced_values[..., 0]))
     first = capacities(np.maximum(reduced_values, 0.0), levels[1])
-    return spectra[:, 0], np.column_stack([total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]])
+    gains = [total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]] if measured else [total, first]
+    return spectra[:, 0], np.column_stack(gains)
 
 
 # The capacity fields of a gain report, in the order every output lists them.
@@ -381,7 +416,7 @@ def capacity_gain(
     """
     require_pair(rho)
     check_scheme(scheme, weights)
-    mu = _weight_values(weights)
+    mu = weight_values(weights)
     basis = basis or MeasurementBasis.computational()
     _, gains = measure_and_mix(rho.matrix[None], basis, mu, energies.levels(), rho.tol)
     return CapacityGainReport(*gains[0].tolist(), scheme, mu)

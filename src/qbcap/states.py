@@ -60,9 +60,9 @@ def screen_states(matrices: np.ndarray, tol: float):
     Returns the mask of the matrices that fail it, their Hermiticity defects
     max |m - m^dagger| and ``verdict(lowest)``. Given the lowest eigenvalue of
     every matrix, or a lower bound on it (any value where the mask is set),
-    ``verdict`` raises the error of the first failing matrix in stack order
-    (``raise_first``): non-finite, non-Hermitian or off unit trace beyond
-    ``tol``, else an eigenvalue below minus ``tol``.
+    ``verdict`` gives the (bad, error) pair that ``raise_first`` raises: the
+    error of a failing matrix is non-finite, non-Hermitian or off unit trace
+    beyond ``tol``, else an eigenvalue below minus ``tol``.
     """
     # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it; it is
     # NaN or infinite exactly when some entry of m is
@@ -77,7 +77,7 @@ def screen_states(matrices: np.ndarray, tol: float):
     finite = np.isfinite(defect)
     off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
 
-    def verdict(lowest: np.ndarray) -> None:
+    def verdict(lowest: np.ndarray) -> tuple:
         def error(*i) -> InvalidStateError:
             if not finite[i]:
                 return InvalidStateError("matrix contains non-finite entries")
@@ -87,7 +87,7 @@ def screen_states(matrices: np.ndarray, tol: float):
                 return InvalidStateError(f"trace = {trace[i].real:.12g}, expected 1 within {tol:g}")
             return InvalidStateError(f"negative eigenvalue {lowest[i]:.3e} below -{tol:g}")
 
-        raise_first(off | (lowest < -tol), error)
+        return off | (lowest < -tol), error
 
     return off, defect, verdict
 
@@ -106,7 +106,7 @@ def check_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         d = matrices.shape[-1]
         matrices = np.where(off[..., None, None], np.eye(d) / d, matrices)
     values, vectors = eigh(matrices)
-    verdict(values[..., 0])
+    raise_first(*verdict(values[..., 0]))
     return np.maximum(values, 0.0), vectors
 
 
@@ -149,31 +149,8 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, data: dict, tol: float = VALIDATION_TOL) -> "DensityMatrix":
-        """Inverse of :meth:`to_json`; ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a ``json_number``.
-
-        A payload that is not an object, lacks a key, has an unknown key or
-        holds an entry that is not a number raises "malformed density-matrix
-        payload".
-        """
-        if not isinstance(data, dict):
-            raise InvalidStateError(f"malformed density-matrix payload: expected an object, got {type(data).__name__}")
-        try:
-            dims = {key: data[key] for key in ("dim_a", "dim_b")}
-            entries = {key: np.array(data[key], dtype=object) for key in ("re", "im")}
-            unknown = [key for key in data if key not in (*dims, *entries)]
-            if unknown:
-                raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
-            re, im = (np.reshape([json_number(v, f"{key} entry") for v in a.flat], a.shape) for key, a in entries.items())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc
-        for key, dim in dims.items():
-            if type(dim) is not int or dim != 2:
-                raise InvalidStateError(f"{key} must be the integer 2, got {dim!r}")
-        if re.shape != im.shape:
-            raise InvalidStateError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-        with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, a non-finite entry the state screen reports
-            matrix = re + 1j * im
-        return require_pair(cls(matrix, tol))
+        """Inverse of :meth:`to_json`, checked at ``tol``; see ``pair_from_json``."""
+        return cls(pair_from_json(data, tol), tol)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -184,6 +161,39 @@ def require_pair(rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != 4:
         raise ValueError(f"expected a two-qubit state, got a {rho.dim}x{rho.dim} matrix")
     return rho
+
+
+def pair_from_json(data: dict, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """The (4, 4) matrix of a ``DensityMatrix.to_json`` payload, not checked as a state.
+
+    ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a
+    ``json_number``. A payload that is not an object, lacks a key, has an
+    unknown key or holds an entry that is not a number raises "malformed
+    density-matrix payload". A matrix of another shape raises the shape error
+    of ``DensityMatrix``; a qubit's raises its own state error at ``tol``, else
+    that it is not a pair.
+    """
+    if not isinstance(data, dict):
+        raise InvalidStateError(f"malformed density-matrix payload: expected an object, got {type(data).__name__}")
+    try:
+        dims = {key: data[key] for key in ("dim_a", "dim_b")}
+        entries = {key: np.array(data[key], dtype=object) for key in ("re", "im")}
+        unknown = [key for key in data if key not in (*dims, *entries)]
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+        re, im = (np.reshape([json_number(v, f"{key} entry") for v in a.flat], a.shape) for key, a in entries.items())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc
+    for key, dim in dims.items():
+        if type(dim) is not int or dim != 2:
+            raise InvalidStateError(f"{key} must be the integer 2, got {dim!r}")
+    if re.shape != im.shape:
+        raise InvalidStateError(f"re/im shapes differ: {re.shape} vs {im.shape}")
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, a non-finite entry the state screen reports
+        matrix = re + 1j * im
+    if matrix.shape != (4, 4):
+        require_pair(DensityMatrix(matrix, tol))
+    return matrix
 
 
 def require_within(values: np.ndarray, low: float, high: float, error) -> None:
@@ -392,48 +402,53 @@ def _qubit_spectra(m: np.ndarray) -> np.ndarray:
     return ((a + d) / 2.0)[..., None] + half[..., None] * _SIGNS  # mid + (-half) is mid - half, bit for bit
 
 
-# Flat indices into a pair matrix m of the lower triangle of its partial transpose h, which
-# pt[(a, b), (a', b')] = m[(a, b'), (a', b)] gives: the principal blocks {0, 3} and {1, 2} as the 2x2
-# matrices [[h00, h30], [h30, h33]] and [[h11, h21], [h21, h22]], whose upper entry ``_qubit_spectra``
-# does not read, then the four entries h10, h20, h31, h32 outside the blocks.
-_PT_ENTRIES = np.array([0, 9, 9, 15, 5, 12, 12, 10, 1, 8, 13, 11])
-# The PPT certificate's margin per unit of the largest |h_ij|: it covers the rounding of the two bounds
-# (at most 15 eps) plus LAPACK's error on the lowest eigenvalue (16 eps ||h||_2 <= 64 eps), with room to spare.
-_PPT_MARGIN = 128 * np.finfo(float).eps
-# The largest |h_ij| of a point the certificate settles: below it no step of the bounds overflows (8 |h_ij|^2 < 2^1024).
-_PPT_MAX_ENTRY = 2.0**510
+# Rows of the float view of a flattened pair matrix m, which holds the real part of flat entry k at 2k and its
+# imaginary part at 2k + 1, that give the lower triangle of its partial transpose h; pt[(a, b), (a', b')] =
+# m[(a, b'), (a', b)]. Of the principal blocks {0, 3} and {1, 2}, [[h00, h30], [h30, h33]] and
+# [[h11, h21], [h21, h22]], they hold the real diagonals (h00, h11) and (h33, h22), then (h30, h21), real and
+# imaginary parts; then the four entries h10, h20, h31, h32 outside the blocks, real and imaginary parts.
+_PT_ROWS = 2 * np.array([0, 5, 15, 10, 9, 12, 9, 12, 1, 8, 13, 11, 1, 8, 13, 11]) + np.repeat([0, 1, 0, 1], [6, 2, 4, 4])
+# The PPT certificate's margin per unit of c, the largest absolute real or imaginary part of an entry of h. As
+# |h_ij| <= sqrt(2) c, it is at least 128 eps times the largest |h_ij|: that covers the rounding of the two bounds
+# (at most 20 eps) plus LAPACK's error on the lowest eigenvalue (16 eps ||h||_2 <= 64 eps), with room to spare.
+_PPT_MARGIN = 192 * np.finfo(float).eps
+# The largest c of a point the certificate settles: below it no step of the bounds overflows (16 c^2 < 2^1024).
+_PPT_MAX_ENTRY = 2.0**509
 
 
 def ppt_entangled(matrices: np.ndarray) -> np.ndarray:
-    """Partial-transpose verdict for each pair matrix of a stack, exact for a qubit pair.
+    """Partial-transpose verdict for each complex pair matrix of a stack, exact for a qubit pair.
 
     True exactly when ``np.linalg.eigvalsh`` finds an eigenvalue below -1e-10
     in the partial transpose over the second qubit, that is in h, the
     Hermitian matrix it reads: the lower triangle, mirrored, with the real
     diagonal. Most points are decided without it. The lowest eigenvalues of
-    the 2x2 principal blocks {0, 3} and {1, 2} of h have a closed form
-    (``_qubit_spectra``), and their minimum ``upper`` bounds lambda_min(h)
-    from above (Cauchy interlacing). With E the part of h outside the blocks,
-    ``lower = upper - ||E||_F`` bounds it from below (Weyl's inequality). A
-    point is entangled if upper < -1e-10 - margin and separable if lower >
-    -1e-10 + margin, where margin, 128 eps times the largest |h_ij|, exceeds
-    the rounding of both bounds plus LAPACK's eigenvalue error. Only the
+    the 2x2 principal blocks {0, 3} and {1, 2} of h have the closed form
+    (a + d)/2 - hypot((a - d)/2, |b|) of ``_qubit_spectra``, and their minimum
+    ``upper`` bounds lambda_min(h) from above (Cauchy interlacing). With E the
+    part of h outside the blocks, ``lower = upper - ||E||_F`` bounds it from
+    below (Weyl's inequality). A point is entangled if upper < -1e-10 - margin
+    and separable if lower > -1e-10 + margin, where margin, 192 eps times the
+    largest real or imaginary part of an entry of h, exceeds the rounding of
+    both bounds plus LAPACK's eigenvalue error. The entries are gathered once
+    into contiguous (16, N) rows of real numbers (``_PT_ROWS``). Only the
     points left open take ``eigvalsh``, among them every point with an entry
-    that is not finite or above 2^510, where the bounds could overflow.
+    that is not finite or has a part above 2^509, where the bounds could overflow.
     """
-    entries = matrices.reshape(-1, 16)[:, _PT_ENTRIES]
+    planes = matrices.reshape(-1, 16).view(float).T[_PT_ROWS]
     with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite entries leave their point open
-        upper = _qubit_spectra(entries[:, :8].reshape(-1, 2, 2, 2))[..., 0].min(axis=1)
-        size = np.abs(entries)
-        off = np.sqrt(2.0 * np.square(size[:, 8:]).sum(axis=1))  # ||E||_F: each entry below the diagonal and its mirror
-        largest = size.max(axis=1)
+        a, d = planes[0:2], planes[2:4]
+        lowest = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.hypot(planes[4:6], planes[6:8]))
+        upper = np.minimum(lowest[0], lowest[1])
+        off = np.sqrt(2.0 * np.square(planes[8:]).sum(axis=0))  # ||E||_F: each entry below the diagonal and its mirror
+        largest = np.abs(planes).max(axis=0)
         margin = _PPT_MARGIN * largest
         entangled = upper < -PPT_NEG_TOL - margin
-        unsettled = ~((entangled | (upper - off > -PPT_NEG_TOL + margin)) & (largest <= _PPT_MAX_ENTRY))
-    if unsettled.any():
-        pending = matrices.reshape(-1, 4, 4)[unsettled]
+        settled = (entangled | (upper - off > -PPT_NEG_TOL + margin)) & (largest <= _PPT_MAX_ENTRY)
+    if not settled.all():
+        pending = matrices.reshape(-1, 4, 4)[~settled]
         transposed = pending.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(pending.shape)
-        entangled[unsettled] = np.linalg.eigvalsh(transposed)[:, 0] < -PPT_NEG_TOL
+        entangled[~settled] = np.linalg.eigvalsh(transposed)[:, 0] < -PPT_NEG_TOL
     return entangled.reshape(matrices.shape[:-2])
 
 

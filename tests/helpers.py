@@ -1,5 +1,6 @@
-"""Seeded samplers and the subprocess environment shared across the test modules."""
+"""Seeded samplers, the subprocess environment and the reference CLI parser shared across the test modules."""
 
+import argparse
 import ctypes
 import os
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from qbcap import DensityMatrix, MeasurementBasis, QubitPairEnergies, XStateParams
+from qbcap import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # The OpenBLAS kernel the byte pins (golden CLI digests, demo digests) were recorded under.
@@ -172,3 +174,39 @@ def protocol_oracle(matrix, eps_a, eps_b, angles, weights):
     gains = (*c_total, *c_a, c_total[1] - c_total[0], c_a[1] - c_a[0])
     transposed = matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     return np.linalg.eigvalsh(matrix), gains, bool(np.linalg.eigvalsh(transposed)[0] < -1e-10)
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    """qbcap's parser class through public argparse alone: the help flag of ``add_help``, usage errors exiting
+    64 as ``cli._Parser``'s do, and negative numbers in exponent notation read as values."""
+
+    error = cli._Parser.error
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = cli.NEGATIVE_NUMBER
+
+
+def add_reference_arguments(parser, name):
+    """The flags of subcommand ``name``, from its ``cli.SUBCOMMANDS`` entry, added by ``add_argument``; returns ``parser``."""
+    _, _, sources, flags = cli.SUBCOMMANDS[name]
+    if sources:
+        group = parser.add_mutually_exclusive_group(required=True)
+        for option, keywords in sources.items():
+            group.add_argument(option, **keywords)
+    for option, keywords in flags.items():
+        parser.add_argument(option, **keywords)
+    return parser
+
+
+def reference_parser():
+    """The whole qbcap parser, every subcommand built, by public argparse calls on the ``cli.SUBCOMMANDS`` table.
+
+    Its parsers wrap help to the width argparse's own ``HelpFormatter`` reads
+    from the terminal, and ``add_subparsers`` computes the subcommands' prog.
+    """
+    parser = ReferenceParser(prog="qbcap", description=cli.build_parser([]).description)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *_) in cli.SUBCOMMANDS.items():
+        add_reference_arguments(subs.add_parser(name, help=help_text), name)
+    return parser

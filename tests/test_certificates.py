@@ -37,8 +37,8 @@ def test_qubit_eigvalsh_has_the_bits_of_eigh(family, rotated, weighted):
     weights = (mu0, 1.0 - mu0) if weighted else None
     spec = SweepSpec(family, param, start, stop, 1024, ENERGIES, "weighted" if weighted else "uniform", weights, angles, **extra)
     matrices = spec.matrices(spec.grid(), VALIDATION_TOL)
-    branches, probabilities, flagged = _branches(matrices, MeasurementBasis(angles), VALIDATION_TOL)
-    final = _mix(branches, probabilities, flagged, weights)
+    branches, probabilities, flagged = _branches(matrices, MeasurementBasis(angles))
+    final = _mix(branches, weights)
     reduced = reduce_a(np.stack([matrices, final], axis=1))
     got, want = np.linalg.eigvalsh(reduced), np.linalg.eigh(reduced)[0]
     differ = (got != want).any(axis=-1)

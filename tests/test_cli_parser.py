@@ -1,6 +1,8 @@
 """The per-call parser: ``build_parser(argv)`` builds a parser only for the subcommands named in
 ``argv``, registers the others by name and help line, and parses every command line as the parser
-with all three does."""
+with all three does. Its flags are argparse actions added directly from the ``SUBCOMMANDS`` table;
+``helpers.reference_parser`` builds the same table through ``add_argument``, and the two parse and
+print help alike."""
 
 import argparse
 import contextlib
@@ -11,7 +13,8 @@ import sys
 
 import pytest
 
-from test_cli_golden import ENERGIES, FIXTURE, invocations
+from helpers import ReferenceParser, add_reference_arguments, reference_parser
+from test_cli_golden import ENERGIES, FIXTURE, HELP, invocations
 
 from qbcap import cli
 from qbcap.cli import build_parser, main
@@ -56,17 +59,29 @@ def destinations(parser: argparse.ArgumentParser) -> list[str]:
 
 
 def full_destinations(name: str) -> list[str]:
-    """The destinations of subcommand ``name`` built on its own, with all of its arguments."""
-    reference = cli._Parser(prog=f"qbcap {name}")
-    _, add_arguments = cli.SUBCOMMANDS[name]
-    add_arguments(reference)
-    return destinations(reference)
+    """The destinations of subcommand ``name`` built on its own by ``add_argument``, with all of its arguments."""
+    return destinations(add_reference_arguments(ReferenceParser(prog=f"qbcap {name}"), name))
 
 
 @pytest.mark.parametrize("argv", invocations() + EDGE_CASES, ids=" ".join)
 def test_parser_of_the_call_parses_as_the_full_parser(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert parse(build_parser(argv), argv) == parse(build_parser(ALL_COMMANDS), argv)
+
+
+@pytest.mark.parametrize("argv", invocations() + EDGE_CASES, ids=" ".join)
+def test_parser_of_the_call_parses_as_the_add_argument_reference(argv, monkeypatch):
+    # Namespace, usage-error stderr, help and exit code, against the flags registered by add_argument.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse(build_parser(argv), argv) == parse(reference_parser(), argv)
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "100"])
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
+def test_help_is_the_add_argument_references_at_each_width(argv, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err, _ = parse(build_parser(argv), argv)
+    assert (code, out, err) == parse(reference_parser(), argv)[:3] and code == 0 and out.startswith("usage: qbcap")
 
 
 def test_only_the_named_subcommand_gets_a_parser():
@@ -98,10 +113,11 @@ def test_a_call_builds_two_parsers_and_makes_half_the_lookups(monkeypatch, capsy
         build_parser(built).parse_args(argv)
         return dict(counts)
 
+    # Each parser makes 2 lookups, its two group titles: its help flag's text is added untranslated.
     argv = ["measure", "--werner", "0.6", *ENERGIES]
     call, full = count(argv, argv), count(ALL_COMMANDS, argv)
     assert (call["parsers"], full["parsers"]) == (2, 4)
-    assert 2 * call["lookups"] == full["lookups"] > 0
+    assert (call["lookups"], full["lookups"]) == (4, 8)
 
     monkeypatch.setenv("COLUMNS", "80")
     counts.update(parsers=0)
@@ -131,8 +147,8 @@ def test_help_wraps_to_the_width_of_each_call(monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", columns)
         with pytest.raises(SystemExit) as exc:
             main(["measure", "--help"])
-        reference = cli._Parser(prog="qbcap measure")  # argparse's own HelpFormatter, reading COLUMNS itself
-        cli._add_measure_arguments(reference)
+        # argparse's own HelpFormatter, reading COLUMNS itself, and flags registered by add_argument
+        reference = add_reference_arguments(ReferenceParser(prog="qbcap measure"), "measure")
         assert (exc.value.code, capsys.readouterr().out) == (0, reference.format_help())
         helps.append(reference.format_help())
     assert helps[0] != helps[1]

@@ -42,7 +42,8 @@ from qbcap import (
     run_sweep,
     subsystem_a_hamiltonian,
 )
-from qbcap.measurement import GAIN_FIELDS, _branches, _mix, measure_and_mix
+from qbcap.errors import raise_first
+from qbcap.measurement import GAIN_FIELDS, _branches, _closure, _flag_checks, _mix, measure_and_mix
 from qbcap.states import reduce_a
 from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
 from qbcap.tolerances import VALIDATION_TOL, ZERO_PROBABILITY
@@ -322,11 +323,11 @@ def test_branches_are_bitwise_the_stacked_products(stack):
     flagged = probabilities < ZERO_PROBABILITY
     branches = unnormalized / np.where(flagged, 1.0, probabilities)[..., None, None]
     branches[flagged] = 0.0
-    assert_same_bytes(_branches(matrices, basis, VALIDATION_TOL), (branches, probabilities, flagged), "the stacked products")
+    assert_same_bytes(_branches(matrices, basis), (branches, probabilities, flagged), "the stacked products")
     # Written into the branch slabs of measure_and_mix's role-major buffer, which are strided: a matmul
     # that left BLAS for such an output would show here.
     slabs = np.full((4, len(matrices), 4, 4), np.nan, dtype=complex)[1:3].transpose(1, 0, 2, 3)
-    got = _branches(matrices, basis, VALIDATION_TOL, out=slabs)
+    got = _branches(matrices, basis, out=slabs)
     assert got[0] is slabs
     assert_same_bytes(got, (branches, probabilities, flagged), "the stacked products, written into strided slabs")
 
@@ -336,8 +337,8 @@ def test_branches_are_bitwise_the_stacked_products(stack):
 def test_branches_of_a_stack_are_those_of_each_matrix_alone(stack):
     # A matrix's branches have the same bits whatever the size of its stack, under every BLAS kernel.
     basis, matrices = stack
-    alone = [_branches(m[None], basis, VALIDATION_TOL) for m in matrices]
-    stacked = _branches(matrices, basis, VALIDATION_TOL)
+    alone = [_branches(m[None], basis) for m in matrices]
+    stacked = _branches(matrices, basis)
     assert_same_bytes(stacked, [np.concatenate(a) for a in zip(*alone)], "those of each matrix alone")
 
 
@@ -361,15 +362,27 @@ def near_negative_points(draw, basis):
 
 
 def eigh_rule_message(matrices, basis, weights):
-    """The error text of the protocol with every input, branch and final matrix checked by full eigh, or None."""
-    try:
-        branches, probabilities, flagged = _branches(matrices, basis, VALIDATION_TOL)
-        final = _mix(branches, probabilities, flagged, weights)
-    except (ValueError, ArithmeticError) as exc:
-        return str(exc)
-    stack = np.concatenate([matrices[:, None], branches, final[:, None]], axis=1)
+    """The error text of the protocol with every input, branch and final matrix checked by full eigh, or None.
+
+    The first failing point reports. Its input is checked before anything measured of it, as a
+    ``DensityMatrix`` built of it would check it; then the closure of its probabilities, its
+    zero-probability branches, and its branch and final matrices. The reduced states of all points come last.
+    """
+    branches, probabilities, flagged = _branches(matrices, basis)
+    stack = np.concatenate([matrices[:, None], branches, _mix(branches, weights)[:, None]], axis=1)
     stack[:, 1:3][flagged] = np.eye(4) / 4.0
-    return eigh_check_oracle(stack) or eigh_check_oracle(reduce_a(stack[:, ::3]))
+    for i in range(len(matrices)):
+        point = np.s_[i : i + 1]
+        try:
+            for check in (_closure(probabilities[point], VALIDATION_TOL), *_flag_checks(probabilities[point], flagged[point], weights)):
+                raise_first(*check)
+            message = None
+        except (ValueError, ArithmeticError) as exc:
+            message = str(exc)
+        message = eigh_check_oracle(matrices[point]) or message or eigh_check_oracle(stack[point])
+        if message:
+            return message
+    return eigh_check_oracle(reduce_a(stack[:, ::3]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

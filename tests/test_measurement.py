@@ -35,6 +35,7 @@ from qbcap import (
     x_state,
 )
 import qbcap.measurement
+from qbcap.errors import raise_first
 from qbcap.measurement import _branch_bounds, _branches, _qubit_spectra, measure_and_mix
 from qbcap.states import check_states, reduce_a
 from qbcap.tolerances import VALIDATION_TOL
@@ -163,7 +164,7 @@ def test_measure_returns_the_engine_branch_record(rng):
     for _ in range(20):
         rho, basis = random_density(rng), random_rotated_basis(rng)
         ensemble = measure_b(rho, basis)
-        branches, probabilities, flagged = (a[0] for a in _branches(rho.matrix[None], basis, VALIDATION_TOL))
+        branches, probabilities, flagged = (a[0] for a in _branches(rho.matrix[None], basis))
         assert ensemble.branches.tobytes() == branches.tobytes()
         assert ensemble.probabilities == tuple(probabilities.tolist())
         assert all(type(p) is float for p in ensemble.probabilities)
@@ -510,7 +511,7 @@ def test_branch_bounds_carry_the_weyl_term(rng):
         noise = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
         noise *= rng.uniform(0.0, 2e-12) / np.abs(noise).max(axis=(-2, -1), keepdims=True)  # residue at most 6e-12
         branches = np.stack([np.kron(rho_a, p) for p in basis.projectors]) + noise
-        bounds, residue = (a[0] for a in _branch_bounds(branches[None], *hermitian_conditionals(branches[None]), basis.projectors))
+        bounds, residue = (a[0] for a in _branch_bounds(branches[None], *hermitian_conditionals(branches[None]), basis.projectors)[:2])
         conditionals = np.einsum("kibjb->kij", branches.reshape(2, 2, 2, 2, 2))
         hermitian = (conditionals + conditionals.conj().swapaxes(-1, -2)) / 2.0
         products = np.stack([np.kron(c, p) for c, p in zip(hermitian, basis.projectors)])
@@ -520,7 +521,7 @@ def test_branch_bounds_carry_the_weyl_term(rng):
         np.testing.assert_allclose(residue, want_residue, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(bounds, want, rtol=0.0, atol=1e-15)
         assert (np.linalg.eigvalsh(hermitian_branches)[:, 0] >= bounds - 1e-15).all()
-    # A residue beyond 1e-11 raises naming the branch, be it a Hermitian entry off the product or a lone entry
+    # A residue beyond 1e-11 fails the check that names the branch, be it a Hermitian entry off the product or a lone entry
     # whose mirror image is missing; a skew-Hermitian one inside the block leaves the Hermitian part a product,
     # and Hermiticity is the screen's to judge.
     projectors = MeasurementBasis.computational().projectors
@@ -532,7 +533,7 @@ def test_branch_bounds_carry_the_weyl_term(rng):
     for shifted in (off_block, lone):
         stack = np.stack([point, shifted])
         with pytest.raises(NumericError, match=r"^branch 1 residue 2\.000e-11 from a product state exceeds 1e-11$"):
-            _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
+            raise_first(*_branch_bounds(stack, *hermitian_conditionals(stack), projectors)[2])
     stack = np.stack([point, skew])
-    _, residue = _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
+    _, residue, _ = _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
     assert residue.max() == 0.0
