@@ -9,7 +9,9 @@ side.
 ``measure_and_mix`` runs the whole protocol on a stack of N pair matrices;
 ``measure_b``, the two mixing rules and ``capacity_gain`` are its stages on
 a stack of one. Both get their branches from ``_branches``, which takes the
-left products of a whole stack in GEMMs of up to ``GEMM_SLAB`` matrices.
+left and the right products of a whole stack as GEMMs over slabs of
+``GEMM_SLAB / 2`` points; the right ones run transposed, with the 8-row shape
+of the left ones.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ class MeasurementEnsemble:
             object.__setattr__(self, name, a)
 
 
-# The most matrices one left-product GEMM of ``_branches`` takes. Up to 256, each matrix got the bits it gets
-# alone under the OpenBLAS SkylakeX, Haswell and Prescott kernels with 1 and 2 threads; with 2 threads,
-# Haswell splits a 512-matrix GEMM across them and changes those bits.
+# The most matrices one GEMM of ``_branches`` takes: a slab of GEMM_SLAB / 2 points, both branches of each. Up to
+# 256, each matrix got the bits it gets alone under the OpenBLAS SkylakeX, Haswell and Prescott kernels with 1 and 2
+# threads; with 2 threads, Haswell splits a 512-matrix GEMM across them and changes those bits.
 GEMM_SLAB = 256
 
 
@@ -109,20 +111,24 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[
     if given (complex, each 4x4 contiguous); ``_closure`` checks the probabilities.
     """
     n = len(matrices)
-    ops = basis.operators
+    rows, transposed_rows = basis.operators.reshape(8, 4), basis.operators.transpose(0, 2, 1).reshape(8, 4)
     columns = matrices.transpose(1, 0, 2).reshape(4, 4 * n)
-    left = np.empty((8, 4 * n), dtype=complex)
+    branches = np.empty((n, 2, 4, 4), dtype=complex) if out is None else out
     # Non-finite or huge entries make NaNs and infinities here, which the state screen reports as non-finite.
     with np.errstate(invalid="ignore", over="ignore"):
-        # (I x P_k) rho_n (I x P_k): the left products as GEMMs of rows (k, i) and columns (n, j), each over at
-        # most GEMM_SLAB matrices, then a 4x4 right product per branch. Rows of a (4N x 4)(4 x 4) product can
-        # take another kernel path with N (OpenBLAS Haswell), and so can the columns of a GEMM split across
-        # threads; either would make a branch's bits depend on the size of its stack.
-        for start in range(0, 4 * n, 4 * GEMM_SLAB):
-            slab = np.s_[:, start : start + 4 * GEMM_SLAB]
-            np.matmul(ops.reshape(8, 4), columns[slab], out=left[slab])
-        branches = np.matmul(left.reshape(2, 4, n, 4).transpose(2, 0, 1, 3), ops, out=out)
-        probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # not np.trace, which stalls here
+        # (I x P_k) rho_n (I x P_k), a slab of points at a time, as two GEMMs of 8 rows: the left products
+        # L_k = (I x P_k) rho_n take rows (k, i) and columns (n, j); the right products, transposed as
+        # B_k^T = (I x P_k)^T L_k^T, take rows (k, j) and columns (k', n, i) of both branches' L^T, and their
+        # blocks with k = k' are the branches. Rows of a (4N x 4)(4 x 4) product can take another kernel path with
+        # N (OpenBLAS Haswell), and so can the columns of a GEMM split across threads or of a 4-row GEMM per k
+        # (Haswell again); any of these would make a branch's bits depend on the size of its stack. A slab at a
+        # time keeps the temporaries to 256 KiB: those of a whole chunk, about 1 MiB, go back to the system and
+        # are faulted in again on every call.
+        for start in range(0, n, GEMM_SLAB // 2):
+            left = (rows @ columns[:, 4 * start : 4 * start + 2 * GEMM_SLAB]).reshape(2, 4, -1, 4)
+            right = (transposed_rows @ left.transpose(3, 0, 2, 1).reshape(4, -1)).reshape(2, 4, 2, -1, 4)
+            branches[start : start + GEMM_SLAB // 2] = right.diagonal(axis1=0, axis2=2).transpose(1, 3, 2, 0)
+        probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # np.trace's bits, in a fifth of its time
         flagged = probabilities < ZERO_PROBABILITY
         np.divide(branches, np.where(flagged, 1.0, probabilities)[..., None, None], out=branches)
     if flagged.any():

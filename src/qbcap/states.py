@@ -204,6 +204,8 @@ def require_within(values: np.ndarray, low: float, high: float, error) -> None:
 _SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 SINGLET = np.outer(_SINGLET_VECTOR, _SINGLET_VECTOR.conj())
 PAULI_PAIRS = tuple(np.kron(p, p) for p in PAULIS)
+# The signs of (c1, c2, c3) in the eigenvalues lambda_0..3 of a Bell-diagonal state, in that order.
+_BELL_SIGNS = np.array([[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
 def bell_diagonal_matrices(triples: np.ndarray, tol: float) -> np.ndarray:
@@ -212,16 +214,16 @@ def bell_diagonal_matrices(triples: np.ndarray, tol: float) -> np.ndarray:
     A triple is admissible exactly when all four closed-form eigenvalues
     (1 -+ c1 -+ c2 -+ c3)/4, with an odd number of minus signs, lie in [0, 1] within ``tol``.
     """
-    c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
+    signed = triples[:, None, :] * _BELL_SIGNS  # 1 - c is 1 + (-c) bit for bit, so each lambda_j keeps its bits
     with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite triples give infinities and NaNs, refused below
-        lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
-    lams = np.stack(lams, axis=1).reshape(-1, 4)
+        lams = (1.0 + signed[..., 0] + signed[..., 1] + signed[..., 2]) / 4.0
 
     def error(i, j) -> InvalidStateError:
         c = ", ".join(str(float(v)) for v in triples[i])
         return InvalidStateError(f"correlation triple ({c}) gives eigenvalue lambda_{j} = {lams[i, j]:.12g} outside [0, 1]")
 
     raise_first(~((lams >= -tol) & (lams <= 1.0 + tol)), error)  # NaN counts as outside
+    c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
     return 0.25 * (np.eye(4, dtype=complex) + c1 * PAULI_PAIRS[0] + c2 * PAULI_PAIRS[1] + c3 * PAULI_PAIRS[2])
 
 

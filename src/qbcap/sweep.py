@@ -39,8 +39,8 @@ ECHO_KEYS = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
 SPECTRUM_COLUMNS = ("lambda0", "lambda1", "lambda2", "lambda3")
 
 # Grid points per stacked pass: enough to amortize numpy's per-call overhead (about 230 us a pass),
-# few enough that a pass holds a few megabytes at most. The left products of a pass still run as GEMMs
-# over at most ``measurement.GEMM_SLAB`` (256) matrices, which keeps the bits of every kernel tried.
+# few enough that a pass holds a few megabytes at most. The left and right branch products of a pass still
+# run as GEMMs over at most ``measurement.GEMM_SLAB`` (256) matrices, which keeps the bits of every kernel tried.
 CHUNK = 512
 # The largest grid: the result columns take about 96 bytes per point, so about 1 GB.
 MAX_COUNT = 10**7

@@ -6,8 +6,11 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    blas_kernel,
     classical_quantum,
     eigh_check_oracle,
     family_matrix,
@@ -23,6 +27,7 @@ from helpers import (
     random_density,
     random_energies,
     random_rotated_basis,
+    subprocess_env,
 )
 
 import qbcap.sweep
@@ -188,7 +193,7 @@ def test_sweep_result_columns_and_json_bytes():
 
 def test_the_chunk_size_does_not_change_bits(monkeypatch):
     # A point's spectrum, gains and verdict have the same bits in a chunk of 1, 256 or 512 points, on either
-    # side of every chunk boundary: the left products of a chunk run in GEMMs of at most 256 matrices, which
+    # side of every chunk boundary: the branch products of a chunk run in GEMMs of at most 256 matrices, which
     # keep each matrix's bits under the OpenBLAS kernels tried, with 1 and 2 threads (Haswell with 2 threads
     # changes them in a 512-matrix GEMM).
     x = XStateParams(0.4, 0.25, 0.2, 0.15, 0.1 + 0.05j, 0.1)
@@ -316,7 +321,8 @@ def assert_same_bytes(got, want, what):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(stack=branch_stacks())
 def test_branches_are_bitwise_the_stacked_products(stack):
-    # The GEMM of the left products gives the bits of the 4N stacked products (I x P_k) rho (I x P_k).
+    # The slab GEMMs of the left and the transposed right products give the bits of the 4N stacked products
+    # (I x P_k) rho (I x P_k).
     basis, matrices = stack
     unnormalized = basis.operators @ matrices[:, None] @ basis.operators
     probabilities = np.trace(unnormalized, axis1=-2, axis2=-1).real
@@ -340,6 +346,47 @@ def test_branches_of_a_stack_are_those_of_each_matrix_alone(stack):
     alone = [_branches(m[None], basis) for m in matrices]
     stacked = _branches(matrices, basis)
     assert_same_bytes(stacked, [np.concatenate(a) for a in zip(*alone)], "those of each matrix alone")
+
+
+# Run in a child Python under another OpenBLAS kernel: a stack's branches against each matrix's own, in bytes.
+STACK_SIZE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from helpers import blas_kernel
+from qbcap import MeasurementBasis
+from qbcap.measurement import _branches
+
+rng = np.random.default_rng(2405)
+g = rng.standard_normal((513, 4, 4)) + 1j * rng.standard_normal((513, 4, 4))
+states = g @ g.conj().transpose(0, 2, 1)
+states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+failures = []
+for angles in (None, (0.9, 2.1)):
+    basis = MeasurementBasis(angles)
+    for matrices in (states, np.ascontiguousarray(states.real)):
+        alone = [_branches(m[None], basis) for m in matrices]
+        for n in (1, 2, 127, 128, 129, 255, 256, 257, 512, 513):
+            for i, (got, own) in enumerate(zip(zip(*_branches(matrices[:n], basis)), alone)):
+                if any(a.tobytes() != b[0].tobytes() for a, b in zip(got, own)):
+                    failures.append(f"basis {angles}, {matrices.dtype}, stack of {n}: matrix {i}")
+print(json.dumps({"kernel": blas_kernel(), "failures": failures[:5], "count": len(failures)}))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_branches_keep_their_bits_in_any_stack_under_other_kernels(kernel):
+    # GEMM_SLAB's claim, checked where it matters: with 2 threads, under a kernel other than the one the suite
+    # runs under, each matrix gets the branches it gets alone on stacks on either side of every slab and chunk
+    # boundary.
+    env = subprocess_env({"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "2"})
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", STACK_SIZE_CHILD, tests], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if report["kernel"] in (None, blas_kernel()):
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} left the BLAS kernel at {report['kernel']}")
+    assert report["count"] == 0, f"{report['count']} matrices change bits with their stack under {report['kernel']}: {report['failures']}"
 
 
 @st.composite

@@ -20,7 +20,7 @@ from qbcap import (
 )
 from qbcap.linalg import IDENTITY_2, PAULIS, SIGMA_3
 from qbcap.measurement import measure_and_mix
-from qbcap.states import check_states
+from qbcap.states import bell_diagonal_matrices, check_states
 from qbcap.tolerances import VALIDATION_TOL
 
 
@@ -133,6 +133,35 @@ def test_nan_bell_triple_names_the_triple():
     message = r"^correlation triple \(nan, 0\.0, 0\.0\) gives eigenvalue lambda_0 = nan outside \[0, 1\]$"
     with pytest.raises(InvalidStateError, match=message):
         bell_diagonal(float("nan"), 0.0, 0.0)
+
+
+def test_bell_triples_are_judged_by_the_scalar_eigenvalues():
+    # Triples that put one eigenvalue within a few ulps of -tol or 1 + tol: the stacked check admits and
+    # reports exactly what the four scalar expressions (1 -+ c1 -+ c2 -+ c3) / 4, evaluated left to right, give.
+    rng = np.random.default_rng(7)
+    tol, signs = VALIDATION_TOL, [(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    triples = []
+    for _ in range(400):
+        (s1, s2, s3), edge = signs[rng.integers(4)], (-tol, 1.0 + tol)[rng.integers(2)]
+        c1, c2 = rng.uniform(-1.0, 1.0, 2) * rng.uniform(0.5, 1.0, 2)  # all 53 bits: the order of the sums shows
+        triples.append((c1, c2, s3 * (4.0 * edge + rng.integers(-40, 41) * 1e-16 - 1.0 - s1 * c1 - s2 * c2)))
+    triples = np.array(triples)
+    verdicts = []
+    for c1, c2, c3 in triples.tolist():
+        lams = [(1.0 - c1 - c2 - c3) / 4.0, (1.0 - c1 + c2 + c3) / 4.0, (1.0 + c1 - c2 + c3) / 4.0, (1.0 + c1 + c2 - c3) / 4.0]
+        outside = [j for j, lam in enumerate(lams) if not -tol <= lam <= 1.0 + tol]
+        message = f"correlation triple ({c1}, {c2}, {c3}) gives eigenvalue lambda_{outside[0]} = {lams[outside[0]]:.12g} outside [0, 1]" if outside else None
+        verdicts.append(message)
+        if message:
+            with pytest.raises(InvalidStateError) as raised:
+                bell_diagonal_matrices(np.array([[c1, c2, c3]]), tol)
+            assert str(raised.value) == message
+        else:
+            bell_diagonal_matrices(np.array([[c1, c2, c3]]), tol)
+    assert 50 < verdicts.count(None) < 350  # both sides of the edge are drawn
+    with pytest.raises(InvalidStateError) as raised:
+        bell_diagonal_matrices(triples, tol)
+    assert str(raised.value) == next(m for m in verdicts if m)
 
 
 def test_example2_rejects_out_of_range():

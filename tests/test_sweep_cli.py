@@ -992,7 +992,8 @@ def test_branch_check_pins(tmp_path, capsys, command, code, err):
 @pytest.mark.xfail(
     strict=True,
     reason="dividing by p_k scales the round-off of the I x P_k products by 1/p_k, past the branch residue "
-    "and Hermiticity checks; the branch-free engine of ROADMAP item 6 removes the cause",
+    "and Hermiticity checks; ROADMAP item 6 tracks the defect, which the branch-free engine of item 8 mends "
+    "only if it forms the conditional states Hermitian by construction",
 )
 def test_cli_low_probability_branch_runs(tmp_path, capsys):
     # A valid state (1 - 1e-7) rho_a x P_0 + 1e-7 rho_b x P_1 in the measured rotated basis; weights (1, 0)
