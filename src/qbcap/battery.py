@@ -95,10 +95,14 @@ def _checked_pair(rho: DensityMatrix, h: Hamiltonian) -> tuple[np.ndarray, np.nd
 
 
 def _clamp_nonnegative(values, what: str) -> np.ndarray:
-    """``values`` with round-off negatives set to 0; the first value below -1e-12 raises."""
+    """``values`` with round-off negatives set to 0; the first value below -1e-12 raises (``negative_error``)."""
     values = np.asarray(values)
-    raise_first(values < -NEGLIGIBLE, lambda *i: NumericError(f"{what} = {values[i]:.3e} is negative beyond round-off"))
+    raise_first(values < -NEGLIGIBLE, lambda *i: negative_error(what, values[i]))
     return np.where(values < 0.0, 0.0, values)
+
+
+def negative_error(what: str, value) -> NumericError:
+    return NumericError(f"{what} = {value:.3e} is negative beyond round-off")
 
 
 def capacities(spectra: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -107,15 +111,16 @@ def capacities(spectra: np.ndarray, levels: np.ndarray) -> np.ndarray:
     This is sum_i eps_i (lam_i - lam_{d-1-i}), equivalently the sum over
     mirrored index pairs i < d-1-i of (eps_{d-1-i} - eps_i)(lam_{d-1-i} -
     lam_i). Each pair multiplies two nonnegative gaps, so the value is
-    nonnegative and insensitive to how ties inside degenerate eigenvalues are
+    nonnegative up to round-off, which callers clamp as ``_clamp_nonnegative``
+    does, and insensitive to how ties inside degenerate eigenvalues are
     ordered.
     """
-    return _clamp_nonnegative(((spectra - spectra[..., ::-1])[..., None, :] @ levels)[..., 0], "capacity")
+    return ((spectra - spectra[..., ::-1])[..., None, :] @ levels)[..., 0]
 
 
 def capacity(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Largest minus smallest unitary-reachable average energy; see ``capacities``."""
-    return float(capacities(*_checked_pair(rho, h)))
+    return float(_clamp_nonnegative(capacities(*_checked_pair(rho, h)), "capacity"))
 
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .battery import QubitPairEnergies
 from .errors import NumericError
-from .measurement import GAIN_FIELDS, CapacityGainReport, MeasurementBasis, check_scheme, measure_and_mix, weight_values
+from .measurement import GAIN_FIELDS, CapacityGainReport, MeasurementBasis, check_scheme, measure_and_mix
 from .states import XStateParams, bell_diagonal_matrices, check_states, example2_matrices, pair_from_json, ppt_entangled
 from .states import werner_matrices, x_state_matrices
 from .sweep import FAMILY_PARAMS, PRESETS, SPECTRUM_COLUMNS, SweepSpec, format_number, run_sweep, write_csv, write_json
@@ -135,9 +135,11 @@ def _input_first(matrices: np.ndarray, tol: float):
     """Report a failure of the state before one of the arguments read in the block.
 
     The engine checks the state only when it runs, after the splittings,
-    scheme, weights and basis; should one of those fail, ``check_states``
-    raises the state's own error first, as it would have been raised had the
-    state been checked when it was built.
+    scheme and basis are read and after its own check of the weights; should
+    one of those fail, ``check_states`` raises the state's own error first, as
+    it would have been raised had the state been checked when it was built.
+    An error the engine raises itself is raised again: for a failing state it
+    is the state's own.
     """
     try:
         yield
@@ -218,8 +220,7 @@ def cmd_measure(args, tol: float) -> int:
         levels = QubitPairEnergies(eps_a=args.eps_a, eps_b=args.eps_b).levels()
         scheme, weights = _parse_scheme(args.scheme)
         basis = MeasurementBasis(_parse_basis(args.basis))
-        weights = weight_values(weights)
-    _, values = measure_and_mix(matrices, basis, weights, levels, tol)
+        _, values = measure_and_mix(matrices, basis, weights, levels, tol)  # which checks the weights first
     report = CapacityGainReport(*values[0].tolist(), scheme, weights)
     gains = dict(zip(GAIN_FIELDS, map(format_number, report.gains)))
     mu = [format_number(w) for w in report.weights or ()]

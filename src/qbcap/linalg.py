@@ -39,18 +39,25 @@ def eigh(m: np.ndarray, checked=...) -> tuple[np.ndarray, np.ndarray]:
         in stack order that misses it raises (``raise_first``); a caller that
         leaves matrices unchecked certifies their spectra by other means.
     """
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
-    err = _reconstruction_error(m[checked], values[checked], vectors[checked])
-    raise_first(
-        err > RECONSTRUCTION_TOL,
-        lambda *i: NumericError(f"eigendecomposition reconstruction error {err[i]:.3e} exceeds {RECONSTRUCTION_TOL:g}"),
-    )
+    values, vectors = decompose(m)
+    err = reconstruction_errors(m[checked], values[checked], vectors[checked])
+    raise_first(err > RECONSTRUCTION_TOL, lambda *i: reconstruction_failure(err[i]))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
+
+
+def decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack, its failure to converge raised as a ``NumericError``; nothing checked."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
+
+
+def reconstruction_failure(err: float) -> NumericError:
+    """The error of a decomposition whose reconstruction error ``err`` misses the bound."""
+    return NumericError(f"eigendecomposition reconstruction error {err:.3e} exceeds {RECONSTRUCTION_TOL:g}")
 
 
 @functools.cache
@@ -61,7 +68,7 @@ def _lower_triangle(d: int) -> np.ndarray:
     return mask
 
 
-def _reconstruction_error(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def reconstruction_errors(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """max|h - sum_k w_k v_k v_k^dagger| of each matrix, h its lower triangle mirrored with the real diagonal.
 
     Both sides are Hermitian, the sum up to round-off, so the entries on and

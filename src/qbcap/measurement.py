@@ -22,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .battery import QubitPairEnergies, capacities
-from .errors import NumericError, UndefinedAverageError, raise_first, raise_first_point
-from .linalg import IDENTITY_2, eigh
-from .states import DensityMatrix, _mirrored_pairs, _qubit_spectra, check_states, diagonal_sum, json_number, reduce_a, require_pair, screen_states
+from .battery import QubitPairEnergies, capacities, negative_error
+from .errors import CheckTable, NumericError, UndefinedAverageError, raise_first
+from .linalg import IDENTITY_2, decompose, reconstruction_errors, reconstruction_failure
+from .states import DensityMatrix, _mirrored_pairs, _qubit_spectra, check_states, diagonal_sum, hermiticity_defects, json_number, reduce_a
+from .states import require_pair, screen_states, state_error
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
 
 
@@ -108,39 +109,41 @@ def _branches(matrices: np.ndarray, basis: MeasurementBasis, out=None) -> tuple[
     """Outcome branches (N, 2, 4, 4) of a stack of pair matrices, their probabilities and zero-probability flags.
 
     Branches below the 1e-12 probability floor are flagged and set to zero instead of normalized, in ``out``
-    if given (complex, each 4x4 contiguous); ``_closure`` checks the probabilities.
+    if given (complex, each 4x4 contiguous); ``_closure`` checks the probabilities. Non-finite or huge entries
+    make NaNs and infinities, which the state screen reports; callers ignore their warnings.
     """
     n = len(matrices)
     rows, transposed_rows = basis.operators.reshape(8, 4), basis.operators.transpose(0, 2, 1).reshape(8, 4)
     columns = matrices.transpose(1, 0, 2).reshape(4, 4 * n)
     branches = np.empty((n, 2, 4, 4), dtype=complex) if out is None else out
-    # Non-finite or huge entries make NaNs and infinities here, which the state screen reports as non-finite.
-    with np.errstate(invalid="ignore", over="ignore"):
-        # (I x P_k) rho_n (I x P_k), a slab of points at a time, as two GEMMs of 8 rows: the left products
-        # L_k = (I x P_k) rho_n take rows (k, i) and columns (n, j); the right products, transposed as
-        # B_k^T = (I x P_k)^T L_k^T, take rows (k, j) and columns (k', n, i) of both branches' L^T, and their
-        # blocks with k = k' are the branches. Rows of a (4N x 4)(4 x 4) product can take another kernel path with
-        # N (OpenBLAS Haswell), and so can the columns of a GEMM split across threads or of a 4-row GEMM per k
-        # (Haswell again); any of these would make a branch's bits depend on the size of its stack. A slab at a
-        # time keeps the temporaries to 256 KiB: those of a whole chunk, about 1 MiB, go back to the system and
-        # are faulted in again on every call.
-        for start in range(0, n, GEMM_SLAB // 2):
-            left = (rows @ columns[:, 4 * start : 4 * start + 2 * GEMM_SLAB]).reshape(2, 4, -1, 4)
-            right = (transposed_rows @ left.transpose(3, 0, 2, 1).reshape(4, -1)).reshape(2, 4, 2, -1, 4)
-            branches[start : start + GEMM_SLAB // 2] = right.diagonal(axis1=0, axis2=2).transpose(1, 3, 2, 0)
-        probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # np.trace's bits, in a fifth of its time
-        flagged = probabilities < ZERO_PROBABILITY
-        np.divide(branches, np.where(flagged, 1.0, probabilities)[..., None, None], out=branches)
+    # (I x P_k) rho_n (I x P_k), a slab of points at a time, as two GEMMs of 8 rows: the left products
+    # L_k = (I x P_k) rho_n take rows (k, i) and columns (n, j); the right products, transposed as
+    # B_k^T = (I x P_k)^T L_k^T, take rows (k, j) and columns (k', n, i) of both branches' L^T, and their
+    # blocks with k = k' are the branches. Rows of a (4N x 4)(4 x 4) product can take another kernel path with
+    # N (OpenBLAS Haswell), and so can the columns of a GEMM split across threads or of a 4-row GEMM per k
+    # (Haswell again); any of these would make a branch's bits depend on the size of its stack. A slab at a
+    # time keeps the temporaries to 256 KiB: those of a whole chunk, about 1 MiB, go back to the system and
+    # are faulted in again on every call.
+    for start in range(0, n, GEMM_SLAB // 2):
+        left = (rows @ columns[:, 4 * start : 4 * start + 2 * GEMM_SLAB]).reshape(2, 4, -1, 4)
+        right = (transposed_rows @ left.transpose(3, 0, 2, 1).reshape(4, -1)).reshape(2, 4, 2, -1, 4)
+        branches[start : start + GEMM_SLAB // 2] = right.diagonal(axis1=0, axis2=2).transpose(1, 3, 2, 0)
+    probabilities = diagonal_sum(branches.real.reshape(n, 2, 16)[..., ::5])  # np.trace's bits, in a fifth of its time
+    flagged = probabilities < ZERO_PROBABILITY
+    np.divide(branches, np.where(flagged, 1.0, probabilities)[..., None, None], out=branches)
     if flagged.any():
         branches[flagged] = 0.0
     return branches, probabilities, flagged
 
 
-def _closure(probabilities: np.ndarray, tol: float) -> tuple:
-    """The check, as ``raise_first``'s (bad, error), that the (N, n) outcome probabilities of each matrix sum to 1 within ``tol``."""
-    with np.errstate(invalid="ignore"):  # inf + -inf of non-finite input, which the state screen reports
-        total = probabilities.sum(axis=1)
-    return np.abs(total - 1.0) > tol, lambda i: NumericError(f"outcome probabilities sum to {total[i]:.12g}, expected 1")
+def _closure(probabilities: np.ndarray, tol: float, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of (N, n) outcome probabilities and the check that each is 1 within ``tol``, written into ``out`` if given."""
+    total = probabilities.sum(axis=1)  # inf + -inf of non-finite input is NaN, which the state screen reports
+    return total, np.greater(np.abs(total - 1.0), tol, out=out)
+
+
+def _closure_error(total) -> NumericError:
+    return NumericError(f"outcome probabilities sum to {total:.12g}, expected 1")
 
 
 def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsemble:
@@ -151,7 +154,8 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
     1e-12 probability floor are flagged rather than normalized; all at ``rho.tol``.
     """
     branches, probabilities, flagged = _branches(require_pair(rho).matrix[None], basis)
-    raise_first(*_closure(probabilities, rho.tol))
+    total, bad = _closure(probabilities, rho.tol)
+    raise_first(bad, lambda i: _closure_error(total[i]))
     return MeasurementEnsemble(branches[0], tuple(probabilities[0].tolist()), flagged[0], rho.tol)
 
 
@@ -177,33 +181,40 @@ def weight_values(weights, n: int = 2) -> tuple[float, ...] | None:
     return mu
 
 
-def _flag_checks(probabilities: np.ndarray, flagged: np.ndarray, mu) -> tuple[tuple, tuple]:
-    """Two checks, as ``raise_first``'s (bad, error), on the flagged branches of (N, n) ``probabilities``.
+def _flag_checks(flagged: np.ndarray, mu, out=None) -> np.ndarray:
+    """The checks (N, n + 1) of (N, n) ``flagged`` branches, written into ``out`` if given.
 
-    A flagged branch leaves the average (``mu`` None) undefined and must carry
-    zero weight in a weighted sum, which must have some unflagged branch.
+    Entry k < n marks a flagged branch k that leaves the average (``mu``
+    None) undefined or carries weight in a weighted sum; entry n marks a
+    point with no unflagged branch to mix. ``_flag_error`` names them.
     """
+    n = flagged.shape[1]
+    out = np.empty((len(flagged), n + 1), dtype=bool) if out is None else out
+    np.logical_and(flagged, True if mu is None else np.greater(mu, NEGLIGIBLE), out=out[:, :n])
+    flagged.all(axis=1, out=out[:, n])
+    return out
 
-    def error(i, k) -> ValueError:
-        if mu is not None:
-            return ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[i, k]:.3e}")
-        return UndefinedAverageError(f"branch {k} has probability {probabilities[i, k]:.3e}; the unweighted average is undefined")
 
-    return (flagged if mu is None else flagged & (np.array(mu) > NEGLIGIBLE), error), (
-        flagged.all(axis=1), lambda i: ValueError("no unflagged branch to mix"))
+def _flag_error(probabilities, mu, k: int) -> ValueError:
+    """The error of entry k of ``_flag_checks`` for a point with outcome ``probabilities``."""
+    if k == len(probabilities):
+        return ValueError("no unflagged branch to mix")
+    if mu is not None:
+        return ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[k]:.3e}")
+    return UndefinedAverageError(f"branch {k} has probability {probabilities[k]:.3e}; the unweighted average is undefined")
 
 
 def _mix(branches: np.ndarray, mu, out=None) -> np.ndarray:
     """Final states (N, 4, 4) from (N, n, 4, 4) branches: their average if ``mu`` is None, else sum_k mu_k rho_k.
 
-    ``mu`` holds ``weight_values``; the final states are written into ``out`` if given.
+    ``mu`` holds ``weight_values``; the final states are written into ``out`` if given. NaN branches of
+    non-finite input, which the state screen reports, make NaNs; callers ignore their warnings.
     """
     n = branches.shape[1]
-    with np.errstate(invalid="ignore"):  # NaN branches of non-finite input, reported by the state screen
-        final = np.add(0, branches[:, 0] if mu is None else mu[0] * branches[:, 0], out=out)  # from 0, as sum(): -0.0 becomes 0.0
-        for k in range(1, n):
-            final += branches[:, k] if mu is None else mu[k] * branches[:, k]
-        return final if mu is not None else np.divide(final, n, out=final)
+    final = np.add(0, branches[:, 0] if mu is None else mu[0] * branches[:, 0], out=out)  # from 0, as sum(): -0.0 becomes 0.0
+    for k in range(1, n):
+        final += branches[:, k] if mu is None else mu[k] * branches[:, k]
+    return final if mu is not None else np.divide(final, n, out=final)
 
 
 def final_state_uniform(ensemble: MeasurementEnsemble) -> DensityMatrix:
@@ -223,8 +234,10 @@ def final_state_weighted(ensemble: MeasurementEnsemble, weights: Sequence[float]
     mu_k equal to the outcome probabilities reproduces the dephased state.
     """
     mu = weight_values(weights, len(ensemble.probabilities))
-    raise_first_point(*_flag_checks(np.array([ensemble.probabilities]), ensemble.flagged[None], mu))
-    return DensityMatrix(_mix(ensemble.branches[None], mu)[0], ensemble.tol)
+    raise_first(_flag_checks(ensemble.flagged[None], mu)[0], lambda k: _flag_error(ensemble.probabilities, mu, k))
+    with np.errstate(invalid="ignore"):  # a flagged branch is not checked, and zero weight leaves its NaNs in
+        final = _mix(ensemble.branches[None], mu)[0]
+    return DensityMatrix(final, ensemble.tol)
 
 
 def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.ndarray, projectors: np.ndarray):
@@ -233,12 +246,12 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     ``conditional`` holds the Hermitian first-qubit states rho_{A|k} of the
     branches and ``spectra`` their ``_qubit_spectra``. The residue of a branch,
     max|H_k - rho_{A|k} x P_k| for its Hermitian part H_k = (B_k + B_k^dagger)/2,
-    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction.
-    Hermiticity itself is the screen's to judge, at the validation tolerance.
-    The spectrum of rho_{A|k} x P_k is that of rho_{A|k} plus two zeros, and a
-    4x4 residue R has ||R||_2 <= 4 max|R|, so by Weyl's inequality H_k has no eigenvalue
-    below min(lambda_min(rho_{A|k}), 0) - 4 * residue. Returns these bounds,
-    the (N, n) residues and their check as ``raise_first``'s (bad, error).
+    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction
+    (``_residue_error``). Hermiticity itself is the screen's to judge, at the
+    validation tolerance. The spectrum of rho_{A|k} x P_k is that of rho_{A|k}
+    plus two zeros, and a 4x4 residue R has ||R||_2 <= 4 max|R|, so by Weyl's
+    inequality H_k has no eigenvalue below min(lambda_min(rho_{A|k}), 0) -
+    4 * residue. Returns these bounds and the (N, n) residues.
     """
     product = (conditional[..., :, None, :, None] * projectors[:, None, :, None, :]).reshape(branches.shape)
     diff = np.subtract(branches, product, out=product).reshape(*branches.shape[:-2], 16)
@@ -246,22 +259,29 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     entries = diff[..., _mirrored_pairs(4)]
     upper, lower = entries[..., :10], entries[..., 10:]
     residue = np.abs(np.add(upper, np.conjugate(lower, out=lower), out=upper)).max(axis=-1) / 2.0
-    check = (
-        residue > RECONSTRUCTION_TOL,
-        lambda i, k: NumericError(f"branch {k} residue {residue[i, k]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}"),
-    )
-    return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue, check
+    return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue
 
 
-def _certificate(values: np.ndarray, closed: np.ndarray, bound, what: str) -> tuple:
-    """The check, as ``raise_first``'s (bad, error), that ``values`` lie within ``bound`` (broadcast) of their ``closed`` form."""
-    gap = np.abs(values - closed)
+def _residue_error(k: int, residue) -> NumericError:
+    return NumericError(f"branch {k} residue {residue:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}")
 
-    def error(*i) -> NumericError:
-        limit = np.broadcast_to(bound, gap.shape)[i]
-        return NumericError(f"{what} eigenvalue {gap[i]:.3e} from its closed form exceeds the bound {limit:.3e}")
 
-    return gap > bound, error
+def _certificate_error(what: str, gap, bound) -> NumericError:
+    """The error of a ``what`` eigenvalue ``gap`` from its closed form, beyond ``bound``."""
+    return NumericError(f"{what} eigenvalue {gap:.3e} from its closed form exceeds the bound {bound:.3e}")
+
+
+def _check_table(roles: int, *point_checks) -> CheckTable:
+    """The check table of a pass whose eigendecomposition takes ``roles`` matrices a point; see ``measure_and_mix``."""
+    stages = (("input", ()), *point_checks), (("total", (roles,)),), (("reduced", (roles, 2)),), (("reduced verdict", (roles,)),)
+    return CheckTable((("reconstruction", ()),), *stages, (("first", (roles,)),))
+
+
+# The checks of a measured pass, whose branches and final states are checked too, and of its input half alone.
+_CHECKS = {
+    True: _check_table(2, ("closure", ()), ("flags", (3,)), ("residue", (2,)), ("final", (4,)), ("verdict", (3,))),
+    False: _check_table(1),
+}
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -275,85 +295,132 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
     protocol gives them.
     Input, branch and final matrices are written into one buffer, in that role
     order, and read point-major. The weights are checked first
-    (``weight_values``). Then come one stacked ``screen_states`` of all roles
-    and one stacked ``eigh`` of the input and final matrices, whose
-    reconstruction is checked for the inputs only, raising at the first input
-    in stack order that misses it. The point checks follow, raised for the
-    first point in stack order that fails any of them, with the error of the
-    first it fails in this order (``raise_first_point``):
+    (``weight_values``). Then come one stacked ``screen_states`` of all roles,
+    one stacked ``eigh`` of the input and final matrices and one stacked
+    ``np.linalg.eigvalsh`` of their reduced first-qubit states. Every check
+    of the pass after the weights writes its columns of one boolean check
+    table (``_CHECKS``), a row per point, in place; the table is tested once,
+    after the last check, and only a failure builds its error
+    (``CheckTable.first_failure``): stage by stage, each stage at the first
+    point in stack order that fails any of its checks, with the error of the
+    first it fails. The stages, in order:
 
-    1. the screen's verdict on the input, so that an input's own failure
-       comes before anything measured of it;
-    2. the closure of the outcome probabilities (``_closure``), then the
-       zero-probability branches (``_flag_checks``);
-    3. the product check of the branches (``_branch_bounds``);
-    4. the classical-quantum certificate of the final spectra. The Hermitian
-       part of a final state sum_k mu_k B_k lies within sum_k |mu_k| residue_k
-       of sum_k mu_k rho_{A|k} x P_k in every entry, and the matrix LAPACK
-       decomposes within half the final's Hermiticity defect of that part.
-       The spectrum of the classical-quantum state is the union of
-       mu_k lambda_j(rho_{A|k}), so by Weyl's inequality, with ||R||_2 <=
-       4 max|R|, each eigenvalue lies within 4 sum_k |mu_k| residue_k +
-       2 defect of the sorted union, plus 1e-11 for round-off. A flagged
-       branch enters with weight zero, as it does the mix; points holding a
-       stand-in for a branch or final matrix that failed the screen are
-       skipped;
-    5. the screen's verdict on branches and final state, in the order
-       branch 0, branch 1, final.
+    1. the reconstruction of the input's eigendecomposition;
+    2. the point checks, in this order within a point:
 
-    Last, the reduced first-qubit states of input and final take a
-    ``screen_states``, one stacked ``np.linalg.eigvalsh``, whose spectra must
-    lie within 1e-11 of their closed form (``_qubit_spectra``), then that
-    screen's verdict, each raising at the first failing point. So on a stack
-    of several points, a failed input reconstruction or reduced state may be
-    raised ahead of an earlier point's failure.
+       a. the screen's verdict on the input, so that an input's own failure
+          comes before anything measured of it;
+       b. the closure of the outcome probabilities (``_closure``), then the
+          zero-probability branches (``_flag_checks``);
+       c. the product check of the branches (``_branch_bounds``);
+       d. the classical-quantum certificate of the final spectra. The
+          Hermitian part of a final state sum_k mu_k B_k lies within
+          sum_k |mu_k| residue_k of sum_k mu_k rho_{A|k} x P_k in every entry,
+          and the matrix LAPACK decomposes within half the final's Hermiticity
+          defect of that part. The spectrum of the classical-quantum state is
+          the union of mu_k lambda_j(rho_{A|k}), so by Weyl's inequality, with
+          ||R||_2 <= 4 max|R|, each eigenvalue lies within 4 sum_k |mu_k|
+          residue_k + 2 defect of the sorted union, plus 1e-11 for round-off.
+          A flagged branch enters with weight zero, as it does the mix; points
+          holding a stand-in for a branch or final matrix that failed the
+          screen are skipped;
+       e. the screen's verdict on branches and final state, in the order
+          branch 0, branch 1, final;
+
+    3. the capacities of input and final, none below -1e-12; round-off
+       negatives above it are set to 0, as ``battery.capacity`` sets them;
+    4. the reduced spectra, within 1e-11 of their closed form (``_qubit_spectra``);
+    5. the verdict on the reduced states: finite and Hermitian within ``tol``
+       (their traces are those of input and final, bit for bit), with no
+       eigenvalue below minus ``tol``;
+    6. the first-qubit capacities.
+
+    So on a stack of several points, a failed input reconstruction may be
+    raised ahead of an earlier point's failure, and a point's failure in a
+    later stage is raised only if no point fails an earlier one.
     """
     n = len(matrices)
     measured = basis is not None
+    checks = _CHECKS[measured]
+    column = checks.columns
+    table = np.empty((n, len(checks.names)), dtype=bool)
     stack = np.empty((4 if measured else 1, n, 4, 4), dtype=complex).transpose(1, 0, 2, 3)
     stack[:, 0] = matrices
     if measured:
         weights = weight_values(weights)
-        _, probabilities, flagged = _branches(matrices, basis, out=stack[:, 1:3])
-        _mix(stack[:, 1:3], weights, out=stack[:, 3])
-        mu = np.array((0.5, 0.5) if weights is None else weights, dtype=float)  # the mixing weights
-        if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
-            np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
-            mu = np.where(flagged, 0.0, mu)  # and it adds nothing to the final state
-    off, defects, verdict = screen_states(stack, tol)
-    if off.any():  # a matrix that failed the screen raises its own error in verdict; a valid state stands in for it
-        identity = np.eye(4)[None] / 4.0
-        stand_ins = np.concatenate([identity, basis.operators / 2.0, identity]) if measured else identity
-        np.copyto(stack, stand_ins, where=off[..., None, None])  # in place: nothing reads the failed matrices again
-    # The first-qubit states of every role, one closed form for all: those of the branches, taken Hermitian,
-    # are the conditional states rho_{A|k}.
-    reduced = reduce_a(stack)
-    conditional = reduced[:, 1:3]
-    np.add(conditional, conditional.conj().swapaxes(-1, -2), out=conditional)
-    conditional *= 0.5
-    closed = _qubit_spectra(reduced)
-    values, _ = eigh(stack[:, ::3], checked=np.s_[:, 0])
-    lowest, checks = values[:, :1, 0], []
-    if measured:
-        bounds, residue, residue_check = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
-        cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
-        bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
-        if off.any():  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
-            bound[off[:, 1:].any(axis=1)] = np.inf
-        final_check = _certificate(values[:, 1], cq, bound[:, None], "final state")
-        checks = [_closure(probabilities, tol), *_flag_checks(probabilities, flagged, weights), residue_check, final_check]
-        lowest = np.concatenate([lowest, bounds, values[:, 1:, 0]], axis=1)
-    bad, error = verdict(lowest)
-    raise_first_point((bad[:, :1], error), *checks, (bad, error))  # the input's verdict, then the measured checks
-    spectra = np.maximum(values, 0.0)
-    total = capacities(spectra, levels[0])
-    _, _, reduced_verdict = screen_states(reduced[:, ::3], tol)
-    reduced_values = np.linalg.eigvalsh(reduced[:, ::3])
-    raise_first(*_certificate(reduced_values, closed[:, ::3], RECONSTRUCTION_TOL, "reduced state"))
-    raise_first(*reduced_verdict(reduced_values[..., 0]))
-    first = capacities(np.maximum(reduced_values, 0.0), levels[1])
-    gains = [total, first, total[:, 1] - total[:, 0], first[:, 1] - first[:, 0]] if measured else [total, first]
-    return spectra[:, 0], np.column_stack(gains)
+    # Non-finite or huge entries make NaNs and infinities, which the checks report; nothing warns of them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if measured:
+            _, probabilities, flagged = _branches(matrices, basis, out=stack[:, 1:3])
+            _mix(stack[:, 1:3], weights, out=stack[:, 3])
+            mu = np.array((0.5, 0.5) if weights is None else weights, dtype=float)  # the mixing weights
+            if flagged.any():  # a flagged branch k has no state to check; the product (identity/2) x P_k stands in
+                np.copyto(stack[:, 1:3], basis.operators / 2.0, where=flagged[..., None, None])
+                mu = np.where(flagged, 0.0, mu)  # and it adds nothing to the final state
+        off, defects, traces = screen_states(stack, tol)
+        if failed := off.any():  # a matrix that failed the screen raises its own error; a valid state stands in for it
+            identity = np.eye(4)[None] / 4.0
+            stand_ins = np.concatenate([identity, basis.operators / 2.0, identity]) if measured else identity
+            np.copyto(stack, stand_ins, where=off[..., None, None])  # in place: nothing reads the failed matrices again
+        # The first-qubit states of every role, one closed form for all: those of the branches, taken Hermitian,
+        # are the conditional states rho_{A|k}.
+        reduced = reduce_a(stack)
+        conditional = reduced[:, 1:3]
+        np.add(conditional, conditional.conj().swapaxes(-1, -2), out=conditional)
+        conditional *= 0.5
+        closed = _qubit_spectra(reduced)
+        values, vectors = decompose(stack[:, ::3])
+        err = reconstruction_errors(stack[:, 0], values[:, 0], vectors[:, 0])
+        np.greater(err, RECONSTRUCTION_TOL, out=table[:, column["reconstruction"]])
+        lowest = values[..., 0]
+        np.logical_or(lowest[:, 0] < -tol, off[:, 0], out=table[:, column["input"]])
+        if measured:
+            total, _ = _closure(probabilities, tol, out=table[:, column["closure"]])
+            _flag_checks(flagged, weights, out=table[:, column["flags"]])
+            bounds, residue = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
+            np.greater(residue, RECONSTRUCTION_TOL, out=table[:, column["residue"]])
+            cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
+            bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
+            if failed:  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
+                bound[off[:, 1:].any(axis=1)] = np.inf
+            gap = np.abs(values[:, 1] - cq)
+            np.greater(gap, bound[:, None], out=table[:, column["final"]])
+            verdict = table[:, column["verdict"]]
+            np.less(bounds, -tol, out=verdict[:, :2])
+            np.less(lowest[:, 1], -tol, out=verdict[:, 2])
+            verdict |= off[:, 1:]
+        spectra = np.maximum(values, 0.0)
+        gains = np.empty((n, 3 if measured else 2, values.shape[1]))  # capacities of the pair and of the first qubit
+        gains[:, 0] = capacities(spectra, levels[0])
+        np.less(gains[:, 0], -NEGLIGIBLE, out=table[:, column["total"]])
+        reduced_defects = hermiticity_defects(reduced[:, ::3])
+        reduced_values = np.linalg.eigvalsh(reduced[:, ::3])
+        reduced_gap = np.abs(reduced_values - closed[:, ::3])
+        np.greater(reduced_gap.reshape(n, -1), RECONSTRUCTION_TOL, out=table[:, column["reduced"]])
+        reduced_off = ~(reduced_defects <= tol)  # true for a NaN defect too
+        np.logical_or(reduced_values[..., 0] < -tol, reduced_off, out=table[:, column["reduced verdict"]])
+        gains[:, 1] = capacities(np.maximum(reduced_values, 0.0), levels[1])
+        np.less(gains[:, 1], -NEGLIGIBLE, out=table[:, column["first"]])
+    if table.any():
+        name, i, j = checks.first_failure(table)
+        raise {
+            "reconstruction": lambda: reconstruction_failure(err[i]),
+            "input": lambda: state_error(off[i, 0], defects[i, 0], traces[i, 0], lowest[i, 0], tol),
+            "closure": lambda: _closure_error(total[i]),
+            "flags": lambda: _flag_error(probabilities[i], weights, j),
+            "residue": lambda: _residue_error(j, residue[i, j]),
+            "final": lambda: _certificate_error("final state", gap[i, j], bound[i]),
+            "verdict": lambda: state_error(off[i, j + 1], defects[i, j + 1], traces[i, j + 1], (*bounds[i], lowest[i, 1])[j], tol),
+            "total": lambda: negative_error("capacity", gains[i, 0, j]),
+            "reduced": lambda: _certificate_error("reduced state", reduced_gap[i, j // 2, j % 2], RECONSTRUCTION_TOL),
+            "reduced verdict": lambda: state_error(reduced_off[i, j], reduced_defects[i, j], None, reduced_values[i, j, 0], tol),
+            "first": lambda: negative_error("capacity", gains[i, 1, j]),
+        }[name]()
+    capacity = gains[:, :2]
+    np.copyto(capacity, 0.0, where=capacity < 0.0)  # the round-off negatives
+    if measured:  # the changes, big_f and small_f
+        np.subtract(capacity[..., 1], capacity[..., 0], out=gains[:, 2])
+    return spectra[:, 0], gains.reshape(n, -1)
 
 
 # The capacity fields of a gain report, in the order every output lists them.

@@ -24,6 +24,8 @@ from .tolerances import NEGLIGIBLE, PPT_NEG_TOL, RECONSTRUCTION_TOL, VALIDATION_
 
 def json_number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number (a float, or an int in float range, but not a bool); else a ValueError."""
+    if type(value) is float:
+        return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not number or isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ValueError(f"{what} must be a number, got {value!r}")
@@ -54,42 +56,46 @@ def diagonal_sum(diagonal: np.ndarray) -> np.ndarray:
     return ((d0 + d1) + (diagonal[..., 2] + diagonal[..., 3])) + 0.0
 
 
-def screen_states(matrices: np.ndarray, tol: float):
-    """The finite, Hermiticity and unit-trace pass of the state check, at validation tolerance ``tol``, over a stack.
+def hermiticity_defects(matrices: np.ndarray) -> np.ndarray:
+    """max |m - m^dagger| of each matrix of a stack; NaN or infinite exactly when some entry of m is.
 
-    Returns the mask of the matrices that fail it, their Hermiticity defects
-    max |m - m^dagger| and ``verdict(lowest)``. Given the lowest eigenvalue of
-    every matrix, or a lower bound on it (any value where the mask is set),
-    ``verdict`` gives the (bad, error) pair that ``raise_first`` raises: the
-    error of a failing matrix is non-finite, non-Hermitian or off unit trace
-    beyond ``tol``, else an eigenvalue below minus ``tol``.
+    It is taken over the upper triangle, which holds every distinct entry of
+    m - m^dagger. Callers ignore the invalid-value warning of inf - inf.
     """
-    # max |m - m^dagger| over the upper triangle, which holds every distinct entry of it; it is
-    # NaN or infinite exactly when some entry of m is
     d = matrices.shape[-1]
     flat = matrices.reshape(*matrices.shape[:-2], d * d)  # a view also of a stack whose matrices alone are contiguous
     entries = flat[..., _mirrored_pairs(d)]
     upper, lower = entries[..., : d * (d + 1) // 2], entries[..., d * (d + 1) // 2 :]
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, which the finite test below reports
-        np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
-        trace = diagonal_sum(flat[..., :: d + 1])
-    defect = np.abs(upper).max(axis=-1)
-    finite = np.isfinite(defect)
-    off = ~finite | (defect > tol) | (np.abs(trace - 1.0) > tol)
+    return np.abs(np.subtract(upper, np.conjugate(lower, out=lower), out=upper)).max(axis=-1)
 
-    def verdict(lowest: np.ndarray) -> tuple:
-        def error(*i) -> InvalidStateError:
-            if not finite[i]:
-                return InvalidStateError("matrix contains non-finite entries")
-            if defect[i] > tol:
-                return InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect[i]:.3e}")
-            if off[i]:
-                return InvalidStateError(f"trace = {trace[i].real:.12g}, expected 1 within {tol:g}")
-            return InvalidStateError(f"negative eigenvalue {lowest[i]:.3e} below -{tol:g}")
 
-        return off | (lowest < -tol), error
+def screen_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The finite, Hermiticity and unit-trace pass of the state check, at validation tolerance ``tol``, over a stack.
 
-    return off, defect, verdict
+    Returns the mask of the matrices that fail it, their Hermiticity defects
+    (``hermiticity_defects``) and their traces. A matrix fails the state check
+    if its mask is set or its lowest eigenvalue lies below minus ``tol``;
+    ``state_error`` names the failure. Callers ignore the invalid-value and
+    overflow warnings of non-finite and huge entries, which fail the screen.
+    """
+    d = matrices.shape[-1]
+    defect = hermiticity_defects(matrices)
+    trace = diagonal_sum(matrices.reshape(*matrices.shape[:-2], d * d)[..., :: d + 1])
+    # false for a NaN defect, and a NaN trace has a non-finite diagonal entry, which makes the defect NaN
+    return ~((defect <= tol) & (np.abs(trace - 1.0) <= tol)), defect, trace
+
+
+def state_error(off, defect, trace, lowest, tol: float) -> InvalidStateError:
+    """The error of a matrix that fails the state check at ``tol``, from its ``screen_states`` mask, defect and
+    trace and its lowest eigenvalue, or a lower bound on it: in this order, non-finite, non-Hermitian or off unit
+    trace beyond ``tol``, else an eigenvalue below minus ``tol``."""
+    if not np.isfinite(defect):
+        return InvalidStateError("matrix contains non-finite entries")
+    if defect > tol:
+        return InvalidStateError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
+    if off:
+        return InvalidStateError(f"trace = {trace.real:.12g}, expected 1 within {tol:g}")
+    return InvalidStateError(f"negative eigenvalue {lowest:.3e} below -{tol:g}")
 
 
 def check_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -101,12 +107,14 @@ def check_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     first in stack order raises (``raise_first``), save that a missed
     eigendecomposition bound raises ahead of all.
     """
-    off, _, verdict = screen_states(matrices, tol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        off, defect, trace = screen_states(matrices, tol)
     if off.any():  # keep failed matrices out of eigh, so that they raise their own error below
         d = matrices.shape[-1]
         matrices = np.where(off[..., None, None], np.eye(d) / d, matrices)
     values, vectors = eigh(matrices)
-    raise_first(*verdict(values[..., 0]))
+    lowest = values[..., 0]
+    raise_first(off | (lowest < -tol), lambda *i: state_error(off[i], defect[i], trace[i], lowest[i], tol))
     return np.maximum(values, 0.0), vectors
 
 
@@ -181,7 +189,7 @@ def pair_from_json(data: dict, tol: float = VALIDATION_TOL) -> np.ndarray:
         unknown = [key for key in data if key not in (*dims, *entries)]
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
-        re, im = (np.reshape([json_number(v, f"{key} entry") for v in a.flat], a.shape) for key, a in entries.items())
+        re, im = (np.array([json_number(v, f"{key} entry") for v in a.flat]).reshape(a.shape) for key, a in entries.items())
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc
     for key, dim in dims.items():
@@ -203,9 +211,15 @@ def require_within(values: np.ndarray, low: float, high: float, error) -> None:
 
 _SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 SINGLET = np.outer(_SINGLET_VECTOR, _SINGLET_VECTOR.conj())
-PAULI_PAIRS = tuple(np.kron(p, p) for p in PAULIS)
 # The signs of (c1, c2, c3) in the eigenvalues lambda_0..3 of a Bell-diagonal state, in that order.
 _BELL_SIGNS = np.array([[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+# The nonzero entries of a Bell-diagonal state, flat (0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1):
+# (1 + s c3) / 4 on the diagonal, ((0 + c1) + s c2) / 4 off it, for the signs s of _BELL_TERMS' second row.
+# The first row picks c1 (times 0 on the diagonal), the second c3 or c2.
+_BELL_ENTRIES = np.array([0, 5, 10, 15, 3, 12, 6, 9])
+_BELL_PICKS = np.array([[2, 2, 2, 2, 0, 0, 0, 0], [2, 2, 2, 2, 1, 1, 1, 1]])
+_BELL_TERMS = np.array([[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0]])
+_BELL_ONES = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def bell_diagonal_matrices(triples: np.ndarray, tol: float) -> np.ndarray:
@@ -223,8 +237,12 @@ def bell_diagonal_matrices(triples: np.ndarray, tol: float) -> np.ndarray:
         return InvalidStateError(f"correlation triple ({c}) gives eigenvalue lambda_{j} = {lams[i, j]:.12g} outside [0, 1]")
 
     raise_first(~((lams >= -tol) & (lams <= 1.0 + tol)), error)  # NaN counts as outside
-    c1, c2, c3 = (triples[:, j, None, None] for j in range(3))
-    return 0.25 * (np.eye(4, dtype=complex) + c1 * PAULI_PAIRS[0] + c2 * PAULI_PAIRS[1] + c3 * PAULI_PAIRS[2])
+    # The bits of 0.25 * (I + c1 XX + c2 YY + c3 ZZ) in complex arithmetic, written entry by entry: for finite
+    # triples every other entry of that sum is 0 + 0j, and so is each imaginary part.
+    terms = triples[:, _BELL_PICKS] * _BELL_TERMS
+    m = np.zeros((len(triples), 4, 4), dtype=complex)
+    m.real.reshape(-1, 16)[:, _BELL_ENTRIES] = ((terms[:, 0] + _BELL_ONES) + terms[:, 1]) * 0.25
+    return m
 
 
 def bell_diagonal(c1: float, c2: float, c3: float, tol: float = VALIDATION_TOL) -> DensityMatrix:

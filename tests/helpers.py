@@ -30,9 +30,15 @@ def blas_kernel():
     return None
 
 
+# Kernels that OpenBLAS reports under another name than the OPENBLAS_CORETYPE value that selects them: its generic
+# core, selected by Prescott (or Core2), calls itself Katmai.
+KERNEL_NAMES = {"Katmai": "Katmai (the generic core, OPENBLAS_CORETYPE=Prescott)"}
+
+
 def kernel_note():
-    """The kernel a byte-pin check ran under, for its failure message."""
-    return f"ran under BLAS kernel {blas_kernel()}; the pins were recorded under {PINNED_KERNEL}"
+    """The kernel a byte-pin check ran under, by both its names where they differ, for its failure message."""
+    kernel = blas_kernel()
+    return f"ran under BLAS kernel {KERNEL_NAMES.get(kernel, kernel)}; the pins were recorded under {PINNED_KERNEL}"
 
 
 def subprocess_env(extra=None):

@@ -47,8 +47,8 @@ from qbcap import (
     run_sweep,
     subsystem_a_hamiltonian,
 )
-from qbcap.errors import raise_first
-from qbcap.measurement import GAIN_FIELDS, _branches, _closure, _flag_checks, _mix, measure_and_mix
+from qbcap.errors import NumericError, raise_first
+from qbcap.measurement import GAIN_FIELDS, _branches, _closure, _closure_error, _flag_checks, _flag_error, _mix, measure_and_mix
 from qbcap.states import reduce_a
 from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
 from qbcap.tolerances import VALIDATION_TOL, ZERO_PROBABILITY
@@ -415,14 +415,16 @@ def eigh_rule_message(matrices, basis, weights):
     ``DensityMatrix`` built of it would check it; then the closure of its probabilities, its
     zero-probability branches, and its branch and final matrices. The reduced states of all points come last.
     """
-    branches, probabilities, flagged = _branches(matrices, basis)
-    stack = np.concatenate([matrices[:, None], branches, _mix(branches, weights)[:, None]], axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input spreads through the branches and the mix
+        branches, probabilities, flagged = _branches(matrices, basis)
+        stack = np.concatenate([matrices[:, None], branches, _mix(branches, weights)[:, None]], axis=1)
     stack[:, 1:3][flagged] = np.eye(4) / 4.0
     for i in range(len(matrices)):
         point = np.s_[i : i + 1]
         try:
-            for check in (_closure(probabilities[point], VALIDATION_TOL), *_flag_checks(probabilities[point], flagged[point], weights)):
-                raise_first(*check)
+            total, unclosed = _closure(probabilities[point], VALIDATION_TOL)
+            raise_first(unclosed, lambda j: _closure_error(total[j]))
+            raise_first(_flag_checks(flagged[point], weights)[0], lambda k: _flag_error(probabilities[i], weights, k))
             message = None
         except (ValueError, ArithmeticError) as exc:
             message = str(exc)
@@ -483,6 +485,19 @@ def test_non_finite_and_huge_entries_raise_without_a_warning(angles, weights, ba
                 measure_and_mix(matrices, basis, weights, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
         assert str(raised.value) == eigh_rule_message(matrices, basis, weights)
         assert math.isfinite(bad) or str(raised.value) == "matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize("angles", [None, (0.9, 2.1)], ids=["computational", "rotated"])
+def test_a_hermitian_input_with_huge_entries_raises_without_a_warning(angles):
+    # Huge entries mirrored across the diagonal pass the screen, and the first-qubit states' sums of them
+    # overflow; measured or not, the pass reports the input's reconstruction, and numpy warns of nothing.
+    point = np.eye(4, dtype=complex) / 4.0
+    point[0, 2] = point[2, 0] = point[1, 3] = point[3, 1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis in (MeasurementBasis(angles), None):
+            with pytest.raises(NumericError, match="^eigendecomposition reconstruction error "):
+                measure_and_mix(point[None], basis, None, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
 
 
 def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):

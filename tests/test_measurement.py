@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +38,9 @@ from qbcap import (
 )
 import qbcap.measurement
 from qbcap.errors import raise_first
-from qbcap.measurement import _branch_bounds, _branches, _qubit_spectra, measure_and_mix
+from qbcap.measurement import _branch_bounds, _branches, _qubit_spectra, _residue_error, measure_and_mix
 from qbcap.states import check_states, reduce_a
-from qbcap.tolerances import VALIDATION_TOL
+from qbcap.tolerances import RECONSTRUCTION_TOL, VALIDATION_TOL
 
 PAIR_053 = QubitPairEnergies(eps_a=0.5, eps_b=0.3)
 
@@ -491,6 +493,91 @@ def test_failing_branch_is_reported_ahead_of_its_final_state(basis, weights):
             DensityMatrix(final)
 
 
+# One fault per check of a pass, each on a point of its own: the point's matrix and, for a fault that no state
+# carries, shifts that the pass meets at that point, as (target, index without the point axis, shift). The
+# targets are the eigenvalues of np.linalg.eigh (role, eigenvalue; role 0 the input, 1 the final state) and of
+# np.linalg.eigvalsh (role of the reduced state, eigenvalue), and the branches and probabilities of _branches;
+# "flag" gives an outcome of _branches probability 0 and its flag, and the other outcome probability 1, where a
+# state would leave a round-off probability that differs with the BLAS kernel.
+CHECK_BASIS = MeasurementBasis.rotated(0.9, 2.1)
+GOOD = classical_quantum((np.diag([0.3, 0.7]), np.diag([0.6, 0.4])), (0.5, 0.5), CHECK_BASIS)
+MIXED = np.eye(4, dtype=complex) / 4.0
+SKEW_INPUT, SKEW_REDUCED = GOOD.copy(), MIXED.copy()
+SKEW_INPUT[0, 1] += 1e-9j  # not Hermitian beyond the tolerance
+SKEW_REDUCED[0, 2] += 5.5e-11  # within it, but the first qubit's states hold 5.5e-11 twice over in one entry
+SKEW_REDUCED[1, 3] += 5.5e-11
+CHECK_FAULTS = {
+    "reconstruction": (GOOD, [("eigh", (0, 2), 1e-9)]),
+    "input": (SKEW_INPUT, []),
+    "closure": (GOOD, [("probabilities", (0,), 1e-9)]),
+    "flags": (GOOD, [("flag", (1,), None)]),
+    "residue": (GOOD, [("branches", (1, 0, 3), 2e-11), ("branches", (1, 3, 0), 2e-11)]),
+    "final": (GOOD, [("eigh", (1, 2), 1e-9)]),
+    "verdict": (near_negative_stack(CHECK_BASIS, -3.6e-10)[0], []),
+    "total": (MIXED, [("eigh", (0, 0), 5e-12), ("eigh", (0, 3), -5e-12)]),  # reconstructed within 5e-12
+    "reduced": (GOOD, [("eigvalsh", (0, 0), 1e-9)]),
+    "reduced verdict": (SKEW_REDUCED, []),
+    "first": (MIXED, [("eigvalsh", (0, 0), 5e-12), ("eigvalsh", (0, 1), -5e-12)]),  # within 1e-11 of the closed form
+}
+# The stage of each fault, in the order measure_and_mix raises them; and the checks of the input half alone.
+CHECK_STAGES = {"reconstruction": 0, "total": 2, "reduced": 3, "reduced verdict": 4, "first": 5}
+INPUT_HALF_FAULTS = ("reconstruction", "input", "total", "reduced", "reduced verdict", "first")
+# Each kind of pass: its basis and weights.
+CHECK_PASSES = {"rotated-weighted": (CHECK_BASIS, (0.6, 0.4)), "rotated-uniform": (CHECK_BASIS, None), "capacity": (None, None)}
+CHECK_ORDER_PINS = Path(__file__).with_name("check_order.json")
+
+
+def faulted_pass_message(monkeypatch, faults, kind):
+    """The error message of the pass ``kind`` on a stack holding one point per entry of ``faults``: GOOD for None,
+    else the point of a fault name, or of two joined by "+", at most one of them carried by the state."""
+    points = [[CHECK_FAULTS[name] for name in entry.split("+")] if entry else [(GOOD, [])] for entry in faults]
+    stack = np.array([next((m for m, _ in point if m is not GOOD), GOOD) for point in points])
+    shifts = [(target, (i, *index), shift) for i, point in enumerate(points) for _, planted in point for target, index, shift in planted]
+    originals = np.linalg.eigh, np.linalg.eigvalsh, qbcap.measurement._branches
+
+    def shifted(values, *targets):
+        for target, index, shift in sorted(shifts, key=lambda planted: planted[0] != "flag"):  # flags first
+            if target == "flag" and target in targets:
+                values[1][index[0]], values[2][index] = np.arange(2) != index[1], True
+            elif target in targets:
+                (values[1] if target == "probabilities" else values[0] if isinstance(values, tuple) else values)[index] += shift
+        return values
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eigh", lambda m: shifted(originals[0](m), "eigh"))
+        patched.setattr(np.linalg, "eigvalsh", lambda m: shifted(originals[1](m), "eigvalsh"))
+        patched.setattr(qbcap.measurement, "_branches", lambda *a, **k: shifted(originals[2](*a, **k), "branches", "probabilities", "flag"))
+        basis, weights = CHECK_PASSES[kind]
+        try:
+            measure_and_mix(stack, basis, weights, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
+        except (ValueError, ArithmeticError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def check_order_stacks(kind):
+    """Each fault alone, on the middle of three points, then each ordered pair of faults on the last two points;
+    in a measured pass also two point checks on one point, at most one of them carried by the state."""
+    names = INPUT_HALF_FAULTS if kind == "capacity" else tuple(CHECK_FAULTS)
+    by_shifts, by_state = ("closure", "flags", "residue", "final"), ("input", "verdict")
+    pairs = [] if kind == "capacity" else [f"{a}+{b}" for a in by_shifts + by_state for b in by_shifts if a != b]
+    return [(None, a, None) for a in names + tuple(pairs)] + [(None, a, b) for a in names for b in names if a != b]
+
+
+@pytest.mark.parametrize("kind", CHECK_PASSES)
+def test_checks_raise_stage_by_stage_then_point_by_point(monkeypatch, kind):
+    # Of two points that fail checks of different stages the earlier stage raises, whichever point fails it;
+    # of two that fail point checks, the earlier point; of two point checks on one point, the earlier check.
+    # The messages were recorded from the engine in which each check raised on its own, before the check table.
+    pins = json.loads(CHECK_ORDER_PINS.read_text())[kind]
+    for faults in check_order_stacks(kind):
+        key = " | ".join(name or "good" for name in faults)
+        assert faulted_pass_message(monkeypatch, faults, kind) == pins[key], key
+        if faults[2] is not None:  # two points: the earlier stage, then the earlier point
+            first = min(faults[1:], key=lambda name: (CHECK_STAGES.get(name, 1), faults.index(name)))
+            assert pins[key] == pins[f"good | {first} | good"], key
+
+
 def hermitian_conditionals(branches):
     """The Hermitian parts of the first-qubit states of (..., 4, 4) branches and their closed-form spectra, as
     measure_and_mix hands them to _branch_bounds."""
@@ -533,7 +620,8 @@ def test_branch_bounds_carry_the_weyl_term(rng):
     for shifted in (off_block, lone):
         stack = np.stack([point, shifted])
         with pytest.raises(NumericError, match=r"^branch 1 residue 2\.000e-11 from a product state exceeds 1e-11$"):
-            raise_first(*_branch_bounds(stack, *hermitian_conditionals(stack), projectors)[2])
+            _, residue = _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
+            raise_first(residue > RECONSTRUCTION_TOL, lambda i, k: _residue_error(k, residue[i, k]))
     stack = np.stack([point, skew])
-    _, residue, _ = _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
+    _, residue = _branch_bounds(stack, *hermitian_conditionals(stack), projectors)
     assert residue.max() == 0.0
