@@ -94,11 +94,22 @@ def _checked_pair(rho: DensityMatrix, h: Hamiltonian) -> tuple[np.ndarray, np.nd
     return rho.spectrum, h.energies
 
 
+def clamp_round_off(values: np.ndarray, out=None) -> np.ndarray:
+    """Set the round-off negatives of ``values``, those from -1e-12 to 0, to 0 in place; return the mask of the rest.
+
+    The mask, written into ``out`` if given, marks the values below -1e-12,
+    which are left as they are for ``negative_error`` to name.
+    """
+    bad = np.less(values, -NEGLIGIBLE, out=out)
+    np.copyto(values, 0.0, where=(values < 0.0) ^ bad)
+    return bad
+
+
 def _clamp_nonnegative(values, what: str) -> np.ndarray:
-    """``values`` with round-off negatives set to 0; the first value below -1e-12 raises (``negative_error``)."""
-    values = np.asarray(values)
-    raise_first(values < -NEGLIGIBLE, lambda *i: negative_error(what, values[i]))
-    return np.where(values < 0.0, 0.0, values)
+    """A copy of ``values`` clamped by ``clamp_round_off``; the first value below -1e-12 raises (``negative_error``)."""
+    values = np.array(values, dtype=float)
+    raise_first(clamp_round_off(values), lambda *i: negative_error(what, values[i]))
+    return values
 
 
 def negative_error(what: str, value) -> NumericError:
@@ -111,8 +122,8 @@ def capacities(spectra: np.ndarray, levels: np.ndarray) -> np.ndarray:
     This is sum_i eps_i (lam_i - lam_{d-1-i}), equivalently the sum over
     mirrored index pairs i < d-1-i of (eps_{d-1-i} - eps_i)(lam_{d-1-i} -
     lam_i). Each pair multiplies two nonnegative gaps, so the value is
-    nonnegative up to round-off, which callers clamp as ``_clamp_nonnegative``
-    does, and insensitive to how ties inside degenerate eigenvalues are
+    nonnegative up to round-off, which callers clamp with ``clamp_round_off``,
+    and insensitive to how ties inside degenerate eigenvalues are
     ordered.
     """
     return ((spectra - spectra[..., ::-1])[..., None, :] @ levels)[..., 0]

@@ -1,9 +1,5 @@
 """Exception types shared across the package, and the rules that pick the failure a stacked check reports."""
 
-import bisect
-import itertools
-import math
-
 import numpy as np
 
 
@@ -25,37 +21,18 @@ def raise_first(bad, error) -> None:
         raise error(*np.unravel_index(np.argmax(bad), bad.shape))
 
 
-class CheckTable:
-    """The columns of a boolean check table: a row per point of a stack, a column per entry of a check.
+def first_failure(table: np.ndarray, stage_ends) -> tuple[int, int]:
+    """(point, column) of the failure an (N, K) boolean check table with a set entry reports.
 
-    ``stages`` list the checks of each stage as (name, shape) pairs, in their
-    order of precedence, stages in the order they are raised; a shape is that
-    of the check's mask without the point axis. A check's entries take
-    consecutive columns in C order: ``columns[name]`` is the column of a check
-    of shape (), else its slice of columns, for the check to write its mask
-    into in place.
+    The table has a row per point of a stack and a column per entry of a
+    check, checks in order of precedence; ``stage_ends`` end the columns of
+    its stages, which are raised in order. Of the first stage with a set
+    entry, that is the first point in stack order that fails any of its
+    columns, and its first set column there.
     """
-
-    def __init__(self, *stages):
-        checks = [check for stage in stages for check in stage]
-        self.names = tuple(name for name, shape in checks for _ in range(math.prod(shape)))
-        self.ends = list(itertools.accumulate(sum(math.prod(shape) for _, shape in stage) for stage in stages))
-        self.columns = {}
-        for name, shape in checks:
-            start = self.names.index(name)
-            self.columns[name] = start if shape == () else slice(start, start + math.prod(shape))
-
-    def first_failure(self, table: np.ndarray) -> tuple[str, int, int]:
-        """(check, point, entry) of the failure a (N, K) ``table`` with a set entry reports.
-
-        Of the first stage with a set entry, that is the first point in stack
-        order that fails any of its columns, and its first set column there: the
-        first check it fails in order of precedence, and that check's first
-        failing entry in C order, counted from the check's first column.
-        """
-        stage = bisect.bisect_right(self.ends, int(np.argmax(table.any(axis=0))))
-        start = self.ends[stage - 1] if stage else 0
-        part = table[:, start : self.ends[stage]]
-        point = int(np.argmax(part.any(axis=1)))
-        name = self.names[column := start + int(np.argmax(part[point]))]
-        return name, point, column - self.names.index(name)
+    start = 0
+    for end in stage_ends:
+        if (stage := table[:, start:end]).any():
+            point = int(np.argmax(stage.any(axis=1)))
+            return point, start + int(np.argmax(stage[point]))
+        start = end

@@ -25,22 +25,21 @@ for _m in (*PAULIS, IDENTITY_2):
     _m.setflags(write=False)
 
 
-def eigh(m: np.ndarray, checked=...) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a square matrix, or a stack of them, whose Hermiticity the caller has checked.
 
     Returns
     -------
     (values, vectors)
         Ascending eigenvalues and eigenvector columns of each matrix. Each
-        matrix of ``m[checked]``, the whole stack by default, satisfies the
-        reconstruction bound ``max|h - V diag(w) V^dagger| <= 1e-11``, where
-        h is the Hermitian matrix LAPACK decomposes: the lower triangle of the
-        matrix, mirrored, with the real part of its diagonal. The first matrix
-        in stack order that misses it raises (``raise_first``); a caller that
-        leaves matrices unchecked certifies their spectra by other means.
+        matrix satisfies the reconstruction bound ``max|h - V diag(w) V^dagger|
+        <= 1e-11``, where h is the Hermitian matrix LAPACK decomposes: the
+        lower triangle of the matrix, mirrored, with the real part of its
+        diagonal. The first matrix in stack order that misses it raises
+        (``raise_first``).
     """
     values, vectors = decompose(m)
-    err = reconstruction_errors(m[checked], values[checked], vectors[checked])
+    err = reconstruction_errors(m, values, vectors)
     raise_first(err > RECONSTRUCTION_TOL, lambda *i: reconstruction_failure(err[i]))
     values.setflags(write=False)
     vectors.setflags(write=False)

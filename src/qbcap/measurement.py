@@ -16,14 +16,15 @@ of the left ones.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .battery import QubitPairEnergies, capacities, negative_error
-from .errors import CheckTable, NumericError, UndefinedAverageError, raise_first
+from .battery import QubitPairEnergies, capacities, clamp_round_off, negative_error
+from .errors import NumericError, UndefinedAverageError, first_failure, raise_first
 from .linalg import IDENTITY_2, decompose, reconstruction_errors, reconstruction_failure
 from .states import DensityMatrix, _mirrored_pairs, _qubit_spectra, check_states, diagonal_sum, hermiticity_defects, json_number, reduce_a
 from .states import require_pair, screen_states, state_error
@@ -246,12 +247,12 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     ``conditional`` holds the Hermitian first-qubit states rho_{A|k} of the
     branches and ``spectra`` their ``_qubit_spectra``. The residue of a branch,
     max|H_k - rho_{A|k} x P_k| for its Hermitian part H_k = (B_k + B_k^dagger)/2,
-    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction
-    (``_residue_error``). Hermiticity itself is the screen's to judge, at the
-    validation tolerance. The spectrum of rho_{A|k} x P_k is that of rho_{A|k}
-    plus two zeros, and a 4x4 residue R has ||R||_2 <= 4 max|R|, so by Weyl's
-    inequality H_k has no eigenvalue below min(lambda_min(rho_{A|k}), 0) -
-    4 * residue. Returns these bounds and the (N, n) residues.
+    must stay within 1e-11, the bound ``eigh`` puts on its reconstruction.
+    Hermiticity itself is the screen's to judge, at the validation tolerance.
+    The spectrum of rho_{A|k} x P_k is that of rho_{A|k} plus two zeros, and a
+    4x4 residue R has ||R||_2 <= 4 max|R|, so by Weyl's inequality H_k has no
+    eigenvalue below min(lambda_min(rho_{A|k}), 0) - 4 * residue. Returns
+    these bounds and the (N, n) residues.
     """
     product = (conditional[..., :, None, :, None] * projectors[:, None, :, None, :]).reshape(branches.shape)
     diff = np.subtract(branches, product, out=product).reshape(*branches.shape[:-2], 16)
@@ -262,26 +263,12 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
     return np.minimum(spectra[..., 0], 0.0) - 4.0 * residue, residue
 
 
-def _residue_error(k: int, residue) -> NumericError:
-    return NumericError(f"branch {k} residue {residue:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}")
-
-
-def _certificate_error(what: str, gap, bound) -> NumericError:
-    """The error of a ``what`` eigenvalue ``gap`` from its closed form, beyond ``bound``."""
-    return NumericError(f"{what} eigenvalue {gap:.3e} from its closed form exceeds the bound {bound:.3e}")
-
-
-def _check_table(roles: int, *point_checks) -> CheckTable:
-    """The check table of a pass whose eigendecomposition takes ``roles`` matrices a point; see ``measure_and_mix``."""
-    stages = (("input", ()), *point_checks), (("total", (roles,)),), (("reduced", (roles, 2)),), (("reduced verdict", (roles,)),)
-    return CheckTable((("reconstruction", ()),), *stages, (("first", (roles,)),))
-
-
-# The checks of a measured pass, whose branches and final states are checked too, and of its input half alone.
-_CHECKS = {
-    True: _check_table(2, ("closure", ()), ("flags", (3,)), ("residue", (2,)), ("final", (4,)), ("verdict", (3,))),
-    False: _check_table(1),
-}
+# The columns of a pass's check table (see ``measure_and_mix``), a column per entry of a check, checks in order of
+# precedence: _CHECK_ENDS ends each check's columns, _STAGE_ENDS each stage's. A check of the decomposed roles (the
+# input, then the final state of a measured pass) takes a column per role, the reduced certificate two per role; a
+# pass that measures nothing leaves the final's columns and those of the measurement's checks False.
+_CHECK_ENDS = (1, 2, 3, 6, 8, 12, 15, 17, 21, 23, 25)
+_STAGE_ENDS = (1, 15, 17, 21, 23, 25)
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -299,9 +286,9 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
     one stacked ``eigh`` of the input and final matrices and one stacked
     ``np.linalg.eigvalsh`` of their reduced first-qubit states. Every check
     of the pass after the weights writes its columns of one boolean check
-    table (``_CHECKS``), a row per point, in place; the table is tested once,
-    after the last check, and only a failure builds its error
-    (``CheckTable.first_failure``): stage by stage, each stage at the first
+    table (``_CHECK_ENDS``), a row per point, in place; the table is tested
+    once, after the last check, and only a failure builds its error
+    (``errors.first_failure``): stage by stage, each stage at the first
     point in stack order that fails any of its checks, with the error of the
     first it fails. The stages, in order:
 
@@ -328,12 +315,12 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
           branch 0, branch 1, final;
 
     3. the capacities of input and final, none below -1e-12; round-off
-       negatives above it are set to 0, as ``battery.capacity`` sets them;
+       negatives above it are set to 0 (``battery.clamp_round_off``);
     4. the reduced spectra, within 1e-11 of their closed form (``_qubit_spectra``);
     5. the verdict on the reduced states: finite and Hermitian within ``tol``
        (their traces are those of input and final, bit for bit), with no
        eigenvalue below minus ``tol``;
-    6. the first-qubit capacities.
+    6. the first-qubit capacities, checked and clamped as in 3.
 
     So on a stack of several points, a failed input reconstruction may be
     raised ahead of an earlier point's failure, and a point's failure in a
@@ -341,9 +328,8 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
     """
     n = len(matrices)
     measured = basis is not None
-    checks = _CHECKS[measured]
-    column = checks.columns
-    table = np.empty((n, len(checks.names)), dtype=bool)
+    roles = 2 if measured else 1  # the matrices of a point that reach eigh: input, and final if measured
+    table = np.zeros((n, _CHECK_ENDS[-1]), dtype=bool)
     stack = np.empty((4 if measured else 1, n, 4, 4), dtype=complex).transpose(1, 0, 2, 3)
     stack[:, 0] = matrices
     if measured:
@@ -371,55 +357,57 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
         closed = _qubit_spectra(reduced)
         values, vectors = decompose(stack[:, ::3])
         err = reconstruction_errors(stack[:, 0], values[:, 0], vectors[:, 0])
-        np.greater(err, RECONSTRUCTION_TOL, out=table[:, column["reconstruction"]])
+        np.greater(err, RECONSTRUCTION_TOL, out=table[:, 0])
         lowest = values[..., 0]
-        np.logical_or(lowest[:, 0] < -tol, off[:, 0], out=table[:, column["input"]])
+        np.logical_or(lowest[:, 0] < -tol, off[:, 0], out=table[:, 1])
         if measured:
-            total, _ = _closure(probabilities, tol, out=table[:, column["closure"]])
-            _flag_checks(flagged, weights, out=table[:, column["flags"]])
+            total, _ = _closure(probabilities, tol, out=table[:, 2])
+            _flag_checks(flagged, weights, out=table[:, 3:6])
             bounds, residue = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
-            np.greater(residue, RECONSTRUCTION_TOL, out=table[:, column["residue"]])
+            np.greater(residue, RECONSTRUCTION_TOL, out=table[:, 6:8])
             cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
             bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
             if failed:  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
                 bound[off[:, 1:].any(axis=1)] = np.inf
             gap = np.abs(values[:, 1] - cq)
-            np.greater(gap, bound[:, None], out=table[:, column["final"]])
-            verdict = table[:, column["verdict"]]
+            np.greater(gap, bound[:, None], out=table[:, 8:12])
+            verdict = table[:, 12:15]
             np.less(bounds, -tol, out=verdict[:, :2])
             np.less(lowest[:, 1], -tol, out=verdict[:, 2])
             verdict |= off[:, 1:]
         spectra = np.maximum(values, 0.0)
-        gains = np.empty((n, 3 if measured else 2, values.shape[1]))  # capacities of the pair and of the first qubit
+        gains = np.empty((n, 3 if measured else 2, roles))  # capacities of the pair and of the first qubit
         gains[:, 0] = capacities(spectra, levels[0])
-        np.less(gains[:, 0], -NEGLIGIBLE, out=table[:, column["total"]])
+        clamp_round_off(gains[:, 0], out=table[:, 15 : 15 + roles])
         reduced_defects = hermiticity_defects(reduced[:, ::3])
         reduced_values = np.linalg.eigvalsh(reduced[:, ::3])
-        reduced_gap = np.abs(reduced_values - closed[:, ::3])
-        np.greater(reduced_gap.reshape(n, -1), RECONSTRUCTION_TOL, out=table[:, column["reduced"]])
+        reduced_gap = np.abs(reduced_values - closed[:, ::3]).reshape(n, -1)  # role-major, as the table takes it
+        np.greater(reduced_gap, RECONSTRUCTION_TOL, out=table[:, 17 : 17 + 2 * roles])
         reduced_off = ~(reduced_defects <= tol)  # true for a NaN defect too
-        np.logical_or(reduced_values[..., 0] < -tol, reduced_off, out=table[:, column["reduced verdict"]])
+        np.logical_or(reduced_values[..., 0] < -tol, reduced_off, out=table[:, 21 : 21 + roles])
         gains[:, 1] = capacities(np.maximum(reduced_values, 0.0), levels[1])
-        np.less(gains[:, 1], -NEGLIGIBLE, out=table[:, column["first"]])
+        clamp_round_off(gains[:, 1], out=table[:, 23 : 23 + roles])
     if table.any():
-        name, i, j = checks.first_failure(table)
-        raise {
-            "reconstruction": lambda: reconstruction_failure(err[i]),
-            "input": lambda: state_error(off[i, 0], defects[i, 0], traces[i, 0], lowest[i, 0], tol),
-            "closure": lambda: _closure_error(total[i]),
-            "flags": lambda: _flag_error(probabilities[i], weights, j),
-            "residue": lambda: _residue_error(j, residue[i, j]),
-            "final": lambda: _certificate_error("final state", gap[i, j], bound[i]),
-            "verdict": lambda: state_error(off[i, j + 1], defects[i, j + 1], traces[i, j + 1], (*bounds[i], lowest[i, 1])[j], tol),
-            "total": lambda: negative_error("capacity", gains[i, 0, j]),
-            "reduced": lambda: _certificate_error("reduced state", reduced_gap[i, j // 2, j % 2], RECONSTRUCTION_TOL),
-            "reduced verdict": lambda: state_error(reduced_off[i, j], reduced_defects[i, j], None, reduced_values[i, j, 0], tol),
-            "first": lambda: negative_error("capacity", gains[i, 1, j]),
-        }[name]()
-    capacity = gains[:, :2]
-    np.copyto(capacity, 0.0, where=capacity < 0.0)  # the round-off negatives
+        i, c = first_failure(table, _STAGE_ENDS)
+        k = bisect.bisect_right(_CHECK_ENDS, c)  # the check, and its entry j
+        j = c - (0, *_CHECK_ENDS)[k]
+        raise (
+            lambda: reconstruction_failure(err[i]),
+            lambda: state_error(off[i, 0], defects[i, 0], traces[i, 0], lowest[i, 0], tol),
+            lambda: _closure_error(total[i]),
+            lambda: _flag_error(probabilities[i], weights, j),
+            lambda: NumericError(f"branch {j} residue {residue[i, j]:.3e} from a product state exceeds {RECONSTRUCTION_TOL:g}"),
+            lambda: NumericError(f"final state eigenvalue {gap[i, j]:.3e} from its closed form exceeds the bound {bound[i]:.3e}"),
+            lambda: state_error(off[i, j + 1], defects[i, j + 1], traces[i, j + 1], (*bounds[i], lowest[i, 1])[j], tol),
+            lambda: negative_error("capacity", gains[i, 0, j]),
+            lambda: NumericError(
+                f"reduced state eigenvalue {reduced_gap[i, j]:.3e} from its closed form exceeds the bound {RECONSTRUCTION_TOL:.3e}"
+            ),
+            lambda: state_error(reduced_off[i, j], reduced_defects[i, j], None, reduced_values[i, j, 0], tol),
+            lambda: negative_error("capacity", gains[i, 1, j]),
+        )[k]()
     if measured:  # the changes, big_f and small_f
-        np.subtract(capacity[..., 1], capacity[..., 0], out=gains[:, 2])
+        np.subtract(gains[:, :2, 1], gains[:, :2, 0], out=gains[:, 2])
     return spectra[:, 0], gains.reshape(n, -1)
 
 

@@ -81,8 +81,9 @@ def screen_states(matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     d = matrices.shape[-1]
     defect = hermiticity_defects(matrices)
     trace = diagonal_sum(matrices.reshape(*matrices.shape[:-2], d * d)[..., :: d + 1])
-    # false for a NaN defect, and a NaN trace has a non-finite diagonal entry, which makes the defect NaN
-    return ~((defect <= tol) & (np.abs(trace - 1.0) <= tol)), defect, trace
+    # A NaN defect fails; a NaN trace passes, as finite entries can make one (1e308 + 1e308 - 1e308 - 1e308),
+    # and the lowest eigenvalue of such a matrix decides its verdict.
+    return ~(defect <= tol) | (np.abs(trace - 1.0) > tol), defect, trace
 
 
 def state_error(off, defect, trace, lowest, tol: float) -> InvalidStateError:

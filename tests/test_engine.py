@@ -47,9 +47,9 @@ from qbcap import (
     run_sweep,
     subsystem_a_hamiltonian,
 )
-from qbcap.errors import NumericError, raise_first
+from qbcap.errors import InvalidStateError, NumericError, raise_first
 from qbcap.measurement import GAIN_FIELDS, _branches, _closure, _closure_error, _flag_checks, _flag_error, _mix, measure_and_mix
-from qbcap.states import reduce_a
+from qbcap.states import check_states, reduce_a
 from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
 from qbcap.tolerances import VALIDATION_TOL, ZERO_PROBABILITY
 
@@ -498,6 +498,31 @@ def test_a_hermitian_input_with_huge_entries_raises_without_a_warning(angles):
         for basis in (MeasurementBasis(angles), None):
             with pytest.raises(NumericError, match="^eigendecomposition reconstruction error "):
                 measure_and_mix(point[None], basis, None, QubitPairEnergies(0.7, 0.2).levels(), VALIDATION_TOL)
+
+
+@pytest.mark.parametrize(
+    "diagonal, message",
+    [
+        ((1e308, 1e308, -1e308, -1e308), "negative eigenvalue -1.000e+308 below -1e-10"),
+        ((-1e308, -1e308, 1e308, 1e308), "negative eigenvalue -1.000e+308 below -1e-10"),
+        ((1e308 + 0.1, 1e308 + 0.1, -1e308 + 0.1, -1e308 + 0.1), "negative eigenvalue -1.000e+308 below -1e-10"),
+        ((1e308, -1e308, 1e308, -1e308), "trace = 0, expected 1 within 1e-10"),
+    ],
+)
+def test_a_trace_that_overflows_to_nan_passes_the_screen(diagonal, message):
+    # Finite huge entries can sum to a NaN trace, (1e308 + 1e308) + (-1e308 + -1e308); that is no failed
+    # trace test, so the lowest eigenvalue gives the verdict, as it does for check_states, measured or not.
+    # Paired the other way, the sums cancel to a finite trace 0, which fails. Messages pinned from the engine
+    # before its checks went into one table.
+    point = np.diag(np.array(diagonal, dtype=complex))[None]
+    levels = QubitPairEnergies(0.7, 0.2).levels()
+    calls = [lambda: check_states(point, 1e-10)]
+    calls += [lambda b=b, w=w: measure_and_mix(point, b, w, levels, 1e-10) for b, w in ((None, None), (MeasurementBasis(), None))]
+    calls += [lambda: measure_and_mix(point, MeasurementBasis((0.3, 0.2)), (0.4, 0.6), levels, 1e-10)]
+    for call in calls:
+        with pytest.raises(InvalidStateError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_sweep_eigendecomposes_two_pair_matrices_per_point(monkeypatch):

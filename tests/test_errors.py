@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbcap.errors import CheckTable, raise_first
+from qbcap.errors import first_failure, raise_first
 
 
 class Reported(Exception):
@@ -54,13 +54,11 @@ def test_a_0d_mask_passes_the_empty_index():
 
 
 def test_a_check_table_reports_the_first_stage_then_the_first_point_then_the_first_column():
-    checks = CheckTable((("a", ()), ("b", (2,))), (("c", (2, 2)),))
-    assert checks.names == ("a", "b", "b", "c", "c", "c", "c") and checks.ends == [3, 7]
-    assert checks.columns == {"a": 0, "b": slice(1, 3), "c": slice(3, 7)}
+    stage_ends = (3, 7)  # a stage of columns 0-2, then one of columns 3-6
     table = np.zeros((3, 7), dtype=bool)
     table[0, 6] = True  # a later stage, on an earlier point
-    assert checks.first_failure(table) == ("c", 0, 3)
-    table[2, 0] = table[1, 2] = True  # in the first stage, the later check on the earlier point
-    assert checks.first_failure(table) == ("b", 1, 1)
-    table[1, 0] = True  # then the earlier check on that point
-    assert checks.first_failure(table) == ("a", 1, 0)
+    assert first_failure(table, stage_ends) == (0, 6)
+    table[2, 0] = table[1, 2] = True  # in the first stage, the later column on the earlier point
+    assert first_failure(table, stage_ends) == (1, 2)
+    table[1, 0] = True  # then the earlier column on that point
+    assert first_failure(table, stage_ends) == (1, 0)

@@ -109,7 +109,7 @@ def test_eigh_measures_the_lower_triangle_with_a_real_diagonal(rng):
 
 def test_eigh_reports_the_first_failing_matrix_of_a_stack(monkeypatch):
     # A decomposition off by 2e-6 in one eigenvalue misses the reconstruction bound by that much; of two such
-    # matrices the first in stack order is named, and ``checked`` limits the bound to a part of the stack.
+    # matrices the first in stack order is named.
     stack = np.tile(np.eye(4, dtype=complex) / 4.0, (2, 3, 1, 1))
     original = np.linalg.eigh
 
@@ -122,10 +122,6 @@ def test_eigh_reports_the_first_failing_matrix_of_a_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(NumericError, match=r"^eigendecomposition reconstruction error 2\.000e-06 exceeds 1e-11$"):
         eigh(stack)
-    with pytest.raises(NumericError, match=r"^eigendecomposition reconstruction error 5\.000e-01 exceeds 1e-11$"):
-        eigh(stack, checked=np.s_[1])
-    values, _ = eigh(stack, checked=np.s_[:, 1])
-    assert values[0, 2, 0] == 0.25 + 2e-6
 
 
 def test_eigh_contracts_random_hermitian(rng):
