@@ -241,9 +241,8 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     energy, protocol or base-state flag beside it.
     """
     grid = {"family": args.family, "param": args.param, "start": args.start, "stop": args.stop, "count": args.count}
-    defining = {**grid, "eps_a": args.eps_a, "eps_b": args.eps_b, "scheme": args.scheme, "basis": args.basis,
-                "bell_diag": args.bell_diag, "x_state": args.x_state}  # fmt: skip
-    given = [f"--{name.replace('_', '-')}" for name, value in defining.items() if value is not None]
+    given = [option for option in SWEEP_FLAGS if option not in ("--figure", "--spec", *COMMON_FLAGS)
+             and getattr(args, option[2:].replace("-", "_")) is not None]  # fmt: skip
     if args.figure is not None:
         if args.spec is not None or given:
             raise _UsageError(f"--figure cannot be combined with {'--spec' if args.spec is not None else given[0]}")

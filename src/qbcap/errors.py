@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules that pick the failure a stacked check reports."""
+"""Exception types shared across the package, and the rule that picks the failure a stacked check reports."""
 
 import numpy as np
 
@@ -20,19 +20,3 @@ def raise_first(bad, error) -> None:
     if bad.any():
         raise error(*np.unravel_index(np.argmax(bad), bad.shape))
 
-
-def first_failure(table: np.ndarray, stage_ends) -> tuple[int, int]:
-    """(point, column) of the failure an (N, K) boolean check table with a set entry reports.
-
-    The table has a row per point of a stack and a column per entry of a
-    check, checks in order of precedence; ``stage_ends`` end the columns of
-    its stages, which are raised in order. Of the first stage with a set
-    entry, that is the first point in stack order that fails any of its
-    columns, and its first set column there.
-    """
-    start = 0
-    for end in stage_ends:
-        if (stage := table[:, start:end]).any():
-            point = int(np.argmax(stage.any(axis=1)))
-            return point, start + int(np.argmax(stage[point]))
-        start = end

@@ -6,9 +6,9 @@ average, and a convex combination with caller-chosen weights. The capacity
 change of the whole pair and of the first qubit alone are reported side by
 side.
 
-``measure_and_mix`` runs the whole protocol on a stack of N pair matrices;
-``measure_b``, the two mixing rules and ``capacity_gain`` are its stages on
-a stack of one. Both get their branches from ``_branches``, which takes the
+``measure_and_mix`` runs the whole protocol on a stack of N pair matrices,
+and ``capacity_gain`` runs it on a stack of one; ``measure_b`` and the two
+mixing rules are its stages on a stack of one. Both get their branches from ``_branches``, which takes the
 left and the right products of a whole stack as GEMMs over slabs of
 ``GEMM_SLAB / 2`` points; the right ones run transposed, with the 8-row shape
 of the left ones.
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .battery import QubitPairEnergies, capacities, clamp_round_off, negative_error
-from .errors import NumericError, UndefinedAverageError, first_failure, raise_first
+from .errors import NumericError, UndefinedAverageError, raise_first
 from .linalg import IDENTITY_2, decompose, reconstruction_errors, reconstruction_failure
 from .states import DensityMatrix, _mirrored_pairs, _qubit_spectra, check_states, diagonal_sum, hermiticity_defects, json_number, reduce_a
 from .states import require_pair, screen_states, state_error
@@ -264,11 +264,10 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
 
 
 # The columns of a pass's check table (see ``measure_and_mix``), a column per entry of a check, checks in order of
-# precedence: _CHECK_ENDS ends each check's columns, _STAGE_ENDS each stage's. A check of the decomposed roles (the
-# input, then the final state of a measured pass) takes a column per role, the reduced certificate two per role; a
-# pass that measures nothing leaves the final's columns and those of the measurement's checks False.
+# precedence within a point: _CHECK_ENDS ends each check's columns. A check of the decomposed roles (the input, then
+# the final state of a measured pass) takes a column per role, the reduced certificate two per role; a pass that
+# measures nothing leaves the final's columns and those of the measurement's checks False.
 _CHECK_ENDS = (1, 2, 3, 6, 8, 12, 15, 17, 21, 23, 25)
-_STAGE_ENDS = (1, 15, 17, 21, 23, 25)
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -287,44 +286,36 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
     ``np.linalg.eigvalsh`` of their reduced first-qubit states. Every check
     of the pass after the weights writes its columns of one boolean check
     table (``_CHECK_ENDS``), a row per point, in place; the table is tested
-    once, after the last check, and only a failure builds its error
-    (``errors.first_failure``): stage by stage, each stage at the first
-    point in stack order that fails any of its checks, with the error of the
-    first it fails. The stages, in order:
+    once, after the last check, and only a failure builds its error. A stack
+    raises what its first failing point raises alone (``errors.raise_first``):
+    the error of the first check that point fails, in this order:
 
     1. the reconstruction of the input's eigendecomposition;
-    2. the point checks, in this order within a point:
-
-       a. the screen's verdict on the input, so that an input's own failure
-          comes before anything measured of it;
-       b. the closure of the outcome probabilities (``_closure``), then the
-          zero-probability branches (``_flag_checks``);
-       c. the product check of the branches (``_branch_bounds``);
-       d. the classical-quantum certificate of the final spectra. The
-          Hermitian part of a final state sum_k mu_k B_k lies within
-          sum_k |mu_k| residue_k of sum_k mu_k rho_{A|k} x P_k in every entry,
-          and the matrix LAPACK decomposes within half the final's Hermiticity
-          defect of that part. The spectrum of the classical-quantum state is
-          the union of mu_k lambda_j(rho_{A|k}), so by Weyl's inequality, with
-          ||R||_2 <= 4 max|R|, each eigenvalue lies within 4 sum_k |mu_k|
-          residue_k + 2 defect of the sorted union, plus 1e-11 for round-off.
-          A flagged branch enters with weight zero, as it does the mix; points
-          holding a stand-in for a branch or final matrix that failed the
-          screen are skipped;
-       e. the screen's verdict on branches and final state, in the order
-          branch 0, branch 1, final;
-
-    3. the capacities of input and final, none below -1e-12; round-off
+    2. the screen's verdict on the input, so that an input's own failure
+       comes before anything measured of it;
+    3. the closure of the outcome probabilities (``_closure``), then the
+       zero-probability branches (``_flag_checks``);
+    4. the product check of the branches (``_branch_bounds``);
+    5. the classical-quantum certificate of the final spectra. The Hermitian
+       part of a final state sum_k mu_k B_k lies within sum_k |mu_k|
+       residue_k of sum_k mu_k rho_{A|k} x P_k in every entry, and the matrix
+       LAPACK decomposes within half the final's Hermiticity defect of that
+       part. The spectrum of the classical-quantum state is the union of
+       mu_k lambda_j(rho_{A|k}), so by Weyl's inequality, with
+       ||R||_2 <= 4 max|R|, each eigenvalue lies within 4 sum_k |mu_k|
+       residue_k + 2 defect of the sorted union, plus 1e-11 for round-off. A
+       flagged branch enters with weight zero, as it does the mix; points
+       holding a stand-in for a branch or final matrix that failed the
+       screen are skipped;
+    6. the screen's verdict on branches and final state, in the order
+       branch 0, branch 1, final;
+    7. the capacities of input and final, none below -1e-12; round-off
        negatives above it are set to 0 (``battery.clamp_round_off``);
-    4. the reduced spectra, within 1e-11 of their closed form (``_qubit_spectra``);
-    5. the verdict on the reduced states: finite and Hermitian within ``tol``
+    8. the reduced spectra, within 1e-11 of their closed form (``_qubit_spectra``);
+    9. the verdict on the reduced states: finite and Hermitian within ``tol``
        (their traces are those of input and final, bit for bit), with no
        eigenvalue below minus ``tol``;
-    6. the first-qubit capacities, checked and clamped as in 3.
-
-    So on a stack of several points, a failed input reconstruction may be
-    raised ahead of an earlier point's failure, and a point's failure in a
-    later stage is raised only if no point fails an earlier one.
+    10. the first-qubit capacities, checked and clamped as in 7.
     """
     n = len(matrices)
     measured = basis is not None
@@ -387,11 +378,11 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
         np.logical_or(reduced_values[..., 0] < -tol, reduced_off, out=table[:, 21 : 21 + roles])
         gains[:, 1] = capacities(np.maximum(reduced_values, 0.0), levels[1])
         clamp_round_off(gains[:, 1], out=table[:, 23 : 23 + roles])
-    if table.any():
-        i, c = first_failure(table, _STAGE_ENDS)
+
+    def error(i, c):  # the error of column c at point i
         k = bisect.bisect_right(_CHECK_ENDS, c)  # the check, and its entry j
         j = c - (0, *_CHECK_ENDS)[k]
-        raise (
+        return (
             lambda: reconstruction_failure(err[i]),
             lambda: state_error(off[i, 0], defects[i, 0], traces[i, 0], lowest[i, 0], tol),
             lambda: _closure_error(total[i]),
@@ -406,6 +397,8 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
             lambda: state_error(reduced_off[i, j], reduced_defects[i, j], None, reduced_values[i, j, 0], tol),
             lambda: negative_error("capacity", gains[i, 1, j]),
         )[k]()
+
+    raise_first(table, error)
     if measured:  # the changes, big_f and small_f
         np.subtract(gains[:, :2, 1], gains[:, :2, 0], out=gains[:, 2])
     return spectra[:, 0], gains.reshape(n, -1)

@@ -413,7 +413,7 @@ def eigh_rule_message(matrices, basis, weights):
 
     The first failing point reports. Its input is checked before anything measured of it, as a
     ``DensityMatrix`` built of it would check it; then the closure of its probabilities, its
-    zero-probability branches, and its branch and final matrices. The reduced states of all points come last.
+    zero-probability branches, its branch and final matrices, and last its reduced states.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite input spreads through the branches and the mix
         branches, probabilities, flagged = _branches(matrices, basis)
@@ -429,9 +429,10 @@ def eigh_rule_message(matrices, basis, weights):
         except (ValueError, ArithmeticError) as exc:
             message = str(exc)
         message = eigh_check_oracle(matrices[point]) or message or eigh_check_oracle(stack[point])
+        message = message or eigh_check_oracle(reduce_a(stack[point, ::3]))
         if message:
             return message
-    return eigh_check_oracle(reduce_a(stack[:, ::3]))
+    return None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

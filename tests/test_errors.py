@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbcap.errors import first_failure, raise_first
+from qbcap.errors import raise_first
 
 
 class Reported(Exception):
@@ -52,13 +52,3 @@ def test_a_0d_mask_passes_the_empty_index():
     assert reported_index(np.float64(-1.0) < 0.0) == ()  # a numpy bool scalar, as a comparison of scalars gives
     raise_first(np.array(False), Reported)
 
-
-def test_a_check_table_reports_the_first_stage_then_the_first_point_then_the_first_column():
-    stage_ends = (3, 7)  # a stage of columns 0-2, then one of columns 3-6
-    table = np.zeros((3, 7), dtype=bool)
-    table[0, 6] = True  # a later stage, on an earlier point
-    assert first_failure(table, stage_ends) == (0, 6)
-    table[2, 0] = table[1, 2] = True  # in the first stage, the later column on the earlier point
-    assert first_failure(table, stage_ends) == (1, 2)
-    table[1, 0] = True  # then the earlier column on that point
-    assert first_failure(table, stage_ends) == (1, 0)

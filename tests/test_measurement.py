@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -517,15 +518,14 @@ CHECK_FAULTS = {
     "reduced verdict": (SKEW_REDUCED, []),
     "first": (MIXED, [("eigvalsh", (0, 0), 5e-12), ("eigvalsh", (0, 1), -5e-12)]),  # within 1e-11 of the closed form
 }
-# The stage of each fault, in the order measure_and_mix raises them; and the checks of the input half alone.
-CHECK_STAGES = {"reconstruction": 0, "total": 2, "reduced": 3, "reduced verdict": 4, "first": 5}
+# The checks of the input half alone.
 INPUT_HALF_FAULTS = ("reconstruction", "input", "total", "reduced", "reduced verdict", "first")
 # Each kind of pass: its basis and weights.
 CHECK_PASSES = {"rotated-weighted": (CHECK_BASIS, (0.6, 0.4)), "rotated-uniform": (CHECK_BASIS, None), "capacity": (None, None)}
 CHECK_ORDER_PINS = Path(__file__).with_name("check_order.json")
 
 
-def faulted_pass_message(monkeypatch, faults, kind):
+def faulted_pass_message(faults, kind):
     """The error message of the pass ``kind`` on a stack holding one point per entry of ``faults``: GOOD for None,
     else the point of a fault name, or of two joined by "+", at most one of them carried by the state."""
     points = [[CHECK_FAULTS[name] for name in entry.split("+")] if entry else [(GOOD, [])] for entry in faults]
@@ -541,7 +541,7 @@ def faulted_pass_message(monkeypatch, faults, kind):
                 (values[1] if target == "probabilities" else values[0] if isinstance(values, tuple) else values)[index] += shift
         return values
 
-    with monkeypatch.context() as patched:
+    with pytest.MonkeyPatch.context() as patched:
         patched.setattr(np.linalg, "eigh", lambda m: shifted(originals[0](m), "eigh"))
         patched.setattr(np.linalg, "eigvalsh", lambda m: shifted(originals[1](m), "eigvalsh"))
         patched.setattr(qbcap.measurement, "_branches", lambda *a, **k: shifted(originals[2](*a, **k), "branches", "probabilities", "flag"))
@@ -553,27 +553,40 @@ def faulted_pass_message(monkeypatch, faults, kind):
     return None
 
 
-def check_order_stacks(kind):
-    """Each fault alone, on the middle of three points, then each ordered pair of faults on the last two points;
-    in a measured pass also two point checks on one point, at most one of them carried by the state."""
+def check_order_faults(kind):
+    """The faults a pass meets, one check each; and in a measured pass two checks on one point, at most one of
+    them carried by the state."""
     names = INPUT_HALF_FAULTS if kind == "capacity" else tuple(CHECK_FAULTS)
     by_shifts, by_state = ("closure", "flags", "residue", "final"), ("input", "verdict")
     pairs = [] if kind == "capacity" else [f"{a}+{b}" for a in by_shifts + by_state for b in by_shifts if a != b]
-    return [(None, a, None) for a in names + tuple(pairs)] + [(None, a, b) for a in names for b in names if a != b]
+    return names, tuple(pairs)
 
 
 @pytest.mark.parametrize("kind", CHECK_PASSES)
-def test_checks_raise_stage_by_stage_then_point_by_point(monkeypatch, kind):
-    # Of two points that fail checks of different stages the earlier stage raises, whichever point fails it;
-    # of two that fail point checks, the earlier point; of two point checks on one point, the earlier check.
-    # The messages were recorded from the engine in which each check raised on its own, before the check table.
+def test_checks_raise_point_by_point_then_check_by_check(kind):
+    # A fault on the middle of three points raises its pin; of two point checks on one point, the earlier check.
+    # Of two faulted points the earlier one raises what it raises alone. The one-point messages were recorded
+    # from the engine in which each check raised on its own, before the check table.
     pins = json.loads(CHECK_ORDER_PINS.read_text())[kind]
-    for faults in check_order_stacks(kind):
-        key = " | ".join(name or "good" for name in faults)
-        assert faulted_pass_message(monkeypatch, faults, kind) == pins[key], key
-        if faults[2] is not None:  # two points: the earlier stage, then the earlier point
-            first = min(faults[1:], key=lambda name: (CHECK_STAGES.get(name, 1), faults.index(name)))
-            assert pins[key] == pins[f"good | {first} | good"], key
+    names, pairs = check_order_faults(kind)
+    assert set(pins) == {f"good | {fault} | good" for fault in names + pairs}  # no pin goes unread
+    for fault in names + pairs:
+        assert faulted_pass_message((None, fault, None), kind) == pins[f"good | {fault} | good"], fault
+    for a, b in itertools.permutations(names, 2):
+        assert faulted_pass_message((None, a, b), kind) == pins[f"good | {a} | good"], (a, b)
+
+
+@pytest.mark.parametrize("kind", CHECK_PASSES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_stack_raises_what_its_first_faulted_point_raises_alone(kind, data):
+    # Stacks of 1-5 points, each good or faulted in one check, raise the one-point pin of their first faulted
+    # point, and an all-good stack raises nothing.
+    names, _ = check_order_faults(kind)
+    faults = data.draw(st.lists(st.sampled_from((None, *names)), min_size=1, max_size=5))
+    first = next((fault for fault in faults if fault is not None), None)
+    pins = json.loads(CHECK_ORDER_PINS.read_text())[kind]
+    assert faulted_pass_message(faults, kind) == (None if first is None else pins[f"good | {first} | good"]), faults
 
 
 def hermitian_conditionals(branches):

@@ -891,6 +891,11 @@ def test_cli_reads_negative_exponent_numbers(capsys):
 
 
 SWEEP_DEFINING_FLAGS = [
+    ["--family", "werner"],
+    ["--param", "a"],
+    ["--start", "0"],
+    ["--stop", "1"],
+    ["--count", "3"],
     ["--eps-a", "0.9"],
     ["--eps-b", "0.1"],
     ["--scheme", "weighted", "0.5", "0.5"],
@@ -900,18 +905,23 @@ SWEEP_DEFINING_FLAGS = [
 ]
 
 
+# With two flags beside it, the error names the first in the order `qbcap sweep --help` lists them, not as given.
+REFUSED_FLAGS = [pytest.param(flag, flag[0], id=flag[0]) for flag in SWEEP_DEFINING_FLAGS]
+REFUSED_FLAGS.append(pytest.param(["--x-state", "x.json", "--count", "3"], "--count", id="--x-state+--count"))
+
+
 @pytest.mark.parametrize("source", ["--figure", "--spec"])
-@pytest.mark.parametrize("flag", SWEEP_DEFINING_FLAGS, ids=lambda flag: flag[0])
-def test_preset_and_spec_sweeps_refuse_protocol_flags(tmp_path, capsys, source, flag):
-    # A preset or spec file defines the energies, protocol and base state; a flag beside it is a usage error.
+@pytest.mark.parametrize("flags, named", REFUSED_FLAGS)
+def test_preset_and_spec_sweeps_refuse_protocol_flags(tmp_path, capsys, source, flags, named):
+    # A preset or spec file defines the grid, energies, protocol and base state; a flag beside it is a usage error.
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"family": "werner", "param": "a", "start": 0, "stop": 1, "count": 3, "eps_a": 0.5, "eps_b": 0.3}))
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", source, "fig2" if source == "--figure" else str(spec), *flag])
+        main(["sweep", source, "fig2" if source == "--figure" else str(spec), *flags])
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (64, "")
     assert [line for line in captured.err.splitlines() if "error" in line] == [
-        f"qbcap sweep: error: {source} cannot be combined with {flag[0]}"
+        f"qbcap sweep: error: {source} cannot be combined with {named}"
     ]
 
 
