@@ -70,7 +70,7 @@ class QubitPairEnergies:
         no Hamiltonian.
         """
         a, b = self.eps_a, self.eps_b
-        return np.sort([a + b, a - b, -a + b, -a - b], kind="stable"), np.sort([a, -a], kind="stable")
+        return np.array(sorted([a + b, a - b, -a + b, -a - b])), np.array(sorted([a, -a]))
 
 
 def qubit_pair_hamiltonian(energies: QubitPairEnergies) -> Hamiltonian:

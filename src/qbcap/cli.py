@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import re
-import shutil
 import sys
 from typing import IO, Callable, Sequence
 
@@ -40,13 +38,35 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with code 64.
 
     Its help flag is added as an action with its help text, as ``add_help``
-    would add it but for that text's translation.
+    would add it but for that text's translation. Its argument groups are
+    built on its own registries: a stock group first makes the 12 action
+    registrations of a new container, then drops them for its parser's.
     """
 
     def __init__(self, **kwargs):
         super().__init__(add_help=False, **kwargs)
         self._add_action(argparse._HelpAction(["-h", "--help"], dest="help", help="show this help message and exit"))
         self._negative_number_matcher = NEGATIVE_NUMBER
+
+    def add_argument_group(self, title=None, description=None):
+        return self._group(self._action_groups, argparse._ArgumentGroup, title=title, description=description)
+
+    def add_mutually_exclusive_group(self, required=False):
+        return self._group(self._mutually_exclusive_groups, argparse._MutuallyExclusiveGroup, required=required, _container=self)
+
+    def _group(self, groups, kind, title=None, description=None, **own):
+        """A ``kind`` group, appended to ``groups``, with the attributes its ``__init__`` leaves: this parser's
+        settings, registries and action tables, shared as that ``__init__`` shares them, its own empty group and
+        action lists, and ``title``, ``description`` and ``own``. It reads negative numbers with its parser's
+        matcher, where a stock group would take argparse's default."""
+        group = object.__new__(kind)
+        shared = ("prefix_chars", "argument_default", "conflict_handler", "_negative_number_matcher", "_registries",
+                  "_actions", "_option_string_actions", "_defaults", "_has_negative_number_optionals",
+                  "_mutually_exclusive_groups")  # fmt: skip
+        vars(group).update({name: getattr(self, name) for name in shared}, title=title, description=description,
+                           _action_groups=[], _group_actions=[], **own)  # fmt: skip
+        groups.append(group)
+        return group
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -292,21 +312,15 @@ def build_parser(argv: Sequence[str]) -> _Parser:
     that holds no parser. The flags of a built subcommand are added from its
     ``SUBCOMMANDS`` entry as the store actions ``add_argument`` would make of
     them, without the help formatter it builds per flag to check the metavar.
-    Every parser wraps help to the terminal width read once here, not once per argument.
     """
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = _Parser(
-        prog="qbcap",
-        description="Battery capacity of two-qubit states under local projective measurements.",
-        formatter_class=formatter,
-    )
+    parser = _Parser(prog="qbcap", description="Battery capacity of two-qubit states under local projective measurements.")
     subs = parser.add_subparsers(dest="command", required=True, prog="qbcap")
     for name, (help_text, _, sources, flags) in SUBCOMMANDS.items():
         if name not in argv:
             subs._choices_actions.append(subs._ChoicesPseudoAction(name, (), help_text))
             subs.choices[name] = None
             continue
-        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
+        sub = subs.add_parser(name, help=help_text)
         group = sub.add_mutually_exclusive_group(required=True) if sources else sub
         for container, table in ((group, sources), (sub, flags)):
             for option, keywords in table.items():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO
 
@@ -54,6 +55,13 @@ def _finite(value, what: str) -> float:
     return number
 
 
+def _integer(value, what: str):
+    """``value`` if it is an integer (a ``numbers.Integral``, but not a bool); else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"sweep specification: {what} must be an integer, got {value!r}")
+    return value
+
+
 def _finite_list(values, what: str, length: int | None = None) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
         size = f" of length {length}" if length else ""
@@ -90,9 +98,11 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family!r} sweeps one of {FAMILY_PARAMS[self.family]}, got {self.param!r}"
             )
-        if not 2 <= self.count <= MAX_COUNT:
+        if not 2 <= _integer(self.count, "count") <= MAX_COUNT:
             raise ValueError(f"grid needs at least 2 and at most {MAX_COUNT} points, got {self.count}")
-        if not math.isfinite(float(self.stop) - float(self.start)):
+        start = json_number(self.start, "sweep specification: start")
+        stop = json_number(self.stop, "sweep specification: stop")
+        if not math.isfinite(stop - start):
             raise ValueError(f"grid span stop - start is not finite for start={self.start}, stop={self.stop}")
         if self.family == "bell_diagonal" and self.bell_diag is None:
             raise ValueError("bell_diagonal sweeps need a base (c1, c2, c3) triple")
@@ -118,9 +128,7 @@ class SweepSpec:
         unknown = [key for key in data if key not in (*REQUIRED_KEYS, *OPTIONAL_KEYS)]
         if unknown:
             raise ValueError(f"malformed sweep specification: unknown key {', '.join(map(repr, unknown))}")
-        count = data["count"]
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ValueError(f"sweep specification: count must be an integer, got {count!r}")
+        count = _integer(data["count"], "count")
         basis = data.get("basis", "computational")
         if basis == "computational":
             basis_angles = None

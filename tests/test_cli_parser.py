@@ -94,8 +94,9 @@ def test_only_the_named_subcommand_gets_a_parser():
 
 
 def test_a_call_builds_two_parsers_and_makes_half_the_lookups(monkeypatch, capsys):
-    # The work the per-call parser saves, counted rather than timed: parsers built and argparse's gettext lookups.
-    counts = {"parsers": 0, "lookups": 0}
+    # The work the per-call parser saves, counted rather than timed: parsers built, argparse's gettext lookups
+    # and its registrations.
+    counts = {"parsers": 0, "lookups": 0, "registrations": 0}
 
     def counting_init(self, *args, real=cli._Parser.__init__, **kwargs):
         counts["parsers"] += 1
@@ -105,19 +106,27 @@ def test_a_call_builds_two_parsers_and_makes_half_the_lookups(monkeypatch, capsy
         counts["lookups"] += 1
         return real(message)
 
+    def counting_register(self, *args, real=argparse._ActionsContainer.register):
+        counts["registrations"] += 1
+        real(self, *args)
+
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     monkeypatch.setattr(argparse, "_", counting_lookup)
+    monkeypatch.setattr(argparse._ActionsContainer, "register", counting_register)
 
     def count(built: list[str], argv: list[str]) -> dict[str, int]:
-        counts.update(parsers=0, lookups=0)
+        counts.update(parsers=0, lookups=0, registrations=0)
         build_parser(built).parse_args(argv)
         return dict(counts)
 
     # Each parser makes 2 lookups, its two group titles: its help flag's text is added untranslated.
+    # Each makes argparse's 13 registrations, 12 actions and 1 type, and its groups none: a stock group
+    # would repeat the 12 action registrations, 86 in all for this call.
     argv = ["measure", "--werner", "0.6", *ENERGIES]
     call, full = count(argv, argv), count(ALL_COMMANDS, argv)
     assert (call["parsers"], full["parsers"]) == (2, 4)
     assert (call["lookups"], full["lookups"]) == (4, 8)
+    assert (call["registrations"], full["registrations"]) == (26, 52)
 
     monkeypatch.setenv("COLUMNS", "80")
     counts.update(parsers=0)
@@ -126,6 +135,25 @@ def test_a_call_builds_two_parsers_and_makes_half_the_lookups(monkeypatch, capsy
     (pin,) = [e for e in json.loads(FIXTURE.read_text()) if e["argv"] == ["--help"]]
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (counts["parsers"], exc.value.code, digest) == (1, pin["exit"], pin["stdout_sha256"])
+
+
+def test_groups_have_the_stock_layout_on_the_parsers_tables():
+    # A group of a built parser has the attributes a stock group built on that parser has, and shares its
+    # parser's tables by identity, so that an argparse whose group layout differs fails here, not in a call.
+    sub = subcommands(build_parser(["measure"]))["measure"]
+    groups = [*sub._action_groups, *sub._mutually_exclusive_groups]
+    assert [type(g) for g in groups] == [argparse._ArgumentGroup] * 2 + [argparse._MutuallyExclusiveGroup]
+    assert [g.title for g in groups] == ["positional arguments", "options", None]
+    for group in groups:
+        if isinstance(group, argparse._MutuallyExclusiveGroup):
+            stock = argparse._MutuallyExclusiveGroup(sub, required=True)
+            assert group.required is True and group._container is sub
+        else:
+            stock = argparse._ArgumentGroup(sub, title=group.title)
+        assert sorted(vars(group)) == sorted(vars(stock))
+        for name in ("_registries", "_actions", "_option_string_actions", "_defaults"):
+            assert getattr(group, name) is getattr(sub, name) is getattr(stock, name)
+    assert [a.dest for a in groups[2]._group_actions] == [option[2:].replace("-", "_") for option in cli.STATE_SOURCES]
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +77,17 @@ def test_spec_validation():
         SweepSpec(family="bell_diagonal", param="c1", start=0.0, stop=0.5, count=5, energies=PAIR_053)
     with pytest.raises(ValueError, match="requires weights"):
         SweepSpec(family="werner", param="a", start=0.0, stop=1.0, count=5, energies=PAIR_053, scheme="weighted")
+    # The count and bounds that from_mapping refuses, refused with its messages, not later inside run_sweep.
+    for count in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match=f"count must be an integer, got {re.escape(repr(count))}$"):
+            SweepSpec(family="werner", param="a", start=0.0, stop=1.0, count=count, energies=PAIR_053)
+    for bound in ("start", "stop"):
+        for value in ("0", None, True, [0.5], 10**400):
+            with pytest.raises(ValueError, match=f"^sweep specification: {bound} must be a number, got {re.escape(repr(value))}$"):
+                SweepSpec(family="werner", param="a", count=5, energies=PAIR_053, **{"start": 0.0, "stop": 1.0, bound: value})
+    with pytest.raises(ValueError, match="span stop - start is not finite"):
+        SweepSpec(family="werner", param="a", start=0.0, stop=math.inf, count=5, energies=PAIR_053)
+    assert SweepSpec(family="werner", param="a", start=0, stop=np.float64(1.0), count=np.int64(3), energies=PAIR_053).count == 3
 
 
 def test_werner_sweep_rows():
