@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, raise_first
-from .states import DensityMatrix
+from .states import DensityMatrix, json_number
 from .tolerances import NEGLIGIBLE
 
 
@@ -50,13 +50,18 @@ MAX_SPLITTING = sys.float_info.max / 8
 
 @dataclass(frozen=True)
 class QubitPairEnergies:
-    """Finite level splittings of the two non-interacting qubits, MAX_SPLITTING >= eps_a >= eps_b >= 0."""
+    """Finite level splittings of the two non-interacting qubits, MAX_SPLITTING >= eps_a >= eps_b >= 0.
+
+    Each is a ``json_number`` (a float, or an int in float range, but not a bool); one that is not raises a
+    ValueError naming it.
+    """
 
     eps_a: float
     eps_b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps_a) and math.isfinite(self.eps_b) and self.eps_a >= self.eps_b >= 0.0):
+        a, b = json_number(self.eps_a, "eps_a"), json_number(self.eps_b, "eps_b")
+        if not (math.isfinite(a) and math.isfinite(b) and a >= b >= 0.0):
             raise ValueError(f"require finite eps_a >= eps_b >= 0, got eps_a={self.eps_a}, eps_b={self.eps_b}")
         if self.eps_a > MAX_SPLITTING:
             raise ValueError(f"eps_a={self.eps_a} exceeds {MAX_SPLITTING!r}, beyond which capacities overflow")

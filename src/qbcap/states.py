@@ -32,6 +32,23 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
+def check_keys(data, required, optional, malformed: str, error=ValueError, not_an_object: str = "") -> None:
+    """Raise ``error`` unless ``data`` is a dict that holds every ``required`` key and no key beyond ``optional``.
+
+    The message is ``not_an_object`` (by default ``malformed`` + ": expected an
+    object") with the type of ``data``, or ``malformed`` with the missing keys,
+    else with the unknown ones.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{not_an_object or malformed + ': expected an object'}, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise error(f"{malformed}: missing {', '.join(missing)}")
+    unknown = [key for key in data if key not in (*required, *optional)]
+    if unknown:
+        raise error(f"{malformed}: unknown key {', '.join(map(repr, unknown))}")
+
+
 @functools.cache
 def _mirrored_pairs(d: int) -> np.ndarray:
     """Flat indices of the entries (i, j), i <= j, of a d x d matrix, followed by those of their mirror images (j, i)."""
@@ -271,8 +288,12 @@ COHERENCES = ("rho14", "rho23")
 class XStateParams:
     """Populations and anti-diagonal coherences of an X-shaped two-qubit state.
 
-    Positivity requires rho11*rho44 >= |rho14|^2 and rho22*rho33 >= |rho23|^2;
-    violations are reported naming the failed inequality.
+    Each field is a ``json_number`` (a float, or an int in float range, but
+    not a bool), and a coherence may be a complex number too; a field that is
+    not raises ValueError naming it, and one that is not finite
+    InvalidStateError. Positivity requires rho11*rho44 >= |rho14|^2 and
+    rho22*rho33 >= |rho23|^2; violations are reported naming the failed
+    inequality.
     """
 
     rho11: float
@@ -284,8 +305,9 @@ class XStateParams:
 
     def __post_init__(self):
         for name in (*POPULATIONS, *COHERENCES):
-            if not cmath.isfinite(getattr(self, name)):
-                raise InvalidStateError(f"{name} = {getattr(self, name)} is not a finite number")
+            value = getattr(self, name)  # a json_number, or for a coherence a complex number too
+            if not cmath.isfinite(value if name in COHERENCES and isinstance(value, complex) else json_number(value, name)):
+                raise InvalidStateError(f"{name} = {value} is not a finite number")
         pops = tuple(getattr(self, name) for name in POPULATIONS)
         for name, p in zip(POPULATIONS, pops):
             if p < -NEGLIGIBLE:
@@ -326,20 +348,12 @@ class XStateParams:
             parts = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
             return complex(*(json_number(part, name) for part in parts))
 
-        if not isinstance(data, dict):
-            raise InvalidStateError(f"malformed x-state payload: expected an object, got {type(data).__name__}")
-        missing = [name for name in POPULATIONS if name not in data]
-        if missing:
-            raise InvalidStateError(f"malformed x-state payload: missing {', '.join(missing)}")
-        unknown = [key for key in data if key not in (*POPULATIONS, *COHERENCES)]
-        if unknown:
-            raise InvalidStateError(f"malformed x-state payload: unknown key {', '.join(map(repr, unknown))}")
+        check_keys(data, POPULATIONS, COHERENCES, "malformed x-state payload", InvalidStateError)
         try:
-            populations = [json_number(data[name], name) for name in POPULATIONS]
-            coherences = [as_complex(name) for name in COHERENCES]
+            values = [json_number(data[name], name) for name in POPULATIONS] + [as_complex(name) for name in COHERENCES]
         except ValueError as exc:
             raise InvalidStateError(f"malformed x-state payload: {exc}") from exc
-        return cls(*populations, *coherences)
+        return cls(*values)
 
 
 def x_state_matrices(params: XStateParams, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .battery import QubitPairEnergies
 from .errors import InvalidStateError
 from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix
 from .states import XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
-from .states import json_number, require_within, werner_matrices, x_state_matrices
+from .states import check_keys, json_number, require_within, werner_matrices, x_state_matrices
 from .tolerances import VALIDATION_TOL, checked_tol
 
 # The families and the parameters each sweeps, in the order `sweep --help` lists them.
@@ -55,13 +55,6 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _integer(value, what: str):
-    """``value`` if it is an integer (a ``numbers.Integral``, but not a bool); else a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"sweep specification: {what} must be an integer, got {value!r}")
-    return value
-
-
 def _finite_list(values, what: str, length: int | None = None) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
         size = f" of length {length}" if length else ""
@@ -77,6 +70,14 @@ class SweepSpec:
     one of ``c1``/``c2``/``c3`` for bell_diagonal (the others come from
     ``bell_diag``), or ``coherence_scale`` for x_state (a factor in [0, 1]
     applied to both coherences of ``x_params``).
+
+    Construction checks every field: ``count`` an integer (not a bool) from 2
+    to ``MAX_COUNT``; ``start``, ``stop``, the weights, the basis angles and
+    the three numbers of ``bell_diag`` finite ``json_number`` values, with a
+    finite span; the family's base present; the scheme's rule on weights. It
+    stores ``start`` and ``stop`` as floats and the weights, the basis angles
+    and ``bell_diag`` as tuples of floats. A failing field raises ValueError
+    with the message a spec file's entry gets from ``from_mapping``.
     """
 
     family: str
@@ -95,15 +96,22 @@ class SweepSpec:
         if not isinstance(self.family, str) or self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {sorted(FAMILY_PARAMS)}")
         if self.param not in FAMILY_PARAMS[self.family]:
-            raise ValueError(
-                f"family {self.family!r} sweeps one of {FAMILY_PARAMS[self.family]}, got {self.param!r}"
-            )
-        if not 2 <= _integer(self.count, "count") <= MAX_COUNT:
+            raise ValueError(f"family {self.family!r} sweeps one of {FAMILY_PARAMS[self.family]}, got {self.param!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"sweep specification: count must be an integer, got {self.count!r}")
+        if not 2 <= self.count <= MAX_COUNT:
             raise ValueError(f"grid needs at least 2 and at most {MAX_COUNT} points, got {self.count}")
-        start = json_number(self.start, "sweep specification: start")
-        stop = json_number(self.stop, "sweep specification: stop")
-        if not math.isfinite(stop - start):
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if not math.isfinite(self.stop - self.start):
             raise ValueError(f"grid span stop - start is not finite for start={self.start}, stop={self.stop}")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", _finite_list(self.weights, "weights"))
+        if self.basis_angles is not None:
+            theta, phi = self.basis_angles
+            object.__setattr__(self, "basis_angles", (_finite(theta, "basis theta"), _finite(phi, "basis phi")))
+        if self.bell_diag is not None:
+            object.__setattr__(self, "bell_diag", _finite_list(self.bell_diag, "bell_diag", 3))
         if self.family == "bell_diagonal" and self.bell_diag is None:
             raise ValueError("bell_diagonal sweeps need a base (c1, c2, c3) triple")
         if self.family == "x_state" and self.x_params is None:
@@ -116,39 +124,25 @@ class SweepSpec:
 
         Required keys are ``REQUIRED_KEYS``; optional ones are ``scheme``,
         ``weights``, ``basis`` ("computational" or {"theta": ..., "phi": ...}),
-        ``bell_diag`` and ``x_state`` (an x-state parameter object). Numbers
-        must be finite and ``count`` an integer; an unknown key or anything
-        malformed raises ValueError naming the entry.
+        ``bell_diag`` and ``x_state`` (an x-state parameter object). It reads
+        the keys, the shape of ``basis``, the splittings and the x-state, and
+        construction checks the rest. A missing or unknown key, a null
+        ``weights`` or ``bell_diag`` or anything malformed raises ValueError
+        naming the entry.
         """
-        if not isinstance(data, dict):
-            raise ValueError(f"a sweep specification is a JSON object, got {type(data).__name__}")
-        missing = [key for key in REQUIRED_KEYS if key not in data]
-        if missing:
-            raise ValueError(f"malformed sweep specification: missing {', '.join(missing)}")
-        unknown = [key for key in data if key not in (*REQUIRED_KEYS, *OPTIONAL_KEYS)]
-        if unknown:
-            raise ValueError(f"malformed sweep specification: unknown key {', '.join(map(repr, unknown))}")
-        count = _integer(data["count"], "count")
+        check_keys(data, REQUIRED_KEYS, OPTIONAL_KEYS, "malformed sweep specification",
+                   not_an_object="a sweep specification is a JSON object")
+        for key, length in (("weights", None), ("bell_diag", 3)):
+            if key in data and data[key] is None:  # construction would read None as absent
+                _finite_list(None, key, length)  # raises: null is no list of numbers
         basis = data.get("basis", "computational")
-        if basis == "computational":
-            basis_angles = None
-        elif isinstance(basis, dict) and set(basis) == {"theta", "phi"}:
-            basis_angles = (_finite(basis["theta"], "basis theta"), _finite(basis["phi"], "basis phi"))
-        else:
+        if basis != "computational" and not (isinstance(basis, dict) and set(basis) == {"theta", "phi"}):
             raise ValueError(f"malformed basis entry: {basis!r}")
-        return cls(
-            family=data["family"],
-            param=data["param"],
-            start=_finite(data["start"], "start"),
-            stop=_finite(data["stop"], "stop"),
-            count=count,
-            energies=QubitPairEnergies(eps_a=_finite(data["eps_a"], "eps_a"), eps_b=_finite(data["eps_b"], "eps_b")),
-            scheme=data.get("scheme", "uniform"),
-            weights=_finite_list(data["weights"], "weights") if "weights" in data else None,
-            basis_angles=basis_angles,
-            bell_diag=_finite_list(data["bell_diag"], "bell_diag", 3) if "bell_diag" in data else None,
-            x_params=XStateParams.from_json(data["x_state"]) if "x_state" in data else None,
-        )
+        return cls(family=data["family"], param=data["param"], start=data["start"], stop=data["stop"], count=data["count"],
+                   energies=QubitPairEnergies(eps_a=_finite(data["eps_a"], "eps_a"), eps_b=_finite(data["eps_b"], "eps_b")),
+                   scheme=data.get("scheme", "uniform"), weights=data.get("weights"), bell_diag=data.get("bell_diag"),
+                   basis_angles=None if basis == "computational" else (basis["theta"], basis["phi"]),
+                   x_params=XStateParams.from_json(data["x_state"]) if "x_state" in data else None)  # fmt: skip
 
     def to_mapping(self) -> dict:
         """The spec's JSON form, the inverse of ``from_mapping``; optional keys left unset are left out."""

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -27,6 +28,18 @@ def pure_state(index):
     m = np.zeros((4, 4), dtype=complex)
     m[index, index] = 1.0
     return DensityMatrix(m)
+
+
+@pytest.mark.parametrize(
+    "eps_a, eps_b, field",
+    [("0.5", 0.3, "eps_a"), (0.5, [0.3], "eps_b"), (True, 0.0, "eps_a"), (0.5, None, "eps_b"), (10**400, 0.0, "eps_a")],
+)
+def test_energies_must_be_numbers(eps_a, eps_b, field):
+    # Once a TypeError or OverflowError from math.isfinite, or for a bool a pair of levels.
+    value = eps_a if field == "eps_a" else eps_b
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+        QubitPairEnergies(eps_a, eps_b)
+    assert QubitPairEnergies(np.float64(0.5), 0).levels()[1].tolist() == [-0.5, 0.5]
 
 
 def test_energies_validation():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -50,7 +51,7 @@ from qbcap import (
 from qbcap.errors import InvalidStateError, NumericError, raise_first
 from qbcap.measurement import GAIN_FIELDS, _branches, _closure, _closure_error, _flag_checks, _flag_error, _mix, measure_and_mix
 from qbcap.states import check_states, reduce_a
-from qbcap.sweep import CHUNK, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
+from qbcap.sweep import CHUNK, MAX_COUNT, SPECTRUM_COLUMNS, SweepResult, format_number, rows_to_json, write_csv, write_json
 from qbcap.tolerances import VALIDATION_TOL, ZERO_PROBABILITY
 
 unit = st.floats(0.0, 1.0)
@@ -288,6 +289,61 @@ def test_spec_to_mapping_round_trips(data):
     empty = SweepResult(np.empty(0), np.empty((0, 4)), np.empty((0, len(GAIN_FIELDS))), np.empty(0, bool))
     echo = ("family", "param", "eps_a", "eps_b", "scheme", "weights", "basis")
     assert list(rows_to_json(empty, spec).items()) == [(key, mapping[key]) for key in echo if key in mapping] + [("rows", [])]
+
+
+# Values a spec file may hold where a number, a list of numbers, a name or a count belongs.
+SPEC_FAULTS = [math.nan, math.inf, -math.inf, True, False, "0.5", "werner", "c1", "weighted", None, [], {}, [0.5, 0.5],
+               [0.1, 0.2], [0.5, math.nan], 0, 1, -1, 2.5, 3.0, 7, MAX_COUNT + 1, 10**400, 1.7e308, -1.7e308]  # fmt: skip
+
+
+def construct(mapping) -> SweepSpec:
+    """The spec of ``mapping`` built directly, each entry passed as it is to the field that holds it."""
+    basis = mapping.get("basis", "computational")
+    return SweepSpec(
+        mapping["family"], mapping["param"], mapping["start"], mapping["stop"], mapping["count"],
+        QubitPairEnergies(mapping["eps_a"], mapping["eps_b"]), mapping.get("scheme", "uniform"), mapping.get("weights"),
+        None if basis == "computational" else (basis["theta"], basis["phi"]), mapping.get("bell_diag"),
+        XStateParams.from_json(mapping["x_state"]) if "x_state" in mapping else None,
+    )  # fmt: skip
+
+
+def outcome(build):
+    """What ``build()`` gives: a spec, or the type and message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_construction_and_from_mapping_agree(data):
+    # A valid mapping, or one with a fault in one entry that a SweepSpec field holds: a top-level entry, a weight, a
+    # basis angle or a bell_diag number. A null weights or bell_diag entry is left out: construction reads None as
+    # absent, and from_mapping refuses it (test_null_lists_are_refused).
+    mapping = json.loads(json.dumps(data.draw(sweep_specs(data.draw(st.integers(2, 50)))).to_mapping()))
+    entries = [(key,) for key in ("family", "param", "start", "stop", "count", "scheme", "weights", "bell_diag")]
+    entries += [("weights", k) for k in range(len(mapping.get("weights", ())))]
+    entries += [("bell_diag", k) for k in range(len(mapping.get("bell_diag", ())))]
+    entries += [("basis", name) for name in ("theta", "phi") if mapping.get("basis") != "computational"]
+    if data.draw(st.integers(0, 3)):  # one mapping in four is left valid
+        *path, last = data.draw(st.sampled_from(entries))
+        target = mapping
+        for key in path:
+            target = target[key]
+        faults = [v for v in SPEC_FAULTS if v is not None or path or last not in ("weights", "bell_diag")]
+        target[last] = data.draw(st.one_of(st.sampled_from(faults), st.floats(allow_nan=True, allow_infinity=True)))
+    assert outcome(lambda: SweepSpec.from_mapping(mapping)) == outcome(lambda: construct(mapping))
+
+
+@pytest.mark.parametrize("key, message", [("weights", "weights must be a list of numbers, got None"),
+                                          ("bell_diag", "bell_diag must be a list of numbers of length 3, got None")])  # fmt: skip
+def test_null_lists_are_refused(key, message):
+    # JSON null is not an absent entry: a spec file with "weights": null is refused, not read as uniform.
+    mapping = {"family": "bell_diagonal", "param": "c1", "start": 0.0, "stop": 0.5, "count": 3, "eps_a": 0.5, "eps_b": 0.3,
+               "bell_diag": [0.1, 0.2, 0.3], key: None}  # fmt: skip
+    with pytest.raises(ValueError, match=f"^sweep specification: {re.escape(message)}$"):
+        SweepSpec.from_mapping(mapping)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,18 @@ def test_x_state_rejects_non_finite_entries(field, value):
     params = {"rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25, field: value}
     with pytest.raises(InvalidStateError, match=f"{field} = .* is not a finite number"):
         XStateParams(**params)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rho11", "0.25"), ("rho44", True), ("rho22", 0.25j), ("rho33", 10**400), ("rho14", [0.1, 0.0]), ("rho23", "0.1"), ("rho14", None)],
+)
+def test_x_state_rejects_entries_that_are_not_numbers(field, value):
+    # Once a TypeError from cmath.isfinite, or for a huge int an OverflowError; a coherence may be complex.
+    params = {"rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+        XStateParams(**params)
+    assert XStateParams(**{**params, field: 0.1 + 0.05j if field in ("rho14", "rho23") else 0.25})
 
 
 def test_x_state_closed_form_spectra_match_eigh(rng):

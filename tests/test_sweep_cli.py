@@ -85,9 +85,37 @@ def test_spec_validation():
         for value in ("0", None, True, [0.5], 10**400):
             with pytest.raises(ValueError, match=f"^sweep specification: {bound} must be a number, got {re.escape(repr(value))}$"):
                 SweepSpec(family="werner", param="a", count=5, energies=PAIR_053, **{"start": 0.0, "stop": 1.0, bound: value})
-    with pytest.raises(ValueError, match="span stop - start is not finite"):
+    with pytest.raises(ValueError, match="^sweep specification: stop must be a finite number, got inf$"):
         SweepSpec(family="werner", param="a", start=0.0, stop=math.inf, count=5, energies=PAIR_053)
     assert SweepSpec(family="werner", param="a", start=0, stop=np.float64(1.0), count=np.int64(3), energies=PAIR_053).count == 3
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"family": "bell_diagonal", "param": "c1", "bell_diag": (0.1, 0.2)}, "bell_diag must be a list of numbers of length 3, got (0.1, 0.2)"),
+        ({"family": "bell_diagonal", "param": "c1", "bell_diag": (0.1, math.nan, 0.2)}, "bell_diag must be a finite number, got nan"),
+        ({"scheme": "weighted", "weights": (math.nan, 1.0)}, "weights must be a finite number, got nan"),
+        ({"scheme": "weighted", "weights": [0.5, "0.5"]}, "weights must be a number, got '0.5'"),
+        ({"basis_angles": (math.nan, 0.0)}, "basis theta must be a finite number, got nan"),
+        ({"basis_angles": (0.3, math.inf)}, "basis phi must be a finite number, got inf"),
+        ({"start": -1e308, "stop": 1e308}, "grid span stop - start is not finite for start=-1e+308, stop=1e+308"),
+    ],
+    ids=["bell-diag-pair", "bell-diag-nan", "weights-nan", "weights-string", "theta-nan", "phi-inf", "span"],
+)
+def test_construction_refuses_what_a_spec_file_refuses(fields, message):
+    # Each of these once built a spec that failed inside run_sweep, if at all; a spec file got the message below.
+    spec = {"family": "werner", "param": "a", "start": 0.0, "stop": 0.5, "count": 3, "energies": PAIR_053, **fields}
+    with pytest.raises(ValueError, match=f"^(sweep specification: )?{re.escape(message)}$"):
+        SweepSpec(**spec)
+
+
+def test_construction_stores_tuples_and_floats():
+    spec = SweepSpec("bell_diagonal", "c1", 0, 1, 3, PAIR_053, "weighted", [0.5, 0.5], [1, 0], [0.1, 0, 0.2])
+    assert (spec.weights, spec.basis_angles, spec.bell_diag) == ((0.5, 0.5), (1.0, 0.0), (0.1, 0.0, 0.2))
+    assert all(type(v) is float for v in (spec.start, spec.stop, *spec.weights, *spec.basis_angles, *spec.bell_diag))
+    assert hash(spec) == hash(SweepSpec("bell_diagonal", "c1", 0.0, 1.0, 3, PAIR_053, "weighted", (0.5, 0.5), (1.0, 0.0), (0.1, 0.0, 0.2)))
+    assert len({spec, SweepSpec.from_mapping(spec.to_mapping())}) == 1
 
 
 def test_werner_sweep_rows():
