@@ -2,8 +2,9 @@
 
 Everything here works on plain complex ndarrays of qubit (2x2) or qubit-pair
 (4x4) matrices, single or stacked. The package forms Kronecker products,
-partial traces and partial transposes as broadcast products and fixed
-reshapes where it needs them; ``np.kron`` remains only in the Pauli products.
+partial traces, partial transposes and Pauli expectations as broadcast
+products, fixed reshapes and contractions where it needs them; it makes no
+``np.kron`` call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_BASIS = np.stack([IDENTITY_2, *PAULIS])  # (I, s1, s2, s3), the operators of a qubit's Pauli expansion
 
-for _m in (*PAULIS, IDENTITY_2):
+for _m in (*PAULIS, IDENTITY_2, PAULI_BASIS):
     _m.setflags(write=False)
 
 

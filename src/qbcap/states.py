@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericError, raise_first
-from .linalg import IDENTITY_2, PAULIS, SIGMA_3, eigh
+from .linalg import PAULI_BASIS, eigh
 from .tolerances import NEGLIGIBLE, PPT_NEG_TOL, RECONSTRUCTION_TOL, VALIDATION_TOL, checked_tol
 
 
@@ -193,26 +193,21 @@ def pair_from_json(data: dict, tol: float = VALIDATION_TOL) -> np.ndarray:
     """The (4, 4) matrix of a ``DensityMatrix.to_json`` payload, not checked as a state.
 
     ``dim_a`` and ``dim_b`` must each be the integer 2, every entry a
-    ``json_number``. A payload that is not an object, lacks a key, has an
-    unknown key or holds an entry that is not a number raises "malformed
-    density-matrix payload". A matrix of another shape raises the shape error
-    of ``DensityMatrix``; a qubit's raises its own state error at ``tol``, else
-    that it is not a pair.
+    ``json_number``. A payload that is not an object, lacks a key or has an
+    unknown key (``check_keys``), or holds an entry that is not a number,
+    raises "malformed density-matrix payload". A matrix of another shape
+    raises the shape error of ``DensityMatrix``; a qubit's raises its own
+    state error at ``tol``, else that it is not a pair.
     """
-    if not isinstance(data, dict):
-        raise InvalidStateError(f"malformed density-matrix payload: expected an object, got {type(data).__name__}")
+    check_keys(data, ("dim_a", "dim_b", "re", "im"), (), "malformed density-matrix payload", InvalidStateError)
     try:
-        dims = {key: data[key] for key in ("dim_a", "dim_b")}
         entries = {key: np.array(data[key], dtype=object) for key in ("re", "im")}
-        unknown = [key for key in data if key not in (*dims, *entries)]
-        if unknown:
-            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         re, im = (np.array([json_number(v, f"{key} entry") for v in a.flat]).reshape(a.shape) for key, a in entries.items())
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"malformed density-matrix payload: {exc}") from exc
-    for key, dim in dims.items():
-        if type(dim) is not int or dim != 2:
-            raise InvalidStateError(f"{key} must be the integer 2, got {dim!r}")
+    for key in ("dim_a", "dim_b"):
+        if type(data[key]) is not int or data[key] != 2:
+            raise InvalidStateError(f"{key} must be the integer 2, got {data[key]!r}")
     if re.shape != im.shape:
         raise InvalidStateError(f"re/im shapes differ: {re.shape} vs {im.shape}")
     with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, a non-finite entry the state screen reports
@@ -322,12 +317,10 @@ class XStateParams:
             raise InvalidStateError("positivity violated: rho22*rho33 < |rho23|^2")
 
     def closed_form_eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues from the two 2x2 blocks of the X pattern."""
-        outer_half = np.hypot(self.rho11 - self.rho44, 2.0 * abs(self.rho14)) / 2.0
-        inner_half = np.hypot(self.rho22 - self.rho33, 2.0 * abs(self.rho23)) / 2.0
-        outer_mid = (self.rho11 + self.rho44) / 2.0
-        inner_mid = (self.rho22 + self.rho33) / 2.0
-        return np.sort([outer_mid + outer_half, outer_mid - outer_half, inner_mid + inner_half, inner_mid - inner_half])
+        """Ascending eigenvalues of the two 2x2 blocks of the X pattern, (rho11, rho44, rho14) and (rho22, rho33, rho23),
+        by ``_qubit_spectra``."""
+        blocks = np.array([[[self.rho11, 0], [self.rho14, self.rho44]], [[self.rho22, 0], [self.rho23, self.rho33]]])
+        return np.sort(_qubit_spectra(blocks), axis=None)
 
     def to_json(self) -> dict:
         coherences = {name: [getattr(self, name).real, getattr(self, name).imag] for name in COHERENCES}
@@ -402,25 +395,23 @@ class BlochCoefficients:
 def bloch_coefficients(rho: DensityMatrix) -> BlochCoefficients:
     """Pauli expectation values of a two-qubit state.
 
-    Every coefficient is the trace inner product of the state with the
-    corresponding Pauli tensor; imaginary residues above 1e-11 raise a
-    numeric error since they cannot occur for a valid Hermitian input.
+    Every coefficient is the trace inner product tr(rho (s_i x s_j)) of the
+    state with the corresponding Pauli tensor, contracted from the state's
+    (2, 2, 2, 2) blocks in one ``np.einsum``. Of the coefficients a3, b3 and
+    then t row by row, the first with an imaginary residue above 1e-11 raises
+    a numeric error, since none can occur for a valid Hermitian input; so
+    does a coefficient outside [-1, 1].
     """
-    matrix = require_pair(rho).matrix
-
-    def expectation(op: np.ndarray) -> float:
-        value = np.trace(matrix @ op)
-        if abs(value.imag) > RECONSTRUCTION_TOL:
-            raise NumericError(f"Pauli expectation has imaginary residue {value.imag:.3e}")
-        return float(value.real)
-
-    a3 = expectation(np.kron(SIGMA_3, IDENTITY_2))
-    b3 = expectation(np.kron(IDENTITY_2, SIGMA_3))
-    t = np.array([[expectation(np.kron(si, sj)) for sj in PAULIS] for si in PAULIS])
-    if np.max(np.abs(t)) > 1.0 + NEGLIGIBLE or max(abs(a3), abs(b3)) > 1.0 + NEGLIGIBLE:
+    blocks = require_pair(rho).matrix.reshape(2, 2, 2, 2)  # [a, b, a', b'] of entry (2a + b, 2a' + b')
+    pauli = np.einsum("abcd,ica,jdb->ij", blocks, PAULI_BASIS, PAULI_BASIS)  # [i, j]: tr(rho (s_i x s_j))
+    values = np.concatenate([pauli[3, :1], pauli[:1, 3], pauli[1:, 1:].ravel()])  # a3, b3, then t row by row
+    raise_first(np.abs(values.imag) > RECONSTRUCTION_TOL,
+                lambda i: NumericError(f"Pauli expectation has imaginary residue {values[i].imag:.3e}"))  # fmt: skip
+    if np.max(np.abs(values.real)) > 1.0 + NEGLIGIBLE:
         raise NumericError("Pauli expectation outside [-1, 1]")
+    t = np.array(values.real[2:].reshape(3, 3))
     t.setflags(write=False)
-    return BlochCoefficients(a3=a3, b3=b3, t=t)
+    return BlochCoefficients(a3=float(values[0].real), b3=float(values[1].real), t=t)
 
 
 _SIGNS = np.array([-1.0, 1.0])

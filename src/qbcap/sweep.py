@@ -21,7 +21,7 @@ import numpy as np
 
 from .battery import QubitPairEnergies
 from .errors import InvalidStateError
-from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix
+from .measurement import GAIN_FIELDS, MeasurementBasis, check_scheme, measure_and_mix, weight_values
 from .states import XStateParams, bell_diagonal_matrices, example2_matrices, ppt_entangled
 from .states import check_keys, json_number, require_within, werner_matrices, x_state_matrices
 from .tolerances import VALIDATION_TOL, checked_tol
@@ -72,12 +72,14 @@ class SweepSpec:
     applied to both coherences of ``x_params``).
 
     Construction checks every field: ``count`` an integer (not a bool) from 2
-    to ``MAX_COUNT``; ``start``, ``stop``, the weights, the basis angles and
-    the three numbers of ``bell_diag`` finite ``json_number`` values, with a
-    finite span; the family's base present; the scheme's rule on weights. It
-    stores ``start`` and ``stop`` as floats and the weights, the basis angles
-    and ``bell_diag`` as tuples of floats. A failing field raises ValueError
-    with the message a spec file's entry gets from ``from_mapping``.
+    to ``MAX_COUNT``; ``start``, ``stop``, the weights, the basis angles (a
+    pair) and the three numbers of ``bell_diag`` finite ``json_number``
+    values, with a finite span; the family's base present; the scheme's rule
+    on weights, then the engine's (``weight_values``), so that a spec that
+    constructs runs its weights. It stores ``start`` and ``stop`` as floats
+    and the weights, the basis angles and ``bell_diag`` as tuples of floats.
+    A failing field raises ValueError with the message a spec file's entry
+    gets from ``from_mapping``.
     """
 
     family: str
@@ -108,7 +110,10 @@ class SweepSpec:
         if self.weights is not None:
             object.__setattr__(self, "weights", _finite_list(self.weights, "weights"))
         if self.basis_angles is not None:
-            theta, phi = self.basis_angles
+            try:
+                theta, phi = self.basis_angles
+            except (TypeError, ValueError):
+                raise ValueError(f"sweep specification: basis_angles must be a (theta, phi) pair, got {self.basis_angles!r}") from None
             object.__setattr__(self, "basis_angles", (_finite(theta, "basis theta"), _finite(phi, "basis phi")))
         if self.bell_diag is not None:
             object.__setattr__(self, "bell_diag", _finite_list(self.bell_diag, "bell_diag", 3))
@@ -117,6 +122,7 @@ class SweepSpec:
         if self.family == "x_state" and self.x_params is None:
             raise ValueError("x_state sweeps need base x-state parameters")
         check_scheme(self.scheme, self.weights)
+        weight_values(self.weights)
 
     @classmethod
     def from_mapping(cls, data) -> "SweepSpec":

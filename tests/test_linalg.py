@@ -38,7 +38,7 @@ def test_pauli_constants():
 
 
 def test_kron_frozen_cases():
-    # The Pauli products inside bell_diagonal and bloch_coefficients, against hand expansions.
+    # The Pauli expansions of bell_diagonal's entries and of bloch_coefficients' contraction, against hand expansions.
     np.testing.assert_allclose(4.0 * bell_diagonal(1.0, 0.0, 0.0).matrix - np.eye(4), KRON_S1_S1, atol=1e-15)
     coeffs = bloch_coefficients(DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])))
     assert abs(coeffs.a3 - (0.1 + 0.2 - 0.3 - 0.4)) < 1e-15

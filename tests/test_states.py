@@ -3,12 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_bell_triple, random_x_params
+from helpers import random_bell_triple, random_density, random_x_params
 
 from qbcap import (
     DensityMatrix,
     InvalidStateError,
     MeasurementBasis,
+    NumericError,
     QubitPairEnergies,
     XStateParams,
     bell_diagonal,
@@ -20,7 +21,7 @@ from qbcap import (
     werner,
     x_state,
 )
-from qbcap.linalg import IDENTITY_2, PAULIS, SIGMA_3
+from qbcap.linalg import IDENTITY_2, PAULI_BASIS, PAULIS, SIGMA_3
 from qbcap.measurement import measure_and_mix
 from qbcap.states import bell_diagonal_matrices, check_states
 from qbcap.tolerances import VALIDATION_TOL
@@ -214,6 +215,42 @@ def test_bloch_rejects_non_two_qubit():
         bloch_coefficients(single)
 
 
+def test_pauli_contraction_matches_the_trace_of_kron_products(rng):
+    # The contraction bloch_coefficients makes, tr(m (s_i x s_j)) from the (2, 2, 2, 2) blocks of m, for all
+    # 16 pairs of (I, s1, s2, s3); a3, b3 and t are its (3, 0), (0, 3) and lower right 3x3 entries.
+    for _ in range(100):
+        m = random_density(rng, 4).matrix
+        want = np.array([[np.trace(m @ np.kron(si, sj)) for sj in PAULI_BASIS] for si in PAULI_BASIS])
+        got = np.einsum("abcd,ica,jdb->ij", m.reshape(2, 2, 2, 2), PAULI_BASIS, PAULI_BASIS)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        coeffs = bloch_coefficients(DensityMatrix(m))
+        assert abs(coeffs.a3 - want[3, 0].real) <= 1e-15 and abs(coeffs.b3 - want[0, 3].real) <= 1e-15
+        assert np.max(np.abs(coeffs.t - want[1:, 1:].real)) <= 1e-15
+
+
+def test_bloch_coefficients_makes_no_kron_call(monkeypatch):
+    rho = example2(0.25)
+    want = bloch_coefficients(rho)
+
+    def refuse(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    got = bloch_coefficients(rho)
+    assert (got.a3, got.b3) == (want.a3, want.b3) and np.array_equal(got.t, want.t)
+
+
+def test_bloch_coefficients_refuse_an_imaginary_residue():
+    # An anti-Hermitian part of 4e-11 in entry (0, 1) passes the state check at 1e-10, but gives the
+    # coefficient of s3 x s1 an imaginary part of 8e-11, which no Hermitian state has.
+    m = werner(0.4).matrix.copy()
+    m[0, 1] += 4e-11j
+    m[1, 0] += 4e-11j
+    rho = DensityMatrix(m, 1e-10)
+    with pytest.raises(NumericError, match="^Pauli expectation has imaginary residue 8.000e-11$"):
+        bloch_coefficients(rho)
+
+
 def test_x_state_reconstructs_from_bloch(rng):
     # For X-shaped states the local z components plus the full correlation
     # matrix determine the state.
@@ -297,8 +334,10 @@ def test_density_matrix_json_rejects_malformed():
     # A missing key is named ahead of an unknown one, as in the other JSON inputs.
     with pytest.raises(InvalidStateError, match="^malformed density-matrix payload: unknown key 'comment'$"):
         DensityMatrix.from_json({**valid, "comment": "x"})
-    with pytest.raises(InvalidStateError, match="^malformed density-matrix payload: 'im'$"):
+    with pytest.raises(InvalidStateError, match="^malformed density-matrix payload: missing im$"):
         DensityMatrix.from_json({"dim_a": 2, "dim_b": 2, "re": valid["re"], "imag": valid["im"]})
+    with pytest.raises(InvalidStateError, match="^malformed density-matrix payload: missing re, im$"):
+        DensityMatrix.from_json({"dim_a": 2, "dim_b": 2})
 
 
 PAIR_ONLY = {

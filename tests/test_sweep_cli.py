@@ -110,12 +110,36 @@ def test_construction_refuses_what_a_spec_file_refuses(fields, message):
         SweepSpec(**spec)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"basis_angles": (0.1,)}, "sweep specification: basis_angles must be a (theta, phi) pair, got (0.1,)"),
+        ({"basis_angles": (0.1, 0.2, 0.3)}, "sweep specification: basis_angles must be a (theta, phi) pair, got (0.1, 0.2, 0.3)"),
+        ({"basis_angles": 0.5}, "sweep specification: basis_angles must be a (theta, phi) pair, got 0.5"),
+        ({"scheme": "weighted", "weights": (0.5, 0.6)}, "weights sum to 1.1, expected 1 within 1e-12"),
+        ({"scheme": "weighted", "weights": (1.2, -0.2)}, "weight mu_1 = -0.2 is negative"),
+        ({"scheme": "weighted", "weights": (0.5, 0.3, 0.2)}, "3 weights for 2 branches"),
+    ],
+    ids=["angles-one", "angles-three", "angles-scalar", "weights-sum", "weights-negative", "weights-count"],
+)
+def test_a_spec_that_constructs_has_a_basis_pair_and_weights_it_can_run(fields, message):
+    # The angles once raised Python's unpacking errors; the weights constructed and failed only inside run_sweep.
+    spec = {"family": "werner", "param": "a", "start": 0.0, "stop": 0.5, "count": 3, "energies": PAIR_053, **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**spec)
+    if "weights" in fields:  # a spec file's weights get the engine's message too
+        data = {**SweepSpec(**{**spec, "weights": (0.5, 0.5)}).to_mapping(), "weights": list(fields["weights"])}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec.from_mapping(data)
+
+
 def test_construction_stores_tuples_and_floats():
     spec = SweepSpec("bell_diagonal", "c1", 0, 1, 3, PAIR_053, "weighted", [0.5, 0.5], [1, 0], [0.1, 0, 0.2])
     assert (spec.weights, spec.basis_angles, spec.bell_diag) == ((0.5, 0.5), (1.0, 0.0), (0.1, 0.0, 0.2))
     assert all(type(v) is float for v in (spec.start, spec.stop, *spec.weights, *spec.basis_angles, *spec.bell_diag))
     assert hash(spec) == hash(SweepSpec("bell_diagonal", "c1", 0.0, 1.0, 3, PAIR_053, "weighted", (0.5, 0.5), (1.0, 0.0), (0.1, 0.0, 0.2)))
     assert len({spec, SweepSpec.from_mapping(spec.to_mapping())}) == 1
+    assert SweepSpec("werner", "a", 0, 1, 3, PAIR_053, basis_angles=np.array([0.3, 1.2])).basis_angles == (0.3, 1.2)
 
 
 def test_werner_sweep_rows():

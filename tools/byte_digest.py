@@ -12,6 +12,7 @@ over those lines. The corpora:
     families     4 families x 2 bases x 2 schemes of 2,001 points, as CSV and JSON, from spec files
     criterion-9  the determinism invocations of acceptance criterion 9
     cli-calls    the single-point mix of perfbench's cli-calls workload for seeds 1-3
+    errors       refused single-point calls whose error lines no other corpus reaches (see ``error_calls``)
 
 The digest depends on the BLAS kernel, as the golden pins do: it compares two
 revisions on one machine and is not a pin. Run it on a change and on a
@@ -20,6 +21,7 @@ writes nothing there):
 
     python3 tools/byte_digest.py                # the checkout beside this directory
     python3 tools/byte_digest.py --root PATH    # another checkout, e.g. the parent's
+    python3 tools/byte_digest.py --records errors   # the record lines of one corpus, to find the calls that differ
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ FAMILY_SPECS = {
 }  # fmt: skip
 BASES = {"computational": {}, "rotated": {"basis": {"theta": 0.7, "phi": 1.3}}}
 SCHEMES = {"uniform": {}, "weighted": {"scheme": "weighted", "weights": [0.7, 0.3]}}
+STATE_ARGS = ["--state", "{dir}/input.json", "--eps-a", "0.5", "--eps-b", "0.3"]
+WERNER_ARGS = ["--werner", "0.4", "--eps-a", "0.5", "--eps-b", "0.3"]
 
 
 def import_checkout(root: Path) -> None:
@@ -95,7 +99,39 @@ def corpora(directory: Path) -> dict[str, list[tuple[list[str], str | None]]]:
         "families": family_calls,
         "criterion-9": [(argv, None) for argv in golden.CRITERION_9],
         "cli-calls": cli_calls,
+        "errors": error_calls(),
     }
+
+
+def error_calls() -> list[tuple[list[str], str | None]]:
+    """Refused single-point calls, as (argv, input) calls: each fault of tests/test_cli_input_check.py's ``FAULTS``
+    under each of its ``COMMANDS``, then calls defined here.
+
+    They reach the state check's messages, the weights' (not finite, negative,
+    one too many), a zero-probability branch's under each scheme, the basis
+    reader's non-number angle, the input reader's size cap and depth limit,
+    and the density-matrix reader's missing keys. The ``QBCAP_TOL`` errors are
+    left out: each would need its own environment.
+    """
+    import test_cli_input_check as input_check
+    from qbcap.cli import MAX_INPUT_CHARS
+
+    def state(m, drop=()) -> str:
+        payload = {"dim_a": 2, "dim_b": 2, "re": m.real.tolist(), "im": m.imag.tolist()}
+        return json.dumps({key: value for key, value in payload.items() if key not in drop})
+
+    faults, commands = input_check.FAULTS.values(), input_check.COMMANDS.values()
+    calls = [([*command, *STATE_ARGS], state(m)) for m in faults for command in commands]
+    for scheme in ([], ["--scheme", "weighted", "0.5", "0.5"]):
+        calls.append((["measure", *scheme, *STATE_ARGS], state(input_check.ZERO_BRANCH)))
+    for extra in (["--scheme", "weighted", "nan", "1"], ["--scheme", "weighted", "-0.5", "1.5"],
+                  ["--scheme", "weighted", "0.5", "0.3", "0.2"], ["--basis", "rotated", "x", "0"]):  # fmt: skip
+        calls.append((["measure", *WERNER_ARGS, *extra], None))
+    for text in (" " * (MAX_INPUT_CHARS + 1), "[" * 100_000):
+        calls.append((["capacity", *STATE_ARGS], text))
+    for drop in (["dim_a"], ["dim_b"], ["re"], ["im"], ["re", "im"], ["dim_a", "dim_b", "re", "im"]):
+        calls.append((["capacity", *STATE_ARGS], state(input_check.WERNER_04, drop)))
+    return calls
 
 
 def record(argv: list[str], text: str | None, directory: Path) -> str:
@@ -136,11 +172,18 @@ def digests(directory: Path) -> dict[str, tuple[int, str]]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to digest (default: %(default)s)")
-    root = parser.parse_args(argv).root.resolve()
-    import_checkout(root)
+    parser.add_argument("--records", metavar="CORPUS", help="print the record lines of CORPUS instead, to diff two checkouts")
+    args = parser.parse_args(argv)
+    import_checkout(args.root.resolve())
     os.environ.pop("QBCAP_TOL", None)
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
+        if args.records is not None:
+            calls = corpora(Path(tmp)).get(args.records)
+            if calls is None:
+                parser.error(f"unknown corpus {args.records!r}")
+            sys.stdout.writelines(record(call, text, Path(tmp)) for call, text in calls)
+            return 0
         result = digests(Path(tmp))
     lines = [f"{name:<12} {count:5d} calls  {sha}" for name, (count, sha) in result.items()]
     total = hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
