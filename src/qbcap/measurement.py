@@ -35,7 +35,8 @@ class MeasurementBasis:
     """Rank-1 projective measurement of the second qubit along a Bloch direction.
 
     ``angles`` is None for the computational basis {|0>, |1>}, or the Bloch
-    angles (theta, phi) of the first basis vector; theta = 0 is computational.
+    angles (theta, phi) of the first basis vector, each a finite
+    ``json_number``, kept as a tuple of floats; theta = 0 is computational.
     """
 
     def __init__(self, angles: tuple[float, float] | None = None):
@@ -43,11 +44,11 @@ class MeasurementBasis:
             v = np.eye(2, dtype=complex)
             self.description = "computational"
         else:
-            theta, phi = angles
+            theta, phi = angles  # exactly two
+            theta, phi = angles = json_number(theta, "basis theta"), json_number(phi, "basis phi")
             if not (math.isfinite(theta) and math.isfinite(phi)):
                 raise ValueError(f"basis angles must be finite, got theta={theta}, phi={phi}")
-            c = np.cos(theta / 2.0)
-            s = np.sin(theta / 2.0)
+            c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
             v = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
             self.description = f"rotated(theta={theta:.12g}, phi={phi:.12g})"
         self.angles = angles
@@ -76,7 +77,7 @@ class MeasurementBasis:
 class MeasurementEnsemble:
     """Outcome branches of a projective measurement of one state, in basis order, as ``_branches`` gives them.
 
-    ``branches`` holds the (n, 4, 4) normalized branch states and ``flagged``
+    ``branches`` holds the (n, 4, 4) normalized branch states, n >= 1, and ``flagged``
     the (n,) marks of those below the 1e-12 probability floor, which
     ``_branches`` leaves as zeros; both are read-only copies. The unflagged
     branches must pass the ``DensityMatrix`` state check at ``tol``, run once
@@ -92,6 +93,8 @@ class MeasurementEnsemble:
         object.__setattr__(self, "tol", checked_tol(self.tol))
         branches, flagged = np.array(self.branches, dtype=complex), np.array(self.flagged, dtype=bool)
         n = len(self.probabilities)
+        if not n:
+            raise ValueError("an ensemble needs at least one branch")
         if branches.shape != (n, 4, 4) or flagged.shape != (n,):
             raise ValueError(f"branches {branches.shape} and flags {flagged.shape} do not fit {n} probabilities")
         check_states(branches[~flagged], self.tol)
@@ -163,12 +166,14 @@ def measure_b(rho: DensityMatrix, basis: MeasurementBasis) -> MeasurementEnsembl
 def weight_values(weights, n: int = 2) -> tuple[float, ...] | None:
     """``weights`` for ``n`` branches as a tuple of floats, or None.
 
-    Weights are numbers by ``json_number`` (not bools or strings; numpy
-    scalars included), finite, nonnegative, sum to 1 within 1e-12 and number
-    one per branch.
+    Weights are a list, tuple or 1-d array of numbers by ``json_number`` (not
+    bools or strings; numpy scalars included), finite, nonnegative, sum to 1
+    within 1e-12 and number one per branch.
     """
     if weights is None:
         return None
+    if not (isinstance(weights, (list, tuple)) or isinstance(weights, np.ndarray) and weights.ndim == 1):
+        raise ValueError(f"weights must be a list of numbers, got {weights!r}")
     mu = tuple(json_number(w.item() if isinstance(w, np.generic) else w, f"weight mu_{k}") for k, w in enumerate(weights))
     for k, w in enumerate(mu):
         if not math.isfinite(w):
@@ -183,23 +188,19 @@ def weight_values(weights, n: int = 2) -> tuple[float, ...] | None:
 
 
 def _flag_checks(flagged: np.ndarray, mu, out=None) -> np.ndarray:
-    """The checks (N, n + 1) of (N, n) ``flagged`` branches, written into ``out`` if given.
+    """The checks (N, n) of (N, n) ``flagged`` branches, written into ``out`` if given.
 
-    Entry k < n marks a flagged branch k that leaves the average (``mu``
-    None) undefined or carries weight in a weighted sum; entry n marks a
-    point with no unflagged branch to mix. ``_flag_error`` names them.
+    Entry k marks a flagged branch k that leaves the average (``mu`` None)
+    undefined or carries weight in a weighted sum; ``_flag_error`` names it.
+    A point whose branches are all flagged sets one of them: every branch
+    counts in the average, and weights summing to 1 put more than 1e-12 on
+    some branch.
     """
-    n = flagged.shape[1]
-    out = np.empty((len(flagged), n + 1), dtype=bool) if out is None else out
-    np.logical_and(flagged, True if mu is None else np.greater(mu, NEGLIGIBLE), out=out[:, :n])
-    flagged.all(axis=1, out=out[:, n])
-    return out
+    return np.logical_and(flagged, True if mu is None else np.greater(mu, NEGLIGIBLE), out=out)
 
 
 def _flag_error(probabilities, mu, k: int) -> ValueError:
     """The error of entry k of ``_flag_checks`` for a point with outcome ``probabilities``."""
-    if k == len(probabilities):
-        return ValueError("no unflagged branch to mix")
     if mu is not None:
         return ValueError(f"weight mu_{k} = {mu[k]:.12g} assigned to a branch with probability {probabilities[k]:.3e}")
     return UndefinedAverageError(f"branch {k} has probability {probabilities[k]:.3e}; the unweighted average is undefined")
@@ -267,7 +268,7 @@ def _branch_bounds(branches: np.ndarray, conditional: np.ndarray, spectra: np.nd
 # precedence within a point: _CHECK_ENDS ends each check's columns. A check of the decomposed roles (the input, then
 # the final state of a measured pass) takes a column per role, the reduced certificate two per role; a pass that
 # measures nothing leaves the final's columns and those of the measurement's checks False.
-_CHECK_ENDS = (1, 2, 3, 6, 8, 12, 15, 17, 21, 23, 25)
+_CHECK_ENDS = (1, 2, 3, 5, 7, 11, 14, 16, 20, 22, 24)
 
 
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -353,31 +354,31 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
         np.logical_or(lowest[:, 0] < -tol, off[:, 0], out=table[:, 1])
         if measured:
             total, _ = _closure(probabilities, tol, out=table[:, 2])
-            _flag_checks(flagged, weights, out=table[:, 3:6])
+            _flag_checks(flagged, weights, out=table[:, 3:5])
             bounds, residue = _branch_bounds(stack[:, 1:3], conditional, closed[:, 1:3], basis.projectors)
-            np.greater(residue, RECONSTRUCTION_TOL, out=table[:, 6:8])
+            np.greater(residue, RECONSTRUCTION_TOL, out=table[:, 5:7])
             cq = np.sort((mu[..., None] * closed[:, 1:3]).reshape(n, 4), axis=-1)
             bound = RECONSTRUCTION_TOL + 4.0 * (np.abs(mu) * residue).sum(axis=-1) + 2.0 * defects[:, 3]
             if failed:  # a stand-in branch or final matrix leaves nothing to certify; its verdict raises
                 bound[off[:, 1:].any(axis=1)] = np.inf
             gap = np.abs(values[:, 1] - cq)
-            np.greater(gap, bound[:, None], out=table[:, 8:12])
-            verdict = table[:, 12:15]
+            np.greater(gap, bound[:, None], out=table[:, 7:11])
+            verdict = table[:, 11:14]
             np.less(bounds, -tol, out=verdict[:, :2])
             np.less(lowest[:, 1], -tol, out=verdict[:, 2])
             verdict |= off[:, 1:]
         spectra = np.maximum(values, 0.0)
         gains = np.empty((n, 3 if measured else 2, roles))  # capacities of the pair and of the first qubit
         gains[:, 0] = capacities(spectra, levels[0])
-        clamp_round_off(gains[:, 0], out=table[:, 15 : 15 + roles])
+        clamp_round_off(gains[:, 0], out=table[:, 14 : 14 + roles])
         reduced_defects = hermiticity_defects(reduced[:, ::3])
         reduced_values = np.linalg.eigvalsh(reduced[:, ::3])
         reduced_gap = np.abs(reduced_values - closed[:, ::3]).reshape(n, -1)  # role-major, as the table takes it
-        np.greater(reduced_gap, RECONSTRUCTION_TOL, out=table[:, 17 : 17 + 2 * roles])
+        np.greater(reduced_gap, RECONSTRUCTION_TOL, out=table[:, 16 : 16 + 2 * roles])
         reduced_off = ~(reduced_defects <= tol)  # true for a NaN defect too
-        np.logical_or(reduced_values[..., 0] < -tol, reduced_off, out=table[:, 21 : 21 + roles])
+        np.logical_or(reduced_values[..., 0] < -tol, reduced_off, out=table[:, 20 : 20 + roles])
         gains[:, 1] = capacities(np.maximum(reduced_values, 0.0), levels[1])
-        clamp_round_off(gains[:, 1], out=table[:, 23 : 23 + roles])
+        clamp_round_off(gains[:, 1], out=table[:, 22 : 22 + roles])
 
     def error(i, c):  # the error of column c at point i
         k = bisect.bisect_right(_CHECK_ENDS, c)  # the check, and its entry j

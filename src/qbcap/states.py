@@ -281,14 +281,17 @@ COHERENCES = ("rho14", "rho23")
 
 @dataclass(frozen=True)
 class XStateParams:
-    """Populations and anti-diagonal coherences of an X-shaped two-qubit state.
+    """Populations and anti-diagonal coherences of an X-shaped two-qubit state, not checked as a state.
 
     Each field is a ``json_number`` (a float, or an int in float range, but
     not a bool), and a coherence may be a complex number too; a field that is
     not raises ValueError naming it, and one that is not finite
-    InvalidStateError. Positivity requires rho11*rho44 >= |rho14|^2 and
-    rho22*rho33 >= |rho23|^2; violations are reported naming the failed
-    inequality.
+    InvalidStateError. Nonnegative populations summing to 1 and positivity,
+    rho11*rho44 >= |rho14|^2 and rho22*rho33 >= |rho23|^2 (the two 2x2 X
+    blocks positive semidefinite), are the state check's to judge at the
+    tolerance of the call: ``x_state`` refuses params that do not make a
+    state with the messages of ``DensityMatrix``, and the CLI and sweeps
+    check the matrices they build from them as they check every input.
     """
 
     rho11: float
@@ -303,18 +306,6 @@ class XStateParams:
             value = getattr(self, name)  # a json_number, or for a coherence a complex number too
             if not cmath.isfinite(value if name in COHERENCES and isinstance(value, complex) else json_number(value, name)):
                 raise InvalidStateError(f"{name} = {value} is not a finite number")
-        pops = tuple(getattr(self, name) for name in POPULATIONS)
-        for name, p in zip(POPULATIONS, pops):
-            if p < -NEGLIGIBLE:
-                raise InvalidStateError(f"population {name} = {p:.12g} is negative")
-        total = sum(pops)
-        if abs(total - 1.0) > NEGLIGIBLE:
-            raise InvalidStateError(f"populations sum to {total:.12g}, expected 1 within {NEGLIGIBLE:g}")
-        # |z|^2 as re*re + im*im, which overflows to inf where abs(z) ** 2 raises OverflowError
-        if self.rho11 * self.rho44 - (self.rho14.real * self.rho14.real + self.rho14.imag * self.rho14.imag) < -NEGLIGIBLE:
-            raise InvalidStateError("positivity violated: rho11*rho44 < |rho14|^2")
-        if self.rho22 * self.rho33 - (self.rho23.real * self.rho23.real + self.rho23.imag * self.rho23.imag) < -NEGLIGIBLE:
-            raise InvalidStateError("positivity violated: rho22*rho33 < |rho23|^2")
 
     def closed_form_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the two 2x2 blocks of the X pattern, (rho11, rho44, rho14) and (rho22, rho33, rho23),
@@ -332,8 +323,8 @@ class XStateParams:
 
         A payload that is not an object, lacks a population, has an unknown
         key or holds an entry that is not a ``json_number`` raises "malformed
-        x-state payload"; a well-formed one that fails validation raises that
-        check's own error.
+        x-state payload", and a non-finite entry the class's error. Nothing
+        here checks the entries as a state.
         """
 
         def as_complex(name: str) -> complex:
@@ -359,7 +350,7 @@ def x_state_matrices(params: XStateParams, rho14: np.ndarray, rho23: np.ndarray)
 
 
 def x_state(params: XStateParams, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    """Density matrix with the X sparsity pattern described by ``params``."""
+    """Density matrix with the X sparsity pattern described by ``params``, checked as a state at ``tol``."""
     return DensityMatrix(x_state_matrices(params, np.array([params.rho14]), np.array([params.rho23]))[0], tol)
 
 

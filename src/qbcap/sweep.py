@@ -166,7 +166,11 @@ class SweepSpec:
             return np.linspace(self.start, self.stop, self.count)
 
     def matrices(self, values: np.ndarray, tol: float) -> np.ndarray:
-        """The family's (N, 4, 4) matrices at the grid ``values``; each family checks its domain, Bell triples at ``tol``."""
+        """The family's (N, 4, 4) matrices at the grid ``values``; each family checks its domain, Bell triples at ``tol``.
+
+        The matrices are not checked as states: the engine checks each point it measures, so that an x_state or
+        bell_diagonal base that is not a state runs where every swept point is one.
+        """
         if self.family == "werner":
             return werner_matrices(values)
         if self.family == "example2":
@@ -176,8 +180,9 @@ class SweepSpec:
             triples[:, FAMILY_PARAMS["bell_diagonal"].index(self.param)] = values
             return bell_diagonal_matrices(triples, tol)
         require_within(values, 0.0, 1.0, lambda v: InvalidStateError(f"coherence_scale must lie in [0, 1], got {v:.12g}"))
-        base = self.x_params
-        return x_state_matrices(base, base.rho14 * values, base.rho23 * values)
+        # Coherences near the float limit make numpy's complex product warn; the engine judges the matrices.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x_state_matrices(self.x_params, self.x_params.rho14 * values, self.x_params.rho23 * values)
 
 
 @dataclass(frozen=True, eq=False)

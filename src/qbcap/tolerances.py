@@ -2,7 +2,7 @@
 
 VALIDATION_TOL      Default validation tolerance: unit trace, positivity, probability closure, Bell triples.
 RECONSTRUCTION_TOL  Round-off allowance: eigendecomposition round trip, branch residue, closed forms, identities.
-NEGLIGIBLE          Weight sums, X-state checks, round-off clamps.
+NEGLIGIBLE          Weight sums, Pauli expectation bounds, round-off clamps.
 ZERO_PROBABILITY    Measurement branches below it are flagged instead of normalized.
 PPT_NEG_TOL         A partial-transpose eigenvalue below minus it counts as negative.
 

@@ -32,7 +32,7 @@ def test_corpora_cover_every_golden_call(tmp_path, monkeypatch):
     assert len(corpora["hostile"]) == len(CORPUS_CASES) * len(HOSTILE_VALUES) == 552
     assert len(corpora["families"]) == 4 * 2 * 2 * 2
     assert len(corpora["cli-calls"]) == 3 * 1600
-    assert len(corpora["errors"]) == len(FAULTS) * len(COMMANDS) + 14 == 38
+    assert len(corpora["errors"]) == len(FAULTS) * len(COMMANDS) + 18 == 42
     # Every input a call reads is written under the directory, which each argv names as {dir}.
     assert not any(str(tmp_path) in arg for calls in corpora.values() for argv, _ in calls for arg in argv)
 
@@ -61,6 +61,10 @@ ERROR_MESSAGES = [
     "qbcap: error: {dir}/input.json: input file exceeds 1048576 characters\n",
     "qbcap: error: {dir}/input.json: JSON nested too deeply to read\n",
     "qbcap: error: malformed density-matrix payload: missing im\n",
+    "qbcap: error: negative eigenvalue -1.472e-01 below -1e-10\n",
+    "qbcap: error: negative eigenvalue -2.000e-01 below -1e-10\n",
+    "qbcap: error: trace = 2, expected 1 within 1e-10\n",
+    "qbcap: error: negative eigenvalue -1.241e-02 below -1e-10\n",
 ]
 
 

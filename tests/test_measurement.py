@@ -101,6 +101,25 @@ def test_basis_rejects_incomplete_or_non_projector_sets():
             MeasurementBasis.rotated(theta, phi)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MeasurementBasis(("0.5", 0)), "basis theta must be a number, got '0.5'"),
+        (lambda: MeasurementBasis.rotated(True, 0), "basis theta must be a number, got True"),
+        (lambda: MeasurementBasis.rotated(0.5, None), "basis phi must be a number, got None"),
+    ],
+    ids=["string", "bool", "none"],
+)
+def test_basis_angles_must_be_numbers(build, message):
+    # Each angle is read as a JSON number, as a spec file's are: a string raises ValueError, not a TypeError
+    # from the arithmetic, and a bool is refused, not read as 1 or 0.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+    basis = MeasurementBasis.rotated(1, 0)
+    assert basis.angles == (1.0, 0.0) and all(type(a) is float for a in basis.angles)
+    assert basis.description == MeasurementBasis.rotated(1.0, 0.0).description == "rotated(theta=1, phi=0)"
+
+
 def test_measure_bell_diagonal_branches(rng):
     # Computational measurement of a correlation-diagonal state gives
     # half/half outcomes with diagonal branch states set by c3.
@@ -195,13 +214,10 @@ def test_hand_built_ensemble_is_checked_as_density_matrices():
 
 
 def test_ensembles_without_an_unflagged_branch_do_not_mix():
-    # With no branch the mix has nothing to add; with all branches flagged the average or weight rule
-    # raises first.
-    empty = MeasurementEnsemble(np.zeros((0, 4, 4)), (), np.zeros(0, dtype=bool))
-    with pytest.raises(ValueError, match="^no unflagged branch to mix$"):
-        final_state_uniform(empty)
-    with pytest.raises(ValueError, match="^weights sum to 0, expected 1 within 1e-12$"):
-        final_state_weighted(empty, ())
+    # An ensemble without a branch is refused, so it never reaches a mix; with all branches flagged the
+    # average or weight rule raises.
+    with pytest.raises(ValueError, match="^an ensemble needs at least one branch$"):
+        MeasurementEnsemble(np.zeros((0, 4, 4)), (), np.zeros(0, dtype=bool))
     flagged = MeasurementEnsemble(np.zeros((2, 4, 4)), (0.0, 0.0), np.ones(2, dtype=bool))
     with pytest.raises(UndefinedAverageError, match="^branch 0 has probability 0.000e\\+00; the unweighted average"):
         final_state_uniform(flagged)
@@ -349,11 +365,15 @@ def test_weight_rule_messages(entry, weights, message):
         (["a", 1], "weight mu_0 must be a number, got 'a'"),
         ((0.5, np.bool_(True)), "weight mu_1 must be a number, got True"),
         ((0.5, "0.5"), "weight mu_1 must be a number, got '0.5'"),
+        (0.5, "weights must be a list of numbers, got 0.5"),
+        ("0.5", "weights must be a list of numbers, got '0.5'"),
+        (np.array(0.5), "weights must be a list of numbers, got array(0.5)"),
     ],
-    ids=["bool", "string", "numpy-bool", "numeric-string"],
+    ids=["bool", "string", "numpy-bool", "numeric-string", "scalar", "string-scalar", "0-d-array"],
 )
 def test_weights_must_be_numbers(entry, weights, message):
-    # The JSON-number rule of spec-file weights holds for library weights too.
+    # The JSON-number rule of spec-file weights holds for library weights too, and they come as a list of them:
+    # a bare number or a 0-d array raises ValueError, not the TypeError of iterating over it.
     rho = werner(0.5)
     call = {
         "final_state_weighted": lambda: final_state_weighted(measure_b(rho, MeasurementBasis.computational()), weights),

@@ -23,7 +23,7 @@ from qbcap import (
 )
 from qbcap.linalg import IDENTITY_2, PAULI_BASIS, PAULIS, SIGMA_3
 from qbcap.measurement import measure_and_mix
-from qbcap.states import bell_diagonal_matrices, check_states
+from qbcap.states import bell_diagonal_matrices, check_states, x_state_matrices
 from qbcap.tolerances import VALIDATION_TOL
 
 
@@ -78,18 +78,34 @@ def test_x_state_bell_like_is_pure():
     np.testing.assert_allclose(x_state(params).spectrum, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
+def assert_x_state_refused_as_a_state(params, message):
+    # The params construct; the one state check refuses their matrix, with the message DensityMatrix gives it.
+    matrix = x_state_matrices(params, np.array([params.rho14]), np.array([params.rho23]))[0]
+    for build in (lambda: x_state(params), lambda: DensityMatrix(matrix)):
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_x_state_psd_violation_names_inequality():
-    with pytest.raises(InvalidStateError, match=r"rho11\*rho44 < \|rho14\|\^2"):
-        XStateParams(rho11=0.1, rho22=0.4, rho33=0.4, rho44=0.1, rho14=0.2 + 0j)
-    with pytest.raises(InvalidStateError, match=r"rho22\*rho33 < \|rho23\|\^2"):
-        XStateParams(rho11=0.4, rho22=0.1, rho33=0.1, rho44=0.4, rho23=0.2j)
+    # rho11*rho44 < |rho14|^2 and rho22*rho33 < |rho23|^2 each make a 2x2 X block, (0.1, 0.1, 0.2), with the
+    # eigenvalue 0.1 - 0.2.
+    assert_x_state_refused_as_a_state(
+        XStateParams(rho11=0.1, rho22=0.4, rho33=0.4, rho44=0.1, rho14=0.2 + 0j), "negative eigenvalue -1.000e-01 below -1e-10"
+    )
+    assert_x_state_refused_as_a_state(
+        XStateParams(rho11=0.4, rho22=0.1, rho33=0.1, rho44=0.4, rho23=0.2j), "negative eigenvalue -1.000e-01 below -1e-10"
+    )
 
 
 def test_x_state_population_validation():
-    with pytest.raises(InvalidStateError, match="sum"):
-        XStateParams(rho11=0.5, rho22=0.5, rho33=0.5, rho44=0.5)
-    with pytest.raises(InvalidStateError, match="negative"):
-        XStateParams(rho11=-0.2, rho22=0.6, rho33=0.3, rho44=0.3)
+    assert_x_state_refused_as_a_state(XStateParams(rho11=0.5, rho22=0.5, rho33=0.5, rho44=0.5), "trace = 2, expected 1 within 1e-10")
+    assert_x_state_refused_as_a_state(
+        XStateParams(rho11=-0.2, rho22=0.6, rho33=0.3, rho44=0.3), "negative eigenvalue -2.000e-01 below -1e-10"
+    )
+    # Judged at the tolerance of the call, not at a fixed one: populations summing to 1 + 1e-8 pass at 1e-6.
+    near = XStateParams(rho11=0.40000001, rho22=0.3, rho33=0.2, rho44=0.1)
+    assert_x_state_refused_as_a_state(near, "trace = 1.00000001, expected 1 within 1e-10")
+    np.testing.assert_allclose(x_state(near, 1e-6).spectrum, [0.1, 0.2, 0.3, 0.40000001], atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -97,7 +113,7 @@ def test_x_state_population_validation():
     [("rho11", float("nan")), ("rho33", float("inf")), ("rho14", complex(float("nan"), 0.0)), ("rho23", complex(0.0, float("-inf")))],
 )
 def test_x_state_rejects_non_finite_entries(field, value):
-    # NaN fails both the negativity and the sum comparison, so it needs its own check.
+    # The params name a non-finite field, where the state check of their matrix would report non-finite entries.
     params = {"rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho44": 0.25, field: value}
     with pytest.raises(InvalidStateError, match=f"{field} = .* is not a finite number"):
         XStateParams(**params)

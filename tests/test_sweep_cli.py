@@ -472,24 +472,103 @@ def test_cli_non_finite_x_state_exit_2(tmp_path, capsys):
     assert err == "qbcap: error: rho11 = nan is not a finite number\n"
 
 
+# The start of the error of an X-state coherence so large that the eigendecomposition of its matrix misses the
+# reconstruction bound. The number that follows is LAPACK's and depends on the BLAS kernel (ROADMAP item 7).
+RECONSTRUCTION_ERROR = "eigendecomposition reconstruction error "
+
+
+def run_main_refused(argv, capsys, message):
+    """Run ``argv`` in process; assert exit 2, no stdout, no warning and the one stderr line of ``message``.
+
+    For ``RECONSTRUCTION_ERROR`` only the start of the line is pinned.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(argv, capsys)
+    assert (code, out, caught) == (2, "", [])
+    line = f"qbcap: error: {message}"
+    if message == RECONSTRUCTION_ERROR:
+        assert err.startswith(line) and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == line + "\n"
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
-        # Well-formed but invalid: the validation error keeps its own message.
-        ('{"rho11":0.5,"rho22":0.2,"rho33":0.2,"rho44":0.1,"rho14":0.4}',
-         "positivity violated: rho11*rho44 < |rho14|^2"),
+        # Well-formed but not a state: the state check refuses its matrix, as it refuses a --state file's.
+        ('{"rho11":0.5,"rho22":0.2,"rho33":0.2,"rho44":0.1,"rho14":0.4}', "negative eigenvalue -1.472e-01 below -1e-10"),
         # Malformed: a missing population is named as missing.
         ('{"rho11":0.5,"rho22":0.2,"rho44":0.1}', "malformed x-state payload: missing rho33"),
-        # |rho14|^2 overflows a float: the positivity check fails rather than raising OverflowError.
-        ('{"rho11":0.25,"rho22":0.25,"rho33":0.25,"rho44":0.25,"rho14":[1e308,1e308]}',
-         "positivity violated: rho11*rho44 < |rho14|^2"),
+        # A coherence whose square overflows a float: one error line, not an OverflowError or a numpy warning.
+        ('{"rho11":0.25,"rho22":0.25,"rho33":0.25,"rho44":0.25,"rho14":[1e308,1e308]}', RECONSTRUCTION_ERROR),
     ],
 )  # fmt: skip
 def test_cli_x_state_errors_name_their_cause(tmp_path, capsys, payload, message):
     path = tmp_path / "x.json"
     path.write_text(payload)
-    code, out, err = run_main(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys)
-    assert (code, out, err) == (2, "", f"qbcap: error: {message}\n")
+    run_main_refused(["capacity", "--x-state", str(path), "--eps-a", "0.5", "--eps-b", "0.3"], capsys, message)
+
+
+# X-state files, each with its exit code at the default tolerance and under QBCAP_TOL=1e-6.
+X_EQUIVALENCE = {
+    "state": ({"rho11": 0.4, "rho22": 0.25, "rho33": 0.2, "rho44": 0.15, "rho14": [0.1, 0.05], "rho23": 0.1}, 0, 0),
+    "positivity": ({"rho11": 0.5, "rho22": 0.2, "rho33": 0.2, "rho44": 0.1, "rho14": 0.4}, 2, 2),
+    "negative-population": ({"rho11": -0.2, "rho22": 0.6, "rho33": 0.3, "rho44": 0.3}, 2, 2),
+    "sum-2": ({"rho11": 0.5, "rho22": 0.5, "rho33": 0.5, "rho44": 0.5}, 2, 2),
+    "sum-1+5e-11": ({"rho11": 0.40000000005, "rho22": 0.3, "rho33": 0.2, "rho44": 0.1, "rho23": [0.1, -0.2]}, 0, 0),
+    "sum-1.00000001": ({"rho11": 0.40000001, "rho22": 0.3, "rho33": 0.2, "rho44": 0.1, "rho14": 0.1}, 2, 0),
+}
+
+
+def _x_matrix(payload) -> np.ndarray:
+    """The X-pattern matrix of an X-state file, built entry by entry."""
+    m = np.diag([payload[name] for name in ("rho11", "rho22", "rho33", "rho44")]).astype(complex)
+    for (i, j), name in (((0, 3), "rho14"), ((1, 2), "rho23")):
+        value = payload.get(name, 0.0)
+        m[i, j] = complex(*value) if isinstance(value, list) else value
+        m[j, i] = np.conj(m[i, j])
+    return m
+
+
+@pytest.mark.parametrize("tol", [None, "1e-6"], ids=["default-tol", "tol-1e-6"])
+@pytest.mark.parametrize("command", [["capacity"], ["measure", "--basis", "rotated", "0.9", "2.1"]], ids=["capacity", "measure"])
+@pytest.mark.parametrize("name", X_EQUIVALENCE)
+def test_x_state_and_state_files_of_one_matrix_give_one_result(tmp_path, capsys, monkeypatch, name, command, tol):
+    # One state check judges both files, at the tolerance of the call.
+    payload, code_default, code_loose = X_EQUIVALENCE[name]
+    if tol is not None:
+        monkeypatch.setenv("QBCAP_TOL", tol)
+    x_path, state_path = tmp_path / "x.json", tmp_path / "state.json"
+    x_path.write_text(json.dumps(payload))
+    m = _x_matrix(payload)
+    state_path.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "re": m.real.tolist(), "im": m.imag.tolist()}))
+    via_x = run_main([*command, "--x-state", str(x_path), *PAIR_FLAGS], capsys)
+    assert via_x == run_main([*command, "--state", str(state_path), *PAIR_FLAGS], capsys)
+    assert via_x[0] == (code_default if tol is None else code_loose)
+
+
+@pytest.mark.parametrize(
+    "family, base, start, stop, far, message",
+    [
+        # c1 + c2 + c3 = 2.7 > 1 makes lambda_0 negative at the base; c1 <= -0.8 keeps every point a state.
+        ("bell_diagonal", {"param": "c1", "bell_diag": [0.9, 0.9, 0.9]}, -0.9, -0.85, 0.0,
+         "correlation triple (-0.72, 0.9, 0.9) gives eigenvalue lambda_0 = -0.02 outside [0, 1]"),
+        # rho11*rho44 < |rho14|^2 at the base; a coherence_scale s up to 0.5 keeps |0.4 s|^2 <= 0.04 < 0.05.
+        ("x_state", {"param": "coherence_scale", "x_state": X_EQUIVALENCE["positivity"][0]}, 0.0, 0.5, 1.0,
+         "negative eigenvalue -1.241e-02 below -1e-10"),
+    ],
+)  # fmt: skip
+def test_a_base_that_is_not_a_state_sweeps_the_states_it_reaches(tmp_path, capsys, family, base, start, stop, far, message):
+    # A sweep checks the points it measures, not its base. Swept on to ``far``, it refuses its first point that is
+    # not a state: c1 = -0.72, and s = 0.6.
+    path = tmp_path / "spec.json"
+    spec = {"family": family, **base, "start": start, "stop": stop, "count": 6, "eps_a": 0.5, "eps_b": 0.3}
+    path.write_text(json.dumps(spec))
+    code, out, err = run_main(["sweep", "--spec", str(path)], capsys)
+    assert (code, len(out.splitlines()), err) == (0, 7, "")
+    path.write_text(json.dumps({**spec, "stop": far}))
+    assert run_main(["sweep", "--spec", str(path)], capsys) == (2, "", f"qbcap: error: {message}\n")
 
 
 EXAMPLE2_SPEC = {"family": "example2", "param": "x", "start": 0.0, "stop": 0.5, "count": 3, "eps_a": 0.5, "eps_b": 0.3}
@@ -579,8 +658,7 @@ def _state_text(entries):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("sweep --spec", json.dumps({**X_SPEC, "x_state": {**X_QUARTERS, "rho14": [1e308, 1e308]}}),
-         "positivity violated: rho11*rho44 < |rho14|^2"),
+        ("sweep --spec", json.dumps({**X_SPEC, "x_state": {**X_QUARTERS, "rho14": [1e308, 1e308]}}), RECONSTRUCTION_ERROR),
         ("capacity --state", DEEP_JSON, "{path}: JSON nested too deeply to read"),
         ("capacity --x-state", DEEP_JSON, "{path}: JSON nested too deeply to read"),
         ("sweep --spec", DEEP_JSON, "{path}: JSON nested too deeply to read"),
@@ -603,8 +681,7 @@ def test_hostile_json_inputs_exit_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)
     extra = PAIR_FLAGS if command.startswith("capacity") else []
-    code, out, err = run_main([*command.split(), str(path), *extra], capsys)
-    assert (code, out, err) == (2, "", f"qbcap: error: {message.format(path=path)}\n")
+    run_main_refused([*command.split(), str(path), *extra], capsys, message.format(path=path))
 
 
 def test_invalid_utf8_input_names_its_file(tmp_path, capsys):

@@ -49,6 +49,13 @@ FAMILY_SPECS = {
 BASES = {"computational": {}, "rotated": {"basis": {"theta": 0.7, "phi": 1.3}}}
 SCHEMES = {"uniform": {}, "weighted": {"scheme": "weighted", "weights": [0.7, 0.3]}}
 STATE_ARGS = ["--state", "{dir}/input.json", "--eps-a", "0.5", "--eps-b", "0.3"]
+X_STATE_ARGS = ["--x-state", "{dir}/input.json", "--eps-a", "0.5", "--eps-b", "0.3"]
+# X-state files that do not make a state: a positivity violation, a negative population and populations summing to 2.
+X_FAULTS = (
+    {"rho11": 0.5, "rho22": 0.2, "rho33": 0.2, "rho44": 0.1, "rho14": 0.4},
+    {"rho11": -0.2, "rho22": 0.6, "rho33": 0.3, "rho44": 0.3},
+    {"rho11": 0.5, "rho22": 0.5, "rho33": 0.5, "rho44": 0.5},
+)
 WERNER_ARGS = ["--werner", "0.4", "--eps-a", "0.5", "--eps-b", "0.3"]
 
 
@@ -110,8 +117,10 @@ def error_calls() -> list[tuple[list[str], str | None]]:
     They reach the state check's messages, the weights' (not finite, negative,
     one too many), a zero-probability branch's under each scheme, the basis
     reader's non-number angle, the input reader's size cap and depth limit,
-    and the density-matrix reader's missing keys. The ``QBCAP_TOL`` errors are
-    left out: each would need its own environment.
+    the density-matrix reader's missing keys, and the state check's verdict on
+    X-state files (``X_FAULTS``) and on the points of an x_state sweep whose
+    base breaks positivity. The ``QBCAP_TOL`` errors are left out: each would
+    need its own environment.
     """
     import test_cli_input_check as input_check
     from qbcap.cli import MAX_INPUT_CHARS
@@ -131,6 +140,10 @@ def error_calls() -> list[tuple[list[str], str | None]]:
         calls.append((["capacity", *STATE_ARGS], text))
     for drop in (["dim_a"], ["dim_b"], ["re"], ["im"], ["re", "im"], ["dim_a", "dim_b", "re", "im"]):
         calls.append((["capacity", *STATE_ARGS], state(input_check.WERNER_04, drop)))
+    calls += [(["capacity", *X_STATE_ARGS], json.dumps(payload)) for payload in X_FAULTS]
+    spec = {"family": "x_state", "param": "coherence_scale", "start": 0.0, "stop": 1.0, "count": 6, "eps_a": 0.5,
+            "eps_b": 0.3, "x_state": X_FAULTS[0]}  # fmt: skip
+    calls.append((["sweep", "--spec", "{dir}/input.json"], json.dumps(spec)))
     return calls
 
 
