@@ -52,8 +52,8 @@ MAX_SPLITTING = sys.float_info.max / 8
 class QubitPairEnergies:
     """Finite level splittings of the two non-interacting qubits, MAX_SPLITTING >= eps_a >= eps_b >= 0.
 
-    Each is a ``json_number`` (a float, or an int in float range, but not a bool); one that is not raises a
-    ValueError naming it.
+    Each is a ``json_number`` (a float, or an int in float range, but not a bool), stored as a float; one that is
+    not raises a ValueError naming it.
     """
 
     eps_a: float
@@ -65,6 +65,8 @@ class QubitPairEnergies:
             raise ValueError(f"require finite eps_a >= eps_b >= 0, got eps_a={self.eps_a}, eps_b={self.eps_b}")
         if self.eps_a > MAX_SPLITTING:
             raise ValueError(f"eps_a={self.eps_a} exceeds {MAX_SPLITTING!r}, beyond which capacities overflow")
+        object.__setattr__(self, "eps_a", a)
+        object.__setattr__(self, "eps_b", b)
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending levels of the pair Hamiltonian and of the first qubit's, the protocol's ``levels``.

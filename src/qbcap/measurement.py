@@ -35,8 +35,9 @@ class MeasurementBasis:
     """Rank-1 projective measurement of the second qubit along a Bloch direction.
 
     ``angles`` is None for the computational basis {|0>, |1>}, or the Bloch
-    angles (theta, phi) of the first basis vector, each a finite
-    ``json_number``, kept as a tuple of floats; theta = 0 is computational.
+    angles (theta, phi) of the first basis vector: a list, tuple or 1-d array
+    of two finite ``json_number`` values, kept as a tuple of floats; theta = 0
+    is computational.
     """
 
     def __init__(self, angles: tuple[float, float] | None = None):
@@ -44,8 +45,9 @@ class MeasurementBasis:
             v = np.eye(2, dtype=complex)
             self.description = "computational"
         else:
-            theta, phi = angles  # exactly two
-            theta, phi = angles = json_number(theta, "basis theta"), json_number(phi, "basis phi")
+            if not (isinstance(angles, (list, tuple)) or isinstance(angles, np.ndarray) and angles.ndim == 1) or len(angles) != 2:
+                raise ValueError(f"basis angles must be a (theta, phi) pair, got {angles!r}")
+            theta, phi = angles = json_number(angles[0], "basis theta"), json_number(angles[1], "basis phi")
             if not (math.isfinite(theta) and math.isfinite(phi)):
                 raise ValueError(f"basis angles must be finite, got theta={theta}, phi={phi}")
             c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -274,22 +276,23 @@ _CHECK_ENDS = (1, 2, 3, 5, 7, 11, 14, 16, 20, 22, 24)
 def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weights, levels, tol) -> tuple[np.ndarray, np.ndarray]:
     """The protocol on an (N, 4, 4) stack of pair matrices: their spectra (N, 4) and gains (N, 6).
 
-    ``weights`` are numbers, or None for the uniform scheme; ``levels`` are the
-    ascending pair and first-qubit levels; ``tol`` is the validation tolerance.
+    ``weights`` are the tuple ``weight_values`` reads, which the caller
+    passes, or None for the uniform scheme; ``levels`` are the ascending pair
+    and first-qubit levels; ``tol`` is the validation tolerance.
     Gains come in ``GAIN_FIELDS`` order. With ``basis`` None nothing is
     measured: the call is the input half alone, the ``capacity`` command on a
     stack, and the gains are the capacities before, (N, 2), with the bits the
     protocol gives them.
     Input, branch and final matrices are written into one buffer, in that role
-    order, and read point-major. The weights are checked first
-    (``weight_values``). Then come one stacked ``screen_states`` of all roles,
-    one stacked ``eigh`` of the input and final matrices and one stacked
-    ``np.linalg.eigvalsh`` of their reduced first-qubit states. Every check
-    of the pass after the weights writes its columns of one boolean check
-    table (``_CHECK_ENDS``), a row per point, in place; the table is tested
-    once, after the last check, and only a failure builds its error. A stack
-    raises what its first failing point raises alone (``errors.raise_first``):
-    the error of the first check that point fails, in this order:
+    order, and read point-major. The pass reads no argument itself; it runs
+    one stacked ``screen_states`` of all roles, one stacked ``eigh`` of the
+    input and final matrices and one stacked ``np.linalg.eigvalsh`` of their
+    reduced first-qubit states. Every check of the pass writes its columns of
+    one boolean check table (``_CHECK_ENDS``), a row per point, in place; the
+    table is tested once, after the last check, and only a failure builds its
+    error. A stack raises what its first failing point raises alone
+    (``errors.raise_first``): the error of the first check that point fails,
+    in this order:
 
     1. the reconstruction of the input's eigendecomposition;
     2. the screen's verdict on the input, so that an input's own failure
@@ -324,8 +327,6 @@ def measure_and_mix(matrices: np.ndarray, basis: MeasurementBasis | None, weight
     table = np.zeros((n, _CHECK_ENDS[-1]), dtype=bool)
     stack = np.empty((4 if measured else 1, n, 4, 4), dtype=complex).transpose(1, 0, 2, 3)
     stack[:, 0] = matrices
-    if measured:
-        weights = weight_values(weights)
     # Non-finite or huge entries make NaNs and infinities, which the checks report; nothing warns of them.
     with np.errstate(invalid="ignore", over="ignore"):
         if measured:

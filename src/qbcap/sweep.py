@@ -72,14 +72,13 @@ class SweepSpec:
     applied to both coherences of ``x_params``).
 
     Construction checks every field: ``count`` an integer (not a bool) from 2
-    to ``MAX_COUNT``; ``start``, ``stop``, the weights, the basis angles (a
-    pair) and the three numbers of ``bell_diag`` finite ``json_number``
-    values, with a finite span; the family's base present; the scheme's rule
-    on weights, then the engine's (``weight_values``), so that a spec that
-    constructs runs its weights. It stores ``start`` and ``stop`` as floats
-    and the weights, the basis angles and ``bell_diag`` as tuples of floats.
-    A failing field raises ValueError with the message a spec file's entry
-    gets from ``from_mapping``.
+    to ``MAX_COUNT``; ``start``, ``stop`` and the three numbers of
+    ``bell_diag`` finite ``json_number`` values, with a finite span; the basis
+    angles by ``MeasurementBasis``; the family's base present; the scheme's
+    rule on weights, then ``weight_values``, the reader of every route's
+    weights. It stores ``start`` and ``stop`` as floats and the weights, the
+    basis angles and ``bell_diag`` as tuples of floats. A failing field raises
+    ValueError with the message a spec file's entry gets from ``from_mapping``.
     """
 
     family: str
@@ -107,14 +106,7 @@ class SweepSpec:
             object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"grid span stop - start is not finite for start={self.start}, stop={self.stop}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _finite_list(self.weights, "weights"))
-        if self.basis_angles is not None:
-            try:
-                theta, phi = self.basis_angles
-            except (TypeError, ValueError):
-                raise ValueError(f"sweep specification: basis_angles must be a (theta, phi) pair, got {self.basis_angles!r}") from None
-            object.__setattr__(self, "basis_angles", (_finite(theta, "basis theta"), _finite(phi, "basis phi")))
+        object.__setattr__(self, "basis_angles", MeasurementBasis(self.basis_angles).angles)
         if self.bell_diag is not None:
             object.__setattr__(self, "bell_diag", _finite_list(self.bell_diag, "bell_diag", 3))
         if self.family == "bell_diagonal" and self.bell_diag is None:
@@ -122,7 +114,7 @@ class SweepSpec:
         if self.family == "x_state" and self.x_params is None:
             raise ValueError("x_state sweeps need base x-state parameters")
         check_scheme(self.scheme, self.weights)
-        weight_values(self.weights)
+        object.__setattr__(self, "weights", weight_values(self.weights))
 
     @classmethod
     def from_mapping(cls, data) -> "SweepSpec":
@@ -131,10 +123,10 @@ class SweepSpec:
         Required keys are ``REQUIRED_KEYS``; optional ones are ``scheme``,
         ``weights``, ``basis`` ("computational" or {"theta": ..., "phi": ...}),
         ``bell_diag`` and ``x_state`` (an x-state parameter object). It reads
-        the keys, the shape of ``basis``, the splittings and the x-state, and
-        construction checks the rest. A missing or unknown key, a null
-        ``weights`` or ``bell_diag`` or anything malformed raises ValueError
-        naming the entry.
+        the keys and the shape of ``basis``; ``QubitPairEnergies`` reads the
+        splittings, ``XStateParams`` the x-state and construction the rest. A
+        missing or unknown key, a null ``weights`` or ``bell_diag`` or anything
+        malformed raises ValueError naming the entry.
         """
         check_keys(data, REQUIRED_KEYS, OPTIONAL_KEYS, "malformed sweep specification",
                    not_an_object="a sweep specification is a JSON object")
@@ -145,8 +137,8 @@ class SweepSpec:
         if basis != "computational" and not (isinstance(basis, dict) and set(basis) == {"theta", "phi"}):
             raise ValueError(f"malformed basis entry: {basis!r}")
         return cls(family=data["family"], param=data["param"], start=data["start"], stop=data["stop"], count=data["count"],
-                   energies=QubitPairEnergies(eps_a=_finite(data["eps_a"], "eps_a"), eps_b=_finite(data["eps_b"], "eps_b")),
-                   scheme=data.get("scheme", "uniform"), weights=data.get("weights"), bell_diag=data.get("bell_diag"),
+                   energies=QubitPairEnergies(data["eps_a"], data["eps_b"]), scheme=data.get("scheme", "uniform"),
+                   weights=data.get("weights"), bell_diag=data.get("bell_diag"),
                    basis_angles=None if basis == "computational" else (basis["theta"], basis["phi"]),
                    x_params=XStateParams.from_json(data["x_state"]) if "x_state" in data else None)  # fmt: skip
 

@@ -40,6 +40,9 @@ def test_energies_must_be_numbers(eps_a, eps_b, field):
     with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
         QubitPairEnergies(eps_a, eps_b)
     assert QubitPairEnergies(np.float64(0.5), 0).levels()[1].tolist() == [-0.5, 0.5]
+    # Stored as the floats they are read as, so that a spec file's integer splittings echo as floats.
+    energies = QubitPairEnergies(1, np.float64(0.5))
+    assert (energies.eps_a, energies.eps_b) == (1.0, 0.5) and all(type(e) is float for e in (energies.eps_a, energies.eps_b))
 
 
 def test_energies_validation():

@@ -1,5 +1,6 @@
 """The corpora of ``tools/byte_digest.py``, the byte digest that compares two revisions of the CLI."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -41,10 +42,14 @@ def test_a_record_holds_stderr_and_the_out_file(tmp_path, monkeypatch):
     monkeypatch.delenv("QBCAP_TOL", raising=False)
     tool = load_tool()
     failing = json.loads(tool.record(["capacity", "--werner", "1.5", "--eps-a", "0.5", "--eps-b", "0.3"], None, tmp_path))
-    assert failing[1:] == [2, "", "qbcap: error: werner parameter must lie in [0, 1], got 1.5\n", [], None]
+    assert failing[1:] == [None, 2, "", "qbcap: error: werner parameter must lie in [0, 1], got 1.5\n", [], None]
     written = json.loads(tool.record(["sweep", "--figure", "fig2", "--out", "{dir}/a.csv"], None, tmp_path))
-    assert written[1:3] == [0, ""] and written[5].startswith("x,lambda0,")
+    assert written[1:4] == [None, 0, ""] and written[6].startswith("x,lambda0,")
     assert not (tmp_path / "a.csv").exists()
+    # Calls that share an argv and read different files give different records.
+    texts = [json.dumps(payload) for payload in tool.X_FAULTS[1:]]
+    first, second = (json.loads(tool.record(["capacity", *tool.X_STATE_ARGS], text, tmp_path)) for text in texts)
+    assert first[1] == hashlib.sha256(texts[0].encode("utf-8")).hexdigest() != second[1]
 
 
 # Error lines that no other corpus reaches, each as it appears in the stderr of the errors corpus.
@@ -75,7 +80,7 @@ def test_the_errors_corpus_reaches_each_refusal(tmp_path, monkeypatch):
     tool = load_tool()
     tool.import_checkout(tool.ROOT)
     records = [json.loads(tool.record(argv, text, tmp_path)) for argv, text in tool.error_calls()]
-    stderr = [err for _, code, out, err, caught, _ in records if code != 0 and out == "" and caught == []]
+    stderr = [err for _, _, code, out, err, caught, _ in records if code != 0 and out == "" and caught == []]
     assert len(stderr) == len(records)
     missing = [message for message in ERROR_MESSAGES if not any(err.endswith(message) for err in stderr)]
     assert not missing

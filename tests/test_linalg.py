@@ -15,7 +15,9 @@ from qbcap import (
     bloch_coefficients,
     eigh,
     haar_unitary,
+    werner,
 )
+from qbcap.cli import main
 from qbcap.states import reduce_a
 
 # Frozen by hand expansion of sigma_1 x sigma_1.
@@ -122,6 +124,21 @@ def test_eigh_reports_the_first_failing_matrix_of_a_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(NumericError, match=r"^eigendecomposition reconstruction error 2\.000e-06 exceeds 1e-11$"):
         eigh(stack)
+
+
+def test_a_decomposition_that_does_not_converge_is_a_numeric_error(monkeypatch, capsys):
+    # LAPACK's failure to converge reaches the state check and the CLI as one NumericError, exit 2 and one line.
+    matrix = werner(0.4).matrix
+
+    def unconverged(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    message = "eigendecomposition did not converge: Eigenvalues did not converge"
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        DensityMatrix(matrix)
+    assert main(["capacity", "--werner", "0.4", "--eps-a", "0.5", "--eps-b", "0.3"]) == 2
+    assert capsys.readouterr() == ("", f"qbcap: error: {message}\n")
 
 
 def test_eigh_contracts_random_hermitian(rng):

@@ -107,8 +107,12 @@ def test_basis_rejects_incomplete_or_non_projector_sets():
         (lambda: MeasurementBasis(("0.5", 0)), "basis theta must be a number, got '0.5'"),
         (lambda: MeasurementBasis.rotated(True, 0), "basis theta must be a number, got True"),
         (lambda: MeasurementBasis.rotated(0.5, None), "basis phi must be a number, got None"),
+        (lambda: MeasurementBasis((0.1,)), "basis angles must be a (theta, phi) pair, got (0.1,)"),
+        (lambda: MeasurementBasis([0.1, 0.2, 0.3]), "basis angles must be a (theta, phi) pair, got [0.1, 0.2, 0.3]"),
+        (lambda: MeasurementBasis(np.zeros((2, 1))), "basis angles must be a (theta, phi) pair, got array([[0.],\n       [0.]])"),
+        (lambda: MeasurementBasis("ab"), "basis angles must be a (theta, phi) pair, got 'ab'"),
     ],
-    ids=["string", "bool", "none"],
+    ids=["string", "bool", "none", "one", "three", "2-d", "str-of-two"],
 )
 def test_basis_angles_must_be_numbers(build, message):
     # Each angle is read as a JSON number, as a spec file's are: a string raises ValueError, not a TypeError
@@ -118,6 +122,7 @@ def test_basis_angles_must_be_numbers(build, message):
     basis = MeasurementBasis.rotated(1, 0)
     assert basis.angles == (1.0, 0.0) and all(type(a) is float for a in basis.angles)
     assert basis.description == MeasurementBasis.rotated(1.0, 0.0).description == "rotated(theta=1, phi=0)"
+    assert MeasurementBasis(np.array([0.3, 1.2])).angles == MeasurementBasis([0.3, 1.2]).angles == (0.3, 1.2)
 
 
 def test_measure_bell_diagonal_branches(rng):

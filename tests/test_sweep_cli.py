@@ -95,16 +95,17 @@ def test_spec_validation():
     [
         ({"family": "bell_diagonal", "param": "c1", "bell_diag": (0.1, 0.2)}, "bell_diag must be a list of numbers of length 3, got (0.1, 0.2)"),
         ({"family": "bell_diagonal", "param": "c1", "bell_diag": (0.1, math.nan, 0.2)}, "bell_diag must be a finite number, got nan"),
-        ({"scheme": "weighted", "weights": (math.nan, 1.0)}, "weights must be a finite number, got nan"),
-        ({"scheme": "weighted", "weights": [0.5, "0.5"]}, "weights must be a number, got '0.5'"),
-        ({"basis_angles": (math.nan, 0.0)}, "basis theta must be a finite number, got nan"),
-        ({"basis_angles": (0.3, math.inf)}, "basis phi must be a finite number, got inf"),
+        ({"scheme": "weighted", "weights": (math.nan, 1.0)}, "weight mu_0 = nan is not a finite number"),
+        ({"scheme": "weighted", "weights": [0.5, "0.5"]}, "weight mu_1 must be a number, got '0.5'"),
+        ({"basis_angles": (math.nan, 0.0)}, "basis angles must be finite, got theta=nan, phi=0.0"),
+        ({"basis_angles": (0.3, math.inf)}, "basis angles must be finite, got theta=0.3, phi=inf"),
         ({"start": -1e308, "stop": 1e308}, "grid span stop - start is not finite for start=-1e+308, stop=1e+308"),
     ],
     ids=["bell-diag-pair", "bell-diag-nan", "weights-nan", "weights-string", "theta-nan", "phi-inf", "span"],
 )
 def test_construction_refuses_what_a_spec_file_refuses(fields, message):
     # Each of these once built a spec that failed inside run_sweep, if at all; a spec file got the message below.
+    # The weights and basis angles get the messages of their readers, weight_values and MeasurementBasis.
     spec = {"family": "werner", "param": "a", "start": 0.0, "stop": 0.5, "count": 3, "energies": PAIR_053, **fields}
     with pytest.raises(ValueError, match=f"^(sweep specification: )?{re.escape(message)}$"):
         SweepSpec(**spec)
@@ -113,9 +114,9 @@ def test_construction_refuses_what_a_spec_file_refuses(fields, message):
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"basis_angles": (0.1,)}, "sweep specification: basis_angles must be a (theta, phi) pair, got (0.1,)"),
-        ({"basis_angles": (0.1, 0.2, 0.3)}, "sweep specification: basis_angles must be a (theta, phi) pair, got (0.1, 0.2, 0.3)"),
-        ({"basis_angles": 0.5}, "sweep specification: basis_angles must be a (theta, phi) pair, got 0.5"),
+        ({"basis_angles": (0.1,)}, "basis angles must be a (theta, phi) pair, got (0.1,)"),
+        ({"basis_angles": (0.1, 0.2, 0.3)}, "basis angles must be a (theta, phi) pair, got (0.1, 0.2, 0.3)"),
+        ({"basis_angles": 0.5}, "basis angles must be a (theta, phi) pair, got 0.5"),
         ({"scheme": "weighted", "weights": (0.5, 0.6)}, "weights sum to 1.1, expected 1 within 1e-12"),
         ({"scheme": "weighted", "weights": (1.2, -0.2)}, "weight mu_1 = -0.2 is negative"),
         ({"scheme": "weighted", "weights": (0.5, 0.3, 0.2)}, "3 weights for 2 branches"),
@@ -1194,3 +1195,43 @@ def test_cli_non_finite_state_prints_one_error_line(tmp_path, command, bad):
     assert bad in path.read_text()
     proc = run_cli(command, "--state", str(path), *PAIR_FLAGS)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"qbcap: error: matrix contains non-finite entries\n")
+
+
+# One fault of each protocol setting: as the flags of measure and of a sweep, and as the keys of a spec file.
+SETTING_FAULTS = {
+    "eps_a-nan": (["--eps-a", "nan", "--eps-b", "0.3"], {"eps_a": math.nan}),
+    "eps_b-inf": (["--eps-a", "0.5", "--eps-b", "inf"], {"eps_b": math.inf}),
+    "weights-nan": ([*PAIR_FLAGS, "--scheme", "weighted", "nan", "1"], {"scheme": "weighted", "weights": [math.nan, 1]}),
+    "weights-negative": ([*PAIR_FLAGS, "--scheme", "weighted", "-0.5", "1.5"], {"scheme": "weighted", "weights": [-0.5, 1.5]}),
+    "weights-sum": ([*PAIR_FLAGS, "--scheme", "weighted", "0.5", "0.6"], {"scheme": "weighted", "weights": [0.5, 0.6]}),
+    "theta-nan": ([*PAIR_FLAGS, "--basis", "rotated", "nan", "0"], {"basis": {"theta": math.nan, "phi": 0}}),
+    "phi-inf": ([*PAIR_FLAGS, "--basis", "rotated", "0.3", "inf"], {"basis": {"theta": 0.3, "phi": math.inf}}),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("flags, keys", SETTING_FAULTS.values(), ids=SETTING_FAULTS.keys())
+def test_one_message_per_setting_fault_whatever_the_route(tmp_path, capsys, flags, keys):
+    # The splittings, the weights and the basis angles each have one reader, which every route goes through.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**WERNER_SPEC, **keys}))
+    via_measure = run_main(["measure", "--werner", "0.4", *flags], capsys)
+    assert via_measure[:2] == (2, "") and via_measure[2].startswith("qbcap: error: ") and via_measure[2].count("\n") == 1
+    assert run_main([*WERNER_SWEEP, *flags], capsys) == via_measure
+    assert run_main(["sweep", "--spec", str(path)], capsys) == via_measure
+
+
+@pytest.mark.parametrize(
+    "family, param, message",
+    [
+        ("bell_diagonal", "c1", "bell_diagonal sweeps need a base (c1, c2, c3) triple"),
+        ("x_state", "coherence_scale", "x_state sweeps need base x-state parameters"),
+    ],
+    ids=["bell-diagonal", "x-state"],
+)
+def test_a_sweep_without_its_family_base_exits_2(tmp_path, capsys, family, param, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**WERNER_SPEC, "family": family, "param": param}))
+    grid = ["--family", family, "--param", param, "--start", "0", "--stop", "1", "--count", "5"]
+    expected = (2, "", f"qbcap: error: {message}\n")
+    assert run_main(["sweep", *grid, *PAIR_FLAGS], capsys) == expected
+    assert run_main(["sweep", "--spec", str(path)], capsys) == expected

@@ -1,9 +1,10 @@
 """Digest the bytes of the qbcap CLI on fixed corpora of calls, to compare two revisions (ROADMAP item 15).
 
 Every call runs in process through ``qbcap.cli.main`` with ``QBCAP_TOL``
-unset and ``COLUMNS=80``. Its record is its argv, exit code, stdout, stderr,
-the warnings it raised (category and message) and the bytes of the file its
-``--out`` names; the input directory is written ``{dir}`` in all of them.
+unset and ``COLUMNS=80``. Its record is its argv, the sha256 of its input
+text (null for a call without one), exit code, stdout, stderr, the warnings it
+raised (category and message) and the bytes of the file its ``--out`` names;
+the input directory is written ``{dir}`` in all of them.
 The script prints one sha256 per corpus, over its records in order, and one
 over those lines. The corpora:
 
@@ -148,7 +149,10 @@ def error_calls() -> list[tuple[list[str], str | None]]:
 
 
 def record(argv: list[str], text: str | None, directory: Path) -> str:
-    """One call's record as a JSON line: argv, exit code, stdout, stderr, warnings and ``--out`` file."""
+    """One call's record as a JSON line: argv, input sha256, exit code, stdout, stderr, warnings and ``--out`` file.
+
+    The input's digest tells apart the calls that share an argv and differ only in the file they read.
+    """
     from qbcap.cli import main
 
     if text is not None:
@@ -167,7 +171,8 @@ def record(argv: list[str], text: str | None, directory: Path) -> str:
         if path.is_file():
             written = path.read_text(encoding="utf-8")
             path.unlink()
-    fields = [argv, code, out.getvalue(), err.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught], written]
+    digest = None if text is None else hashlib.sha256(text.encode("utf-8")).hexdigest()
+    fields = [argv, digest, code, out.getvalue(), err.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught], written]
     return json.dumps(fields).replace(json.dumps(str(directory))[1:-1], "{dir}") + "\n"
 
 
