@@ -301,37 +301,56 @@ SUBCOMMANDS = {
 }  # fmt: skip
 
 
-def build_parser(argv: Sequence[str]) -> _Parser:
-    """The qbcap parser for ``argv``: only the subcommands named in it get a parser.
-
-    argparse hands the command line to a subparser only at a token equal to
-    its name, so the others are never consulted beyond the name and help line
-    that the top-level usage, the help listing and the invalid-choice message
-    read. Each of those is registered as that help line and a ``choices`` entry
-    that holds no parser. The flags of a built subcommand are added from its
-    ``SUBCOMMANDS`` entry as the store actions ``add_argument`` would make of
-    them, without the help formatter it builds per flag to check the metavar.
-    """
-    parser = _Parser(prog="qbcap", description="Battery capacity of two-qubit states under local projective measurements.")
-    subs = parser.add_subparsers(dest="command", required=True, prog="qbcap")
-    for name, (help_text, _, sources, flags) in SUBCOMMANDS.items():
-        if name not in argv:
-            subs._choices_actions.append(subs._ChoicesPseudoAction(name, (), help_text))
-            subs.choices[name] = None
-            continue
-        sub = subs.add_parser(name, help=help_text)
-        group = sub.add_mutually_exclusive_group(required=True) if sources else sub
-        for container, table in ((group, sources), (sub, flags)):
-            for option, keywords in table.items():
-                container._add_action(argparse._StoreAction([option], option[2:].replace("-", "_"), **keywords))
+def _add_flags(parser: _Parser, name: str) -> _Parser:
+    """``parser`` with the flags of subcommand ``name``, added from its ``SUBCOMMANDS`` row as the store
+    actions ``add_argument`` would make of them, without the help formatter it builds per flag to check
+    the metavar."""
+    _, _, sources, flags = SUBCOMMANDS[name]
+    group = parser.add_mutually_exclusive_group(required=True) if sources else parser
+    for container, table in ((group, sources), (parser, flags)):
+        for option, keywords in table.items():
+            container._add_action(argparse._StoreAction([option], option[2:].replace("-", "_"), **keywords))
     return parser
 
 
+def build_parser() -> _Parser:
+    """The qbcap parser, with each subcommand's parser built by ``_add_flags`` as argparse builds subparsers.
+
+    ``parse_command`` uses it only for a command line that the named
+    subcommand's parser does not finish alone: no command, an unknown one, an
+    option before the command, or arguments the subcommand leaves over. It
+    prints the top-level help and usage errors.
+    """
+    parser = _Parser(prog="qbcap", description="Battery capacity of two-qubit states under local projective measurements.")
+    subs = parser.add_subparsers(dest="command", required=True, prog="qbcap")
+    for name, (help_text, *_) in SUBCOMMANDS.items():
+        _add_flags(subs.add_parser(name, help=help_text), name)
+    return parser
+
+
+def parse_command(argv: Sequence[str]) -> tuple[argparse.Namespace, _Parser]:
+    """The namespace of ``argv`` and the parser of its subcommand, which reports the call's usage errors.
+
+    argparse's qbcap parser hands the tokens after a subcommand's name to
+    that subcommand's parser and fails only on what it leaves over. So a
+    call that names a subcommand first is parsed by that parser alone, built
+    as ``build_parser`` builds it; any other command line, and a call that
+    leaves arguments over, is parsed by ``build_parser()``, which prints the
+    same help or error as it would have.
+    """
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _add_flags(_Parser(prog=f"qbcap {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args, parser
+    full = build_parser()
+    args = full.parse_args(argv)
+    (subs,) = full._subparsers._group_actions
+    return args, subs.choices[args.command]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
-    (subs,) = parser._subparsers._group_actions
+    args, parser = parse_command(sys.argv[1:] if argv is None else argv)
     raw_tol = os.environ.get("QBCAP_TOL")
     try:
         tol = checked_tol(float(raw_tol)) if raw_tol else VALIDATION_TOL
@@ -341,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return SUBCOMMANDS[args.command][1](args, tol)
     except _UsageError as exc:
-        subs.choices[args.command].error(str(exc))  # its usage errors name the subcommand
+        parser.error(str(exc))  # its usage errors name the subcommand
     except (ValueError, NumericError) as exc:
         print(f"qbcap: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

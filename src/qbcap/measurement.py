@@ -31,13 +31,23 @@ from .states import require_pair, screen_states, state_error
 from .tolerances import NEGLIGIBLE, RECONSTRUCTION_TOL, VALIDATION_TOL, ZERO_PROBABILITY, checked_tol
 
 
+def _is_vector(values) -> bool:
+    """Whether ``values`` is a list, tuple or 1-d array, the forms that weights and basis angles are read from."""
+    return isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1
+
+
+def _entry(value, what: str) -> float:
+    """An entry of weights or basis angles by ``json_number``, a numpy scalar read as the Python number it holds."""
+    return json_number(value.item() if isinstance(value, np.generic) else value, what)
+
+
 class MeasurementBasis:
     """Rank-1 projective measurement of the second qubit along a Bloch direction.
 
     ``angles`` is None for the computational basis {|0>, |1>}, or the Bloch
     angles (theta, phi) of the first basis vector: a list, tuple or 1-d array
-    of two finite ``json_number`` values, kept as a tuple of floats; theta = 0
-    is computational.
+    of two finite numbers by ``json_number`` (numpy scalars included), kept as
+    a tuple of floats; theta = 0 is computational.
     """
 
     def __init__(self, angles: tuple[float, float] | None = None):
@@ -45,9 +55,9 @@ class MeasurementBasis:
             v = np.eye(2, dtype=complex)
             self.description = "computational"
         else:
-            if not (isinstance(angles, (list, tuple)) or isinstance(angles, np.ndarray) and angles.ndim == 1) or len(angles) != 2:
+            if not _is_vector(angles) or len(angles) != 2:
                 raise ValueError(f"basis angles must be a (theta, phi) pair, got {angles!r}")
-            theta, phi = angles = json_number(angles[0], "basis theta"), json_number(angles[1], "basis phi")
+            theta, phi = angles = _entry(angles[0], "basis theta"), _entry(angles[1], "basis phi")
             if not (math.isfinite(theta) and math.isfinite(phi)):
                 raise ValueError(f"basis angles must be finite, got theta={theta}, phi={phi}")
             c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -174,9 +184,9 @@ def weight_values(weights, n: int = 2) -> tuple[float, ...] | None:
     """
     if weights is None:
         return None
-    if not (isinstance(weights, (list, tuple)) or isinstance(weights, np.ndarray) and weights.ndim == 1):
+    if not _is_vector(weights):
         raise ValueError(f"weights must be a list of numbers, got {weights!r}")
-    mu = tuple(json_number(w.item() if isinstance(w, np.generic) else w, f"weight mu_{k}") for k, w in enumerate(weights))
+    mu = tuple(_entry(w, f"weight mu_{k}") for k, w in enumerate(weights))
     for k, w in enumerate(mu):
         if not math.isfinite(w):
             raise ValueError(f"weight mu_{k} = {w} is not a finite number")

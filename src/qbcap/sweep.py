@@ -73,10 +73,11 @@ class SweepSpec:
 
     Construction checks every field: ``count`` an integer (not a bool) from 2
     to ``MAX_COUNT``; ``start``, ``stop`` and the three numbers of
-    ``bell_diag`` finite ``json_number`` values, with a finite span; the basis
-    angles by ``MeasurementBasis``; the family's base present; the scheme's
-    rule on weights, then ``weight_values``, the reader of every route's
-    weights. It stores ``start`` and ``stop`` as floats and the weights, the
+    ``bell_diag`` finite ``json_number`` values, with a finite span;
+    ``energies`` a ``QubitPairEnergies``; the basis angles by
+    ``MeasurementBasis``; ``x_params`` None or an ``XStateParams``; the
+    family's base present; the scheme's rule on weights, then
+    ``weight_values``, the reader of every route's weights. It stores ``start`` and ``stop`` as floats and the weights, the
     basis angles and ``bell_diag`` as tuples of floats. A failing field raises
     ValueError with the message a spec file's entry gets from ``from_mapping``.
     """
@@ -106,11 +107,15 @@ class SweepSpec:
             object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"grid span stop - start is not finite for start={self.start}, stop={self.stop}")
+        if not isinstance(self.energies, QubitPairEnergies):
+            raise ValueError(f"sweep specification: energies must be a QubitPairEnergies, got {self.energies!r}")
         object.__setattr__(self, "basis_angles", MeasurementBasis(self.basis_angles).angles)
         if self.bell_diag is not None:
             object.__setattr__(self, "bell_diag", _finite_list(self.bell_diag, "bell_diag", 3))
         if self.family == "bell_diagonal" and self.bell_diag is None:
             raise ValueError("bell_diagonal sweeps need a base (c1, c2, c3) triple")
+        if self.x_params is not None and not isinstance(self.x_params, XStateParams):
+            raise ValueError(f"sweep specification: x_params must be None or an XStateParams, got {self.x_params!r}")
         if self.family == "x_state" and self.x_params is None:
             raise ValueError("x_state sweeps need base x-state parameters")
         check_scheme(self.scheme, self.weights)

@@ -211,7 +211,7 @@ def reference_parser():
     Its parsers wrap help to the width argparse's own ``HelpFormatter`` reads
     from the terminal, and ``add_subparsers`` computes the subcommands' prog.
     """
-    parser = ReferenceParser(prog="qbcap", description=cli.build_parser([]).description)
+    parser = ReferenceParser(prog="qbcap", description=cli.build_parser().description)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, *_) in cli.SUBCOMMANDS.items():
         add_reference_arguments(subs.add_parser(name, help=help_text), name)

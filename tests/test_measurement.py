@@ -37,7 +37,7 @@ from qbcap import (
     x_state,
 )
 import qbcap.measurement
-from qbcap.measurement import _branch_bounds, _branches, _qubit_spectra, measure_and_mix
+from qbcap.measurement import _branch_bounds, _branches, _qubit_spectra, measure_and_mix, weight_values
 from qbcap.states import check_states, reduce_a
 from qbcap.tolerances import RECONSTRUCTION_TOL, VALIDATION_TOL
 
@@ -396,6 +396,24 @@ def test_numpy_weights_are_numbers():
         assert all(type(w) is float for w in report.weights)
     ints = capacity_gain(werner(0.4), PAIR_053, scheme="weighted", weights=(np.int64(1), 0))
     assert ints == capacity_gain(werner(0.4), PAIR_053, scheme="weighted", weights=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("dtype, values", [(np.float64, [0.75, 0.25]), (np.float32, [0.375, 0.625]), (np.int64, [1, 0])],
+                         ids=["float64", "float32", "int64"])  # fmt: skip
+def test_weights_and_basis_angles_read_an_arrays_entries_alike(dtype, values):
+    # A 1-d array's entries are read as the Python numbers they hold, by the one rule of both readers.
+    array = np.array(values, dtype=dtype)
+    want = tuple(float(v) for v in array.tolist())
+    assert weight_values(array) == MeasurementBasis(array).angles == want
+    assert all(type(v) is float for v in (*weight_values(array), *MeasurementBasis(array).angles))
+
+
+def test_weights_and_basis_angles_refuse_a_bool_array():
+    flags = np.array([True, False])
+    with pytest.raises(ValueError, match="^weight mu_0 must be a number, got True$"):
+        weight_values(flags)
+    with pytest.raises(ValueError, match="^basis theta must be a number, got True$"):
+        MeasurementBasis(flags)
 
 
 def test_uniform_gain_on_bell_diagonal(rng):

@@ -100,8 +100,12 @@ def test_spec_validation():
         ({"basis_angles": (math.nan, 0.0)}, "basis angles must be finite, got theta=nan, phi=0.0"),
         ({"basis_angles": (0.3, math.inf)}, "basis angles must be finite, got theta=0.3, phi=inf"),
         ({"start": -1e308, "stop": 1e308}, "grid span stop - start is not finite for start=-1e+308, stop=1e+308"),
+        ({"energies": (0.5, 0.3)}, "energies must be a QubitPairEnergies, got (0.5, 0.3)"),
+        ({"family": "x_state", "param": "coherence_scale", "x_params": {"rho11": 0.5}},
+         "x_params must be None or an XStateParams, got {'rho11': 0.5}"),
     ],
-    ids=["bell-diag-pair", "bell-diag-nan", "weights-nan", "weights-string", "theta-nan", "phi-inf", "span"],
+    ids=["bell-diag-pair", "bell-diag-nan", "weights-nan", "weights-string", "theta-nan", "phi-inf", "span",
+         "energies-tuple", "x-params-dict"],  # fmt: skip
 )
 def test_construction_refuses_what_a_spec_file_refuses(fields, message):
     # Each of these once built a spec that failed inside run_sweep, if at all; a spec file got the message below.

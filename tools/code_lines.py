@@ -11,6 +11,7 @@ prints the plain line count of the same files, as ``wc -l`` gives it.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -43,7 +44,9 @@ def count(path: Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(arg) for arg in argv] or sorted(PACKAGE.glob("*.py"))
+    parser = argparse.ArgumentParser(description="Count the code lines and all lines of Python files.")
+    parser.add_argument("paths", nargs="*", type=Path, metavar="PATH", help="files to count (default: the qbcap package)")
+    paths = parser.parse_args(argv).paths or sorted(PACKAGE.glob("*.py"))
     totals = [0, 0]
     for path in paths:
         code, lines = count(path)
